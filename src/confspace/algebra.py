@@ -17,7 +17,7 @@ Elements are sparse dicts ``{basis_index: scalar}``.
 
 from .exactlinalg import (
     Matrix, SpanReducer, kernel_basis, solve, NO_SOLUTION,
-    vec_add, vec_scale,
+    vec_add, vec_iadd, vec_scale,
 )
 
 
@@ -54,14 +54,6 @@ def koszul(p, q):
 
 # ---------------------------------------------------------------------------
 # element helpers (sparse dicts over basis indices)
-
-def el_add(u, v, c=None):
-    return vec_add(u, v, c)
-
-
-def el_scale(u, c):
-    return vec_scale(u, c)
-
 
 def el_degree(alg, u):
     """Degree of a homogeneous element; None for 0, error if mixed."""
@@ -116,8 +108,8 @@ class Algebra:
                 if (i, j) not in prods:
                     if (j, i) in prods:
                         s = koszul(self.degrees[i], self.degrees[j])
-                        prods[(i, j)] = el_scale(prods[(j, i)],
-                                                 field.of(s))
+                        prods[(i, j)] = vec_scale(prods[(j, i)],
+                                                  field.of(s))
                     else:
                         prods[(i, j)] = {}
         self.products = prods
@@ -155,13 +147,13 @@ class Algebra:
         out = {}
         for i, a in u.items():
             for j, b in v.items():
-                out = el_add(out, self.mul_basis(i, j), a * b)
+                vec_iadd(out, self.mul_basis(i, j), a * b)
         return out
 
     def differentiate(self, u):
         out = {}
         for i, a in u.items():
-            out = el_add(out, self.d_basis(i), a)
+            vec_iadd(out, self.d_basis(i), a)
         return out
 
     def basis_of_degree(self, d):
@@ -202,7 +194,7 @@ class Algebra:
             for j in range(n):
                 s = koszul(degs[i], degs[j])
                 lhs = self.products[(j, i)]
-                rhs = el_scale(self.products[(i, j)], f.of(s))
+                rhs = vec_scale(self.products[(i, j)], f.of(s))
                 if lhs != rhs:
                     raise AxiomViolation("graded commutativity", (i, j))
         for i in range(n):
@@ -224,9 +216,9 @@ class Algebra:
             for i in range(n):
                 for j in range(n):
                     lhs = self.differentiate(self.products[(i, j)])
-                    rhs = el_add(self.multiply(self.d_basis(i), {j: f.one}),
-                                 self.multiply({i: f.one}, self.d_basis(j)),
-                                 f.of(sign(degs[i])))
+                    rhs = vec_add(self.multiply(self.d_basis(i), {j: f.one}),
+                                  self.multiply({i: f.one}, self.d_basis(j)),
+                                  f.of(sign(degs[i])))
                     if lhs != rhs:
                         raise AxiomViolation("Leibniz rule", (i, j))
 
@@ -518,10 +510,6 @@ class TruncatedFreeCDGA:
                 raise AxiomViolation("d o d = 0", self.gen_labels[g])
 
 
-def truncated_free_cdga(name, field, generators, d_gens, bound):
-    return TruncatedFreeCDGA(name, field, generators, d_gens, bound)
-
-
 # ---------------------------------------------------------------------------
 # cohomology of a finite CDGA carrier
 
@@ -770,16 +758,16 @@ def tensor_algebra(a, b, name=None):
             el = {}
             for k1, c1 in left.items():
                 for k2, c2 in right.items():
-                    el = el_add(el, {idx[(k1, k2)]: s * c1 * c2})
+                    vec_iadd(el, {idx[(k1, k2)]: s * c1 * c2})
             products[(p, q)] = el
     differential = {}
     for (i, j), p in idx.items():
         el = {}
         for k, c in a.d_basis(i).items():
-            el = el_add(el, {idx[(k, j)]: c})
+            vec_iadd(el, {idx[(k, j)]: c})
         s = f.of(sign(a.degrees[i]))
         for k, c in b.d_basis(j).items():
-            el = el_add(el, {idx[(i, k)]: s * c})
+            vec_iadd(el, {idx[(i, k)]: s * c})
         if el:
             differential[p] = el
     top = None

@@ -19,8 +19,8 @@ Three variants:
   the no-duplicate-target quotient.
 """
 
-from .exactlinalg import Matrix, vec_add
-from .algebra import sign, el_add
+from .exactlinalg import Matrix, vec_add, vec_iadd
+from .algebra import sign
 from . import graphs as gr
 
 
@@ -116,7 +116,7 @@ class Bicomplex:
         out = {}
         for k, c in prod.items():
             tup = factors[:s] + (k,) + factors[s + 1:t] + factors[t + 1:]
-            out = el_add(out, {(g2, tup): coeff * c})
+            vec_iadd(out, {(g2, tup): coeff * c})
         return out
 
     def _pair_term_reduced(self, g, factors, i, j, g2, esign):
@@ -134,34 +134,29 @@ class Bicomplex:
         dst = sum(degs[factors[r]] for r in range(s + 1, t))
         base = f.of(esign)
         out = {}
-
-        def emit(tup, c):
-            nonlocal out
-            out = el_add(out, {(g2, tup): c})
-
         # merge the two factors in place
         for k, c in self.carrier.mul_basis(factors[s], factors[t]).items():
             tup = factors[:s] + (k,) + factors[s + 1:t] + factors[t + 1:]
-            emit(tup, base * f.of(sign(dt * dst)) * c)
+            vec_iadd(out, {(g2, tup): base * f.of(sign(dt * dst)) * c})
         # absorb the source factor into the free slot, move the target factor up
         eps = sign(ds * d2s + dt * dst)
         for k, c in self.carrier.mul_basis(factors[0], factors[s]).items():
             tup = ((k,) + factors[1:s] + (factors[t],)
                    + factors[s + 1:t] + factors[t + 1:])
-            emit(tup, -base * f.of(eps) * c)
+            vec_iadd(out, {(g2, tup): -base * f.of(eps) * c})
         # absorb the target factor into the free slot
         for k, c in self.carrier.mul_basis(factors[0], factors[t]).items():
             tup = ((k,) + factors[1:t] + factors[t + 1:])
-            emit(tup, -base * f.of(sign(dt * (d2s + ds + dst))) * c)
+            vec_iadd(out, {(g2, tup):
+                           -base * f.of(sign(dt * (d2s + ds + dst))) * c})
         return out
 
     def dprime_key(self, key):
-        g = key[0]
         out = {}
         lo = 2 if self.kind == C_KIND else 1
         for i in range(lo, self.n):
             for j in range(i + 1, self.n + 1):
-                out = el_add(out, self._pair_term(key, i, j))
+                vec_iadd(out, self._pair_term(key, i, j))
         return out
 
     def dsecond_key(self, key):
@@ -175,24 +170,24 @@ class Bicomplex:
             s = gsign * f.of(sign(pre))
             for k, c in self.carrier.d_basis(fi).items():
                 tup = factors[:slot] + (k,) + factors[slot + 1:]
-                out = el_add(out, {(g, tup): s * c})
+                vec_iadd(out, {(g, tup): s * c})
             pre += degs[fi]
         return out
 
     def apply_dprime(self, el):
         out = {}
         for key, c in el.items():
-            out = vec_add(out, self.dprime_key(key), c)
+            vec_iadd(out, self.dprime_key(key), c)
         return out
 
     def apply_dsecond(self, el):
         out = {}
         for key, c in el.items():
-            out = vec_add(out, self.dsecond_key(key), c)
+            vec_iadd(out, self.dsecond_key(key), c)
         return out
 
     def apply_total(self, el):
-        return vec_add(self.apply_dprime(el), self.apply_dsecond(el))
+        return vec_iadd(self.apply_dprime(el), self.apply_dsecond(el))
 
     # -- block matrices -----------------------------------------------------
     def _as_block(self, el, p, q):
@@ -260,7 +255,7 @@ def edge_multiply(bc, el, i, j):
         raise ValueError("edge multiplication lives on the graph-family side")
     out = {}
     for key, c in el.items():
-        out = vec_add(out, bc._pair_term(key, i, j), c)
+        vec_iadd(out, bc._pair_term(key, i, j), c)
     return out
 
 
@@ -295,13 +290,13 @@ def phi_bar(c_bc, bar_bc):
             for h, c in head.items():
                 tup = (h,) + tuple(unit if r in inset else factors[r]
                                    for r in range(1, l))
-                out = el_add(out, {(g, tup): coeff * c})
+                vec_iadd(out, {(g, tup): coeff * c})
         return out
 
     def apply(el):
         out = {}
         for key, c in el.items():
-            out = vec_add(out, on_key(key), c)
+            vec_iadd(out, on_key(key), c)
         return out
 
     return apply

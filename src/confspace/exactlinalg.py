@@ -91,7 +91,7 @@ class FpElement:
 
 
 class Field:
-    """Field descriptor: knows how to build, parse and print scalars."""
+    """Field descriptor: knows how to build and print scalars."""
 
     def __init__(self, p=None):
         if p is not None:
@@ -119,13 +119,6 @@ class Field:
             return FpElement(self.p, n.numerator) / FpElement(self.p, n.denominator)
         return FpElement(self.p, n)
 
-    def parse(self, text):
-        text = text.strip()
-        if "/" in text:
-            num, den = text.split("/")
-            return self.of(int(num)) / self.of(int(den))
-        return self.of(int(text))
-
     def format(self, x):
         return str(x)
 
@@ -145,22 +138,29 @@ QQ = Field()
 # ---------------------------------------------------------------------------
 # sparse vectors: plain dicts {index: nonzero scalar}
 
-def vec_add(u, v, c=None):
-    """u + c*v (c defaults to 1) for sparse dict vectors."""
-    out = dict(u)
+def vec_iadd(u, v, c=None):
+    """u += c*v in place (c defaults to 1) for sparse dict vectors; returns u.
+
+    Accumulating term by term with this is linear in the terms, where
+    ``u = vec_add(u, ...)`` copies the whole accumulator each time."""
     for j, x in v.items():
-        y = out.get(j)
+        y = u.get(j)
         t = x if c is None else c * x
         if y is None:
             if t:
-                out[j] = t
+                u[j] = t
         else:
             y = y + t
             if y:
-                out[j] = y
+                u[j] = y
             else:
-                del out[j]
-    return out
+                del u[j]
+    return u
+
+
+def vec_add(u, v, c=None):
+    """u + c*v (c defaults to 1) for sparse dict vectors."""
+    return vec_iadd(dict(u), v, c)
 
 
 def vec_scale(v, c):
@@ -171,13 +171,6 @@ def vec_scale(v, c):
 
 def vec_from_list(xs):
     return {j: x for j, x in enumerate(xs) if x}
-
-
-def vec_to_list(v, n, zero):
-    out = [zero] * n
-    for j, x in v.items():
-        out[j] = x
-    return out
 
 
 class Matrix:
@@ -216,12 +209,6 @@ class Matrix:
     def entry(self, i, j):
         return self.rows[i].get(j, self.field.zero)
 
-    def set_entry(self, i, j, x):
-        if x:
-            self.rows[i][j] = x
-        else:
-            self.rows[i].pop(j, None)
-
     def mulvec(self, v):
         """Matrix times sparse dict vector -> sparse dict vector."""
         out = {}
@@ -234,13 +221,6 @@ class Matrix:
             if s:
                 out[i] = s
         return out
-
-    def transpose(self):
-        rows = [dict() for _ in range(self.ncols)]
-        for i, row in enumerate(self.rows):
-            for j, x in row.items():
-                rows[j][i] = x
-        return Matrix(self.field, self.ncols, self.nrows, rows)
 
     def column(self, j):
         return {i: row[j] for i, row in enumerate(self.rows) if j in row}

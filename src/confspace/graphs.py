@@ -89,10 +89,6 @@ def components(g):
     return comps
 
 
-def component_count(g):
-    return len(components(g))
-
-
 def component_of(g, vertex):
     """Index (0-based) of the component containing vertex."""
     for s, comp in enumerate(components(g)):

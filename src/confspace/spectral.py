@@ -7,11 +7,19 @@ The filtration is by columns: F^p is the span of all blocks with first index
     E_r(p, q) = Z_r(p, q) / ( Z_{r-1}(p+1, q-1) + D Z_{r-1}(p-r+1, q+r-2) ),
 
 so the page differential d_r is literally "apply D to a representative and
-read the class off in the target block" (the zig-zag rule).  Everything is
-cached per (r, p, q); a q-window on the underlying bicomplex restricts the
-total degrees that may be touched."""
+read the class off in the target block" (the zig-zag rule).
 
-from .exactlinalg import Matrix, SpanReducer, solve, NO_SOLUTION, vec_add
+D columns are evaluated once per bicomplex: D of each Tot^k basis key is
+computed lazily, the first time it is needed, and cached on the
+``SpectralSequence``; every other use of D (cycle spaces, boundaries, page
+differentials, total cohomology) combines these cached columns.  Build one
+``SpectralSequence`` per bicomplex and reuse it to keep that saving.  Cycle
+spaces, pages and page differentials are cached per (r, p, q) on top.  A
+q-window on the underlying bicomplex restricts the total degrees that may
+be touched."""
+
+from .exactlinalg import (Matrix, SpanReducer, solve, NO_SOLUTION,
+                          kernel_basis, rank, vec_iadd)
 
 
 class WindowError(ValueError):
@@ -22,6 +30,7 @@ class SpectralSequence:
     def __init__(self, bc):
         self.bc = bc
         self._tot = {}
+        self._cols = {}    # k -> {Tot^k index: D of it, over Tot^{k+1}}
         self._z = {}
         self._e = {}
         self._d = {}
@@ -42,16 +51,26 @@ class SpectralSequence:
             raise WindowError("total degree %d needs q-window above %d"
                               % (k, self.bc.qmax))
 
-    def apply_D(self, el):
-        return self.bc.apply_total(el)
+    def _column(self, k, i):
+        """D of the i-th Tot^k basis key, as a Tot^{k+1} coordinate vector.
+
+        Evaluated on first use only; the result is shared, so callers must
+        not mutate it."""
+        cols = self._cols.setdefault(k, {})
+        col = cols.get(i)
+        if col is None:
+            keys, _ = self.tot_keys(k)
+            _, pos1 = self.tot_keys(k + 1)
+            out = self.bc.apply_total({keys[i]: self.bc.field.one})
+            col = cols[i] = {pos1[key]: c for key, c in out.items()}
+        return col
 
     def _d_vec(self, v, k):
         """D of a Tot^k coordinate vector, as a Tot^{k+1} coordinate vector."""
-        keys, _ = self.tot_keys(k)
-        _, pos1 = self.tot_keys(k + 1)
-        el = {keys[i]: c for i, c in v.items()}
-        out = self.apply_D(el)
-        return {pos1[key]: c for key, c in out.items()}
+        out = {}
+        for i, c in v.items():
+            vec_iadd(out, self._column(k, i), c)
+        return out
 
     def _fp_indices(self, k, p):
         keys, _ = self.tot_keys(k)
@@ -80,13 +99,10 @@ class SpectralSequence:
             return basis
         self._check_window(k)
         low = self._low_indices(k + 1, p + r)
-        cols = []
-        for i in fp:
-            img = self._d_vec({i: self.bc.field.one}, k)
-            cols.append({j: c for j, c in img.items() if j in low})
+        cols = [{j: c for j, c in self._column(k, i).items() if j in low}
+                for i in fp]
         m = Matrix.from_columns(self.bc.field, cols, len(self.tot_keys(k + 1)[0]))
         basis = []
-        from .exactlinalg import kernel_basis
         for v in kernel_basis(m):
             basis.append({fp[i]: c for i, c in v.items()})
         self._z[key] = basis
@@ -100,7 +116,7 @@ class SpectralSequence:
         if k - 1 >= 0:
             self._check_window(k - 1)
             for v in self.z_basis(r - 1, p - r + 1, q + r - 2):
-                red.insert(dict(self._d_vec(v, k - 1)))
+                red.insert(self._d_vec(v, k - 1))
         return red
 
     def e_block(self, r, p, q):
@@ -197,23 +213,21 @@ class SpectralSequence:
 def total_cohomology(bc, kmin, kmax):
     """Dims of the total complex cohomology H^k for k in kmin..kmax."""
     ss = SpectralSequence(bc)
-    from .exactlinalg import rank
+    ranks = {}
+
+    def rank_d(k):
+        # rank of D : Tot^k -> Tot^{k+1}, shared by H^k and H^{k+1}
+        if k not in ranks:
+            ss._check_window(k)
+            cols = [ss._column(k, i) for i in range(len(ss.tot_keys(k)[0]))]
+            ranks[k] = rank(Matrix.from_columns(
+                bc.field, cols, len(ss.tot_keys(k + 1)[0])))
+        return ranks[k]
+
     out = {}
     for k in range(kmin, kmax + 1):
-        ss._check_window(k)
-        nk = len(ss.tot_keys(k)[0])
-        cols = [ss._d_vec({i: bc.field.one}, k) for i in range(nk)]
-        mk = Matrix.from_columns(bc.field, cols, len(ss.tot_keys(k + 1)[0]))
-        rk = rank(mk)
-        kerdim = nk - rk
-        if k - 1 >= 0:
-            ss._check_window(k - 1)
-            nprev = len(ss.tot_keys(k - 1)[0])
-            cols = [ss._d_vec({i: bc.field.one}, k - 1) for i in range(nprev)]
-            mprev = Matrix.from_columns(bc.field, cols, nk)
-            imdim = rank(mprev)
-        else:
-            imdim = 0
+        kerdim = len(ss.tot_keys(k)[0]) - rank_d(k)
+        imdim = rank_d(k - 1) if k - 1 >= 0 else 0
         out[k] = kerdim - imdim
     return out
 
