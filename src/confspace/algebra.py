@@ -16,7 +16,7 @@ Elements are sparse dicts ``{basis_index: scalar}``.
 """
 
 from .exactlinalg import (
-    Matrix, SpanReducer, kernel_basis, solve, NO_SOLUTION,
+    Matrix, SpanReducer, kernel_basis, quotient_basis, solve, NO_SOLUTION,
     vec_add, vec_iadd, vec_scale,
 )
 
@@ -288,22 +288,19 @@ def indecomposables(alg):
     Returns (reps, project): reps are elements of A+ whose classes form a
     basis of Q; project maps any element to its Q-coordinate list (the unit
     coefficient is discarded)."""
-    f = alg.field
     pos = alg.positive_indices()
-    red = SpanReducer(f)
+    local = {i: p for p, i in enumerate(pos)}
+    prods = []
     for i in pos:
         for j in pos:
             prod = alg.mul_basis(i, j)
             if prod:
-                red.insert(prod)
-    pivset = set(red.rows)
-    free = [i for i in pos if i not in pivset]
-    reps = [{i: f.one} for i in free]
+                prods.append({local[k]: c for k, c in prod.items()})
+    qreps, qproject = quotient_basis(alg.field, len(pos), prods)
+    reps = [{pos[p]: c for p, c in r.items()} for r in qreps]
 
     def project(u):
-        u = {i: c for i, c in u.items() if alg.degrees[i] > 0}
-        r = red.reduce(u)
-        return [r.get(i, f.zero) for i in free]
+        return qproject({local[i]: c for i, c in u.items() if i in local})
 
     return reps, project
 
@@ -584,20 +581,28 @@ class CohomologyAlgebra(Algebra):
         """Cohomology class of a cocycle, as an element of this algebra."""
         if not cocycle:
             return {}
-        view = self.view
-        k = el_degree(view.carrier, cocycle)
-        classes = [i for i in range(self.dim) if self.degrees[i] == k]
-        nslice = len(view.slices[k])
-        cols = [view.local(self.representatives[i], k) for i in classes]
-        if k > 0:
-            dm = view.d_matrix(k - 1)
-            nb = len(view.slices[k - 1])
-            cols += [dm.column(j) for j in range(nb)]
-        m = Matrix.from_columns(self.field, cols, nslice)
-        x = solve(m, view.local(cocycle, k))
+        k = el_degree(self.view.carrier, cocycle)
+        x = _class_coords(self.view, self.representatives, self.degrees,
+                          cocycle, k)
         if x is NO_SOLUTION:
             raise ValueError("not a cocycle (or representative set incomplete)")
-        return {classes[p]: c for p, c in x.items() if p < len(classes) and c}
+        return x
+
+
+def _class_coords(view, reps, degrees, w, k):
+    """Coordinates of a degree-k cocycle w over the classes of degree k,
+    where reps[i] represents class i of degree degrees[i]; NO_SOLUTION when
+    w is not a cocycle or the representatives do not span."""
+    classes = [i for i, d in enumerate(degrees) if d == k]
+    cols = [view.local(reps[i], k) for i in classes]
+    if k > 0:
+        dm = view.d_matrix(k - 1)
+        cols += [dm.column(j) for j in range(dm.ncols)]
+    m = Matrix.from_columns(view.carrier.field, cols, len(view.slices[k]))
+    x = solve(m, view.local(w, k))
+    if x is NO_SOLUTION:
+        return x
+    return {classes[p]: c for p, c in x.items() if p < len(classes) and c}
 
 
 def cohomology(carrier, max_degree):
@@ -644,18 +649,7 @@ def cohomology(carrier, max_degree):
     # normalize the unit representative to the carrier unit
     reps[unit] = {carrier.unit: f.one}
 
-    # helper: express a cocycle in class coordinates at its degree
-    def class_coords(w, k):
-        classes = [i for i, (_, kk) in enumerate(basis) if kk == k]
-        cols = [view.local(reps[i], k) for i in classes]
-        if k > 0:
-            dm = view.d_matrix(k - 1)
-            cols += [dm.column(j) for j in range(len(view.slices[k - 1]))]
-        m = Matrix.from_columns(f, cols, len(view.slices[k]))
-        x = solve(m, view.local(w, k))
-        assert x is not NO_SOLUTION
-        return {classes[p]: c for p, c in x.items() if p < len(classes) and c}
-
+    degrees = [k for (_, k) in basis]
     products = {}
     for i, (_, ki) in enumerate(basis):
         for j, (_, kj) in enumerate(basis):
@@ -664,7 +658,8 @@ def cohomology(carrier, max_degree):
             if not w:
                 products[(i, j)] = {}
             elif k <= max_degree:
-                products[(i, j)] = class_coords(w, k)
+                products[(i, j)] = _class_coords(view, reps, degrees, w, k)
+                assert products[(i, j)] is not NO_SOLUTION
             else:
                 # above the computed range: the product must be exact
                 x = CochainViewExtended(carrier, k).solve_d(w)

@@ -35,7 +35,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .exactlinalg import Field, QQ, vec_add, vec_scale
+from .exactlinalg import Field, QQ, vec_iadd
 from .algebra import (Algebra, TruncatedFreeCDGA, AxiomViolation, Overflow,
                       cohomology, format_element, el_degree)
 from . import graphs as gr
@@ -199,13 +199,13 @@ def _build_algebra(name, field, basis, unit_label, top_label,
     for (ln, a, b, rhs) in product_lines:
         el = {}
         for c, lab in _parse_terms(field, rhs, ln):
-            el = vec_add(el, {look(lab, ln): c})
+            vec_iadd(el, {look(lab, ln): c})
         products[(look(a, ln), look(b, ln))] = el
     differential = {}
     for (ln, a, rhs) in d_lines:
         el = {}
         for c, lab in _parse_terms(field, rhs, ln):
-            el = vec_add(el, {look(lab, ln): c})
+            vec_iadd(el, {look(lab, ln): c})
         if el:
             differential[look(a, ln)] = el
     return Algebra(name, field, basis, unit, products,
@@ -572,31 +572,32 @@ def _build_parser():
         description="configuration-space bicomplex workbench")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, classes=False, suite=False, kind=None):
-        p.add_argument("--input", help="algebra file")
-        p.add_argument("--catalog", help="catalog algebra name")
-        p.add_argument("--n", type=int, help="number of points")
-        p.add_argument("--page", type=int, help="last page to show")
-        p.add_argument("--field", help="Q or Fp")
+    def command(name, algebra=True, n=True, qmax=False):
+        # each command registers only the options it reads
+        p = sub.add_parser(name)
+        if algebra:
+            p.add_argument("--input", help="algebra file")
+            p.add_argument("--catalog", help="catalog algebra name")
+            p.add_argument("--field", help="Q or Fp")
+            p.add_argument("--truncate", type=int, help="truncation bound")
+        if n:
+            p.add_argument("--n", type=int, help="number of points")
+        if qmax:
+            p.add_argument("--qmax", type=int, help="internal degree window")
         p.add_argument("--format", choices=("table", "json"), default="table")
-        p.add_argument("--truncate", type=int, help="truncation bound")
-        p.add_argument("--qmax", type=int, help="internal degree window")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for perturbation tests")
-        if suite:
-            p.add_argument("suite", help="suite name")
-        if classes:
-            p.add_argument("classes", nargs="*", help="class labels")
-        if kind:
-            p.add_argument("--kind", choices=kind[0], default=kind[1])
+        return p
 
-    common(sub.add_parser("pages"), kind=(("full", "bar", "j"), "bar"))
-    common(sub.add_parser("ct-e2"))
-    common(sub.add_parser("total"), kind=(("full", "bar", "j", "c"), "bar"))
-    common(sub.add_parser("check"), suite=True)
-    common(sub.add_parser("massey"), classes=True)
-    common(sub.add_parser("d2"), classes=True)
-    common(sub.add_parser("catalog"))
+    pages = command("pages", qmax=True)
+    pages.add_argument("--page", type=int, help="last page to show")
+    pages.add_argument("--kind", choices=("full", "bar", "j"), default="bar")
+    command("ct-e2")
+    command("total", qmax=True).add_argument(
+        "--kind", choices=("full", "bar", "j", "c"), default="bar")
+    command("check").add_argument("suite", help="suite name")
+    command("massey", n=False).add_argument(
+        "classes", nargs="*", help="class labels")
+    command("d2").add_argument("classes", nargs="*", help="class labels")
+    command("catalog", algebra=False, n=False)
     return ap
 
 

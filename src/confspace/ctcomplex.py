@@ -21,7 +21,7 @@ basis R of monomials with strictly increasing targets, as a cross-check.
 
 from itertools import combinations
 
-from .exactlinalg import Matrix, SpanReducer, quotient_basis, vec_add
+from .exactlinalg import Matrix, SpanReducer, quotient_basis, rank, vec_iadd
 from .algebra import sign, poincare_data
 from . import graphs as gr
 
@@ -62,6 +62,8 @@ class CTComplex:
         self._build_ambient()
         self._quot = {}        # (p, h) -> (reps, project)
         self._d1 = {}
+        self._arn = {}         # (p, h) -> three-term reducer, see _arnold_data
+        self._rq = {}          # (p, h) -> R-presentation (reps, project)
 
     # -- ambient basis -------------------------------------------------------
     def _build_ambient(self):
@@ -95,7 +97,7 @@ class CTComplex:
             s = self.field.of(sign(degs[a] * pre))
             for k, c in self.alg.mul_basis(a, t[i - 1]).items():
                 t2 = t[:i - 1] + (k,) + t[i:]
-                out = vec_add(out, {t2: s * ca * c})
+                vec_iadd(out, {t2: s * ca * c})
         return out
 
     def _symbol_vectors(self, p, h):
@@ -115,9 +117,9 @@ class CTComplex:
                         right = self.insert_slot(tens, t, {a: self.field.one})
                         vec = {}
                         for t2, c in left.items():
-                            vec = vec_add(vec, {pos[(t2, mu)]: c})
+                            vec_iadd(vec, {pos[(t2, mu)]: c})
                         for t2, c in right.items():
-                            vec = vec_add(vec, {pos[(t2, mu)]: -c})
+                            vec_iadd(vec, {pos[(t2, mu)]: -c})
                         if vec:
                             out.append(vec)
         return out
@@ -189,7 +191,7 @@ class CTComplex:
                 for t1, c1 in el1.items():
                     el2 = self.insert_slot(t1, s, {u: f.one})
                     for t2, c2 in el2.items():
-                        out = vec_add(out, {(t2, mu2): pref * c * c1 * c2})
+                        vec_iadd(out, {(t2, mu2): pref * c * c1 * c2})
         return out
 
     def d1_matrix(self, p, h):
@@ -205,7 +207,7 @@ class CTComplex:
             img = {}
             for idx, c in v.items():
                 for key2, c2 in self.d1_key(keys_src[idx]).items():
-                    img = vec_add(img, {pos_tgt[key2]: c * c2})
+                    vec_iadd(img, {pos_tgt[key2]: c * c2})
             coords = project_tgt(img)
             cols.append({i: c for i, c in enumerate(coords) if c})
         m = Matrix.from_columns(self.field, cols, self.dim(p - 1, h + self.m))
@@ -221,7 +223,7 @@ class CTComplex:
             img = {}
             for idx, c in v.items():
                 for key2, c2 in self.d1_key(keys_src[idx]).items():
-                    img = vec_add(img, {pos_tgt[key2]: c * c2})
+                    vec_iadd(img, {pos_tgt[key2]: c * c2})
             if any(project_tgt(img)):
                 raise MismatchError("d1 not defined on the quotient at (%d, %d)"
                                     % (p, h))
@@ -242,8 +244,6 @@ class CTComplex:
     def _arnold_data(self, p, h):
         """(reducer over permuted coordinates, perm, k_non): the three-term
         span eliminated so its pivots are exactly the non-R coordinates."""
-        if not hasattr(self, "_arn"):
-            self._arn = {}
         if (p, h) in self._arn:
             return self._arn[(p, h)]
         n_amb = self.ambient_dim(p, h)
@@ -282,8 +282,6 @@ class CTComplex:
 
     def r_quotient(self, p, h):
         """(reps, project) of the block in the R-presentation."""
-        if not hasattr(self, "_rq"):
-            self._rq = {}
         if (p, h) not in self._rq:
             self._rq[(p, h)] = quotient_basis(
                 self.field, len(self.r_keys(p, h)), self.r_relations(p, h))
@@ -302,7 +300,7 @@ class CTComplex:
             img = {}
             for ri, c in v.items():
                 for key2, c2 in self.d1_key(keys_src[rk[ri]]).items():
-                    img = vec_add(img, {pos_tgt[key2]: c * c2})
+                    vec_iadd(img, {pos_tgt[key2]: c * c2})
             coords = project_tgt(self.straighten(img, p - 1, h + self.m))
             cols.append({i: c for i, c in enumerate(coords) if c})
         nt = len(self.r_quotient(p - 1, h + self.m)[0])
@@ -310,7 +308,6 @@ class CTComplex:
 
     def e2_dims(self):
         """Dims of ker d1 / im d1 on every quotient block."""
-        from .exactlinalg import rank
         out = {}
         for (p, h) in self.blocks():
             dsrc = self.dim(p, h)

@@ -3,9 +3,13 @@
 Everything downstream (bicomplex differentials, spectral-sequence pages,
 Massey defining systems) reduces to rank / kernel / solve / quotient over an
 exact field, so no floating point appears anywhere in this package.  Matrices
-are stored sparsely; elimination works on rows kept as ``{col: scalar}``
-dicts, which is plenty fast at the desk scales we target (a few thousand
-columns at most).
+are stored sparsely, and every elimination runs through one kernel,
+``SpanReducer``: an incremental reduced row echelon form over rows kept as
+``{col: scalar}`` dicts, which is plenty fast at the desk scales we target (a
+few thousand columns at most).  ``rank`` and ``kernel_basis`` reduce the rows
+of a matrix, ``quotient_basis`` reduces the spanning vectors of a subspace,
+and ``solve`` reduces the columns of a matrix, each extended by its own
+index, so that every reduced row records the combination of columns it is.
 """
 
 from fractions import Fraction
@@ -262,7 +266,7 @@ class SpanReducer:
             for c in hits:
                 x = v.get(c)
                 if x:
-                    v = vec_add(v, self.rows[c], -x)
+                    vec_iadd(v, self.rows[c], -x)
             hits = [c for c in v if c in self.rows]
         return v
 
@@ -294,24 +298,12 @@ class SpanReducer:
         return [self.rows[c] for c in sorted(self.rows)]
 
 
-def echelon(matrix):
-    """Reduced row echelon form.
-
-    Returns (pivot_cols, rref_rows) with pivot_cols strictly increasing and
-    rref_rows[k] the row whose pivot is pivot_cols[k] (pivot entry 1, zeros
-    at every other pivot column).
-    """
-    red = SpanReducer(matrix.field)
-    for row in matrix.rows:
-        if row:
-            red.insert(row)
-    pivots = red.pivots
-    return pivots, [red.rows[c] for c in pivots]
+def _row_span(matrix):
+    return SpanReducer(matrix.field).extend(row for row in matrix.rows if row)
 
 
 def rank(matrix):
-    pivots, _ = echelon(matrix)
-    return len(pivots)
+    return _row_span(matrix).dim
 
 
 def kernel_basis(matrix):
@@ -320,84 +312,54 @@ def kernel_basis(matrix):
     One basis vector per free column, in increasing column order; each has a
     1 at its free column (deterministic for a fixed input).
     """
-    pivots, rows = echelon(matrix)
-    pivset = set(pivots)
+    red = _row_span(matrix)
+    pivots = red.pivots
     basis = []
     for f in range(matrix.ncols):
-        if f in pivset:
+        if f in red.rows:
             continue
         v = {f: matrix.field.one}
-        for c, row in zip(pivots, rows):
-            x = row.get(f)
+        for c in pivots:
+            x = red.rows[c].get(f)
             if x:
                 v[c] = -x
         basis.append(v)
     return basis
 
 
-class NoSolution:
-    """Sentinel value: rhs not in the image.  A value, not an exception."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "NoSolution"
-
-    def __bool__(self):
-        return False
-
-
-NO_SOLUTION = NoSolution()
+NO_SOLUTION = None  # what solve returns when rhs is not in the image
 
 
 def solve(matrix, rhs):
     """A particular solution x of matrix @ x = rhs, or NO_SOLUTION.
 
-    rhs may be a sparse dict or a dense list over the rows.  Free variables
-    are set to zero, so the answer is deterministic.
+    rhs may be a sparse dict or a dense list over the rows.  x is supported
+    on the columns independent of the columns before them, so free variables
+    are zero and the answer is deterministic.
     """
     if not isinstance(rhs, dict):
         rhs = vec_from_list(rhs)
     field = matrix.field
-    # Column-span elimination: reduce the columns of A over the row indices,
-    # tracking the x-combination that produced each reduced column, then
-    # express rhs in the reduced columns.
-    combos = {}  # pivot row index -> (reduced col, combo dict over x-indices)
-    for j in range(matrix.ncols):
-        col = matrix.column(j)
-        combo = {j: field.one}
-        hits = [p for p in col if p in combos]
-        while hits:
-            for p in hits:
-                x = col.get(p)
-                if x:
-                    pc, pcombo = combos[p]
-                    col = vec_add(col, pc, -x)
-                    combo = vec_add(combo, pcombo, -x)
-            hits = [p for p in col if p in combos]
-        if col:
-            piv = min(col)
-            inv = field.one / col[piv]
-            combos[piv] = (vec_scale(col, inv), vec_scale(combo, inv))
-    v = dict(rhs)
-    sol = {}
-    hits = [p for p in v if p in combos]
-    while hits:
-        for p in hits:
-            x = v.get(p)
-            if x:
-                pc, pcombo = combos[p]
-                v = vec_add(v, pc, -x)
-                sol = vec_add(sol, pcombo, x)
-        hits = [p for p in v if p in combos]
-    if v:
+    nrows = matrix.nrows
+    cols = [{} for _ in range(matrix.ncols)]
+    for i, row in enumerate(matrix.rows):
+        for j, x in row.items():
+            cols[j][i] = x
+    # Column j carries its own index as the extra coordinate nrows + j, so
+    # every reduced row records the combination of columns it came from.
+    # Inserting only columns independent of the earlier ones keeps the free
+    # variables at zero.
+    red = SpanReducer(field)
+    for j, col in enumerate(cols):
+        col[nrows + j] = field.one
+        v = red.reduce(col)
+        if min(v) < nrows:
+            red.insert(v)
+    # rhs - sum x_j col_j reduces to zero over the rows, leaving -x behind
+    v = red.reduce(rhs)
+    if any(i < nrows for i in v):
         return NO_SOLUTION
-    return sol
+    return {i - nrows: -x for i, x in v.items()}
 
 
 def quotient_basis(field, ambient_dim, vectors):

@@ -13,7 +13,7 @@ away the vertical leak of the horizontal differential and read off the
 resulting corner class).  The zig-zag value is the authoritative one; the
 formula is compared against it modulo the page boundaries."""
 
-from .exactlinalg import SpanReducer, solve, NO_SOLUTION, vec_add, vec_scale
+from .exactlinalg import SpanReducer, solve, NO_SOLUTION, vec_iadd, vec_scale
 from .algebra import sign, koszul, el_degree, indecomposables
 from . import graphs as gr
 
@@ -47,7 +47,7 @@ def _rep(H, u):
     """Cocycle representative of an H element."""
     out = {}
     for i, c in u.items():
-        out = vec_add(out, H.representatives[i], c)
+        vec_iadd(out, H.representatives[i], c)
     return out
 
 
@@ -104,7 +104,7 @@ def matrix_massey(H, L, B, C):
         for i in range(r):
             if any(H.multiply(L[i], B[i][j]).values()):
                 raise NotDefined("an entry of the first product is nonzero")
-            w = vec_add(w, carrier.multiply(_rep(H, L[i]), _rep(H, B[i][j])))
+            vec_iadd(w, carrier.multiply(_rep(H, L[i]), _rep(H, B[i][j])))
         x = view.solve_d(w)
         if x is NO_SOLUTION:
             raise NotDefined("first product not exact at column %d" % j)
@@ -115,17 +115,17 @@ def matrix_massey(H, L, B, C):
         for j in range(s):
             if any(H.multiply(B[i][j], C[j]).values()):
                 raise NotDefined("an entry of the second product is nonzero")
-            w = vec_add(w, carrier.multiply(_rep(H, B[i][j]), _rep(H, C[j])))
+            vec_iadd(w, carrier.multiply(_rep(H, B[i][j]), _rep(H, C[j])))
         y = view.solve_d(w)
         if y is NO_SOLUTION:
             raise NotDefined("second product not exact at row %d" % i)
         ys.append(y)
     rep = {}
     for j in range(s):
-        rep = vec_add(rep, carrier.multiply(xs[j], _rep(H, C[j])))
+        vec_iadd(rep, carrier.multiply(xs[j], _rep(H, C[j])))
     for i in range(r):
-        rep = vec_add(rep, carrier.multiply(_rep(H, L[i]), ys[i]),
-                      f.of(-sign(la[i])))
+        vec_iadd(rep, carrier.multiply(_rep(H, L[i]), ys[i]),
+                 f.of(-sign(la[i])))
     if carrier.differentiate(rep):
         raise AssertionError("Massey representative is not a cocycle")
     cls = H.class_of(rep)
@@ -216,21 +216,21 @@ def d2_formula(H, a, b, c, d):
         out = {}
         for i, ci in left.items():
             for j, cj in right.items():
-                out = vec_add(out, {(i, j): f.of(s) * ci * cj})
+                vec_iadd(out, {(i, j): f.of(s) * ci * cj})
         return out
 
     e2334 = {}
-    e2334 = vec_add(e2334, tens(a, mp(b, c, d), sign(da)))
-    e2334 = vec_add(e2334, tens(mp(a, b, c), d, 1))
-    e2334 = vec_add(e2334, tens(mp(b, a, d), c, sign(dc * da * db)))
-    e2334 = vec_add(e2334, tens(mp(a, d, c), b,
-                                -sign(db * dc + db * dd + dc * dd)))
+    vec_iadd(e2334, tens(a, mp(b, c, d), sign(da)))
+    vec_iadd(e2334, tens(mp(a, b, c), d, 1))
+    vec_iadd(e2334, tens(mp(b, a, d), c, sign(dc * da * db)))
+    vec_iadd(e2334, tens(mp(a, d, c), b,
+                         -sign(db * dc + db * dd + dc * dd)))
     e2324 = {}
-    e2324 = vec_add(e2324, tens(a, mp(c, b, d), sign(da + db * dc)))
-    e2324 = vec_add(e2324, tens(mp(a, c, b), d, sign(db * dc)))
-    e2324 = vec_add(e2324, tens(mp(c, a, d), b,
-                                sign(db * dc + db * dd + da * dc)))
-    e2324 = vec_add(e2324, tens(mp(a, d, b), c, -sign(db * dd + dd * dc)))
+    vec_iadd(e2324, tens(a, mp(c, b, d), sign(da + db * dc)))
+    vec_iadd(e2324, tens(mp(a, c, b), d, sign(db * dc)))
+    vec_iadd(e2324, tens(mp(c, a, d), b,
+                         sign(db * dc + db * dd + da * dc)))
+    vec_iadd(e2324, tens(mp(a, d, b), c, -sign(db * dd + dd * dc)))
     return {"e2334": e2334, "e2324": e2324}
 
 
@@ -270,8 +270,8 @@ def quadruple_tensor(bc, H, a, b, c, d):
         for i1, c1 in reps[1].items():
             for i2, c2 in reps[2].items():
                 for i3, c3 in reps[3].items():
-                    out = vec_add(out, {(g0, (i0, i1, i2, i3)):
-                                        c0 * c1 * c2 * c3})
+                    vec_iadd(out, {(g0, (i0, i1, i2, i3)):
+                                   c0 * c1 * c2 * c3})
     return out
 
 
@@ -288,7 +288,7 @@ def corner_element(bc, H, tensors):
         for (i, j), c in tensors.get(name, {}).items():
             for i0, c0 in _rep(H, {i: bc.field.one}).items():
                 for j0, c1 in _rep(H, {j: bc.field.one}).items():
-                    out = vec_add(out, {(g, (i0, j0)): c * c0 * c1})
+                    vec_iadd(out, {(g, (i0, j0)): c * c0 * c1})
     return out
 
 
@@ -310,9 +310,9 @@ def matrix_obstruction_element(bc, H, x, L, B, C):
             da = el_degree(H, L[i])
             db = el_degree(H, B[i][j])
             dc = el_degree(H, C[j])
-            out = vec_add(out, quadruple_tensor(bc, H, x, L[i], B[i][j], C[j]))
-            out = vec_add(out, quadruple_tensor(bc, H, x, C[j], B[i][j], L[i]),
-                          f.of(-sign(dc * db + dc * da + db * da)))
+            vec_iadd(out, quadruple_tensor(bc, H, x, L[i], B[i][j], C[j]))
+            vec_iadd(out, quadruple_tensor(bc, H, x, C[j], B[i][j], L[i]),
+                     f.of(-sign(dc * db + dc * da + db * da)))
     return out
 
 

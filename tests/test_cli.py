@@ -172,6 +172,18 @@ def test_unknown_suite_exit_two(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["ct-e2", "--catalog", "s2", "--n", "2", "--page", "3"],
+    ["pages", "--catalog", "s2", "--n", "2", "--seed", "1"],
+    ["massey", "--catalog", "stb_s2xs2", "--n", "4", "x", "x", "y"],
+    ["catalog", "--catalog", "s2"],
+])
+def test_options_a_command_ignores_are_rejected(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_undefined_massey_exit_one(capsys):
     code, out, err = run(capsys, "massey", "--catalog", "cp2",
                          "--format", "json", "h", "h", "h")

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from confspace.exactlinalg import (
     Field, QQ, Matrix, rank, kernel_basis, solve, NO_SOLUTION,
-    quotient_basis, SpanReducer, vec_add,
+    quotient_basis, SpanReducer, vec_add, vec_from_list, vec_scale,
 )
 
 F5 = Field(5)
@@ -107,3 +107,75 @@ def test_solve_finds_consistent_rhs(m, coeffs):
     for j, c in x.items():
         img = vec_add(img, m.column(j), c)
     assert img == rhs
+
+
+def _reference_solve(matrix, rhs):
+    """Column elimination with combination tracking: the solver that
+    ``solve`` replaced, kept as its reference."""
+    if not isinstance(rhs, dict):
+        rhs = vec_from_list(rhs)
+    field = matrix.field
+    combos = {}  # pivot row index -> (reduced col, combo dict over x-indices)
+    for j in range(matrix.ncols):
+        col = matrix.column(j)
+        combo = {j: field.one}
+        hits = [p for p in col if p in combos]
+        while hits:
+            for p in hits:
+                x = col.get(p)
+                if x:
+                    pc, pcombo = combos[p]
+                    col = vec_add(col, pc, -x)
+                    combo = vec_add(combo, pcombo, -x)
+            hits = [p for p in col if p in combos]
+        if col:
+            piv = min(col)
+            inv = field.one / col[piv]
+            combos[piv] = (vec_scale(col, inv), vec_scale(combo, inv))
+    v = dict(rhs)
+    sol = {}
+    hits = [p for p in v if p in combos]
+    while hits:
+        for p in hits:
+            x = v.get(p)
+            if x:
+                pc, pcombo = combos[p]
+                v = vec_add(v, pc, -x)
+                sol = vec_add(sol, pcombo, x)
+        hits = [p for p in v if p in combos]
+    if v:
+        return NO_SOLUTION
+    return sol
+
+
+@st.composite
+def dependent_system(draw, field):
+    """A matrix whose later columns mix earlier ones, and a rhs that is
+    either a combination of its columns or a random vector."""
+    nr = draw(st.integers(1, 5))
+    ncols = draw(st.integers(0, 6))
+    small = st.integers(-3, 3)
+    cols = []
+    for _ in range(ncols):
+        if cols and draw(st.booleans()):
+            col = {}
+            for c in cols:
+                col = vec_add(col, c, field.of(draw(small)))
+        else:
+            col = {i: field.of(x) for i in range(nr) if (x := draw(small))}
+        cols.append(col)
+    m = Matrix.from_columns(field, cols, nr)
+    if draw(st.booleans()):
+        rhs = {}
+        for c in cols:
+            rhs = vec_add(rhs, c, field.of(draw(small)))
+    else:
+        rhs = {i: field.of(x) for i in range(nr) if (x := draw(small))}
+    return m, rhs
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([QQ, F5]).flatmap(dependent_system))
+def test_solve_matches_reference(system):
+    m, rhs = system
+    assert solve(m, rhs) == _reference_solve(m, rhs)
