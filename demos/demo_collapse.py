@@ -3,7 +3,7 @@
 For a formal coefficient algebra the column-filtration spectral sequence of
 the no-duplicate-target bicomplex collapses at the second page; this script
 prints the page tables for a few catalog algebras so the collapse is
-visible.  Run with:  python3 demos/demo_collapse.py
+visible.  Run with:  PYTHONPATH=src python3 demos/demo_collapse.py
 """
 
 from confspace import catalog

@@ -3,7 +3,7 @@
 The tensor-power complex block (p, h) pairs perfectly with the graph
 quotient block (p, (n-p)m - h), the differentials are adjoint up to a sign
 constant on each column, and the second pages mirror each other dimension
-by dimension.  Run with:  python3 demos/demo_duality.py
+by dimension.  Run with:  PYTHONPATH=src python3 demos/demo_duality.py
 """
 
 from confspace import catalog

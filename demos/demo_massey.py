@@ -3,7 +3,7 @@
 Two carriers: the three-dimensional nilmanifold model (the classic nonzero
 triple product in degree one) and a formal model where every defined
 product dies modulo its indeterminacy.  Run with:
-python3 demos/demo_massey.py
+PYTHONPATH=src python3 demos/demo_massey.py
 """
 
 from confspace import catalog

@@ -5,7 +5,7 @@ total space over a product of two 2-spheres.  Its cohomology looks
 perfectly ordinary (all products of the degree-2 classes vanish), but the
 triple Massey products <x,x,y> and <x,y,y> are nonzero, and they force a
 nonzero differential on the second page of the four-point reduced
-bicomplex.  Run with:  python3 demos/demo_nonzero_d2.py
+bicomplex.  Run with:  PYTHONPATH=src python3 demos/demo_nonzero_d2.py
 """
 
 from confspace import catalog

@@ -2,7 +2,8 @@
 
 For a Poincare duality algebra H with top degree m, the block (p, h) of the
 tensor-power complex pairs with the block (p, (n - p) m - h) of the
-no-duplicate-target graph quotient:
+no-duplicate-target graph quotient.  Both sides are indexed by the same
+graphs: a tensor-power key T (x) mu has a distinct-target edge set mu, and
 
     < T (x) mu ; (b_1, ..., b_l) e_G > = 0 unless mu and G have the same
     edge set; otherwise merge the n tensor slots of T along the components
@@ -14,7 +15,7 @@ intertwines the two differentials up to a sign that is constant on each
 block; ``theorem1_check`` verifies all of this and reports the discovered
 signs and the resulting second-page duality of dimensions."""
 
-from .exactlinalg import Matrix, SpanReducer, rank
+from .exactlinalg import Matrix, rank, vec_iadd
 from .algebra import sign
 from . import graphs as gr
 
@@ -36,12 +37,13 @@ class Pairing:
         self.alg = ct.alg
         self.m = ct.m
         self.n = ct.n
+        self._mat = {}   # (p, h) -> pairing matrix, read again by adjointness
 
     def dual_block(self, p, h):
         return (p, (self.n - p) * self.m - h)
 
     def pair_keys(self, ct_key, bar_key):
-        """Scalar pairing of one ambient tensor-power key with one graph key."""
+        """Scalar pairing of one tensor-power key with one graph key."""
         tens, mu = ct_key
         g, factors = bar_key
         if tuple(sorted(mu)) != g.edges:
@@ -59,8 +61,13 @@ class Pairing:
                     e += degs[tens[order[a] - 1]] * degs[tens[order[b] - 1]]
         merged = []
         # suspension sign of the edge monomial: trivial for even m, needed
-        # for the adjointness sign to be constant on blocks when m is odd
-        e += self.m * sum(t for (_, t) in mu)
+        # for the adjointness sign to be constant on blocks when m is odd;
+        # from four points on the targets of mu can be out of order, and
+        # each inversion among them costs another (-1)^m
+        targets = [t for (_, t) in mu]
+        e += self.m * (sum(targets) + sum(
+            1 for a in range(len(targets)) for b in range(a + 1, len(targets))
+            if targets[a] > targets[b]))
         total = f.of(sign(e))
         for comp in comps:
             el = {self.alg.unit: f.one}
@@ -88,43 +95,47 @@ class Pairing:
                 out = out + c0 * s * val
         return total * out
 
-    def matrix(self, p, h):
-        """Pairing matrix in the R-presentation: rows = block quotient basis,
-        columns = basis of the dual graph block."""
-        ct = self.ct
-        reps, _ = ct.r_quotient(p, h)
-        rk = ct.r_keys(p, h)
-        keys_src = ct._blocks.get((p, h), [])
-        q2 = self.dual_block(p, h)
-        bar_keys = self.bar.blocks.get(q2, [])
+    def _key_rows(self, p, h):
+        """Pairing of every key of block (p, h) with the dual graph block:
+        one sparse row per key, over the graph keys on the same edge set
+        (no other graph key pairs with it)."""
+        bar_keys = self.bar.blocks.get(self.dual_block(p, h), [])
+        by_edges = {}
+        for j, bkey in enumerate(bar_keys):
+            by_edges.setdefault(bkey[0].edges, []).append((j, bkey))
         rows = []
-        for v in reps:
+        for key in self.ct._blocks.get((p, h), ()):
             row = {}
-            for j, bkey in enumerate(bar_keys):
-                s = self.alg.field.zero
-                for ri, c in v.items():
-                    s = s + c * self.pair_keys(keys_src[rk[ri]], bkey)
-                if s:
-                    row[j] = s
+            for j, bkey in by_edges.get(key[1], ()):
+                x = self.pair_keys(key, bkey)
+                if x:
+                    row[j] = x
             rows.append(row)
-        return Matrix(self.alg.field, len(rows), len(bar_keys), rows)
+        return rows, len(bar_keys)
 
-    def relations_orthogonal(self, p, h):
-        """Every straightened relation must pair to zero with the dual block."""
-        ct = self.ct
-        rk = ct.r_keys(p, h)
-        keys_src = ct._blocks.get((p, h), [])
-        q2 = self.dual_block(p, h)
-        bar_keys = self.bar.blocks.get(q2, [])
-        for v in ct.r_relations(p, h):
-            for bkey in bar_keys:
-                s = self.alg.field.zero
-                for ri, c in v.items():
-                    s = s + c * self.pair_keys(keys_src[rk[ri]], bkey)
-                if s:
+    def matrix(self, p, h):
+        """Pairing matrix: rows = block quotient basis, columns = basis of
+        the dual graph block.  Raises DualityError when a relation of the
+        block pairs nontrivially, since the pairing is then not defined on
+        the quotient."""
+        if (p, h) not in self._mat:
+            rows, ncols = self._key_rows(p, h)
+            for v in self.ct.relation_vectors(p, h):
+                if _combine(rows, v):
                     raise DualityError(
                         "relation pairs nontrivially at (%d, %d)" % (p, h))
-        return True
+            reps, _ = self.ct.r_quotient(p, h)
+            self._mat[(p, h)] = Matrix(self.alg.field, len(reps), ncols,
+                                       [_combine(rows, v) for v in reps])
+        return self._mat[(p, h)]
+
+
+def _combine(rows, vec):
+    """The sparse combination sum_i vec[i] rows[i]."""
+    out = {}
+    for i, c in vec.items():
+        vec_iadd(out, rows[i], c)
+    return out
 
 
 def _expand(factor_elements, f):
@@ -163,9 +174,7 @@ def theorem1_check(alg, n, ct=None, bar=None):
                                % (p, h, dim_t, dim_b))
         if dim_t == 0:
             continue
-        pr.relations_orthogonal(p, h)
-        pm = pr.matrix(p, h)
-        if rank(pm) != dim_t:
+        if rank(pr.matrix(p, h)) != dim_t:
             raise DualityError("pairing degenerate at (%d, %d)" % (p, h))
         signs[(p, h)] = None
     # adjointness: < d1 z ; w > = sigma < z ; d' w > with sigma constant per
@@ -199,15 +208,20 @@ def theorem1_check(alg, n, ct=None, bar=None):
         if sigma is not None and sigma * sigma != f.one:
             raise DualityError("adjointness ratio %r is not a sign" % (sigma,))
         signs[(p, h)] = sigma
-    # second-page dimension duality
-    from .spectral import SpectralSequence
-    e2_ct = ct.e2_dims()
-    ss = SpectralSequence(bar)
-    e2_bar = {}
+    # second-page dimension duality; the carrier has no differential
+    # (poincare_data refuses one), so d'' = 0 and the graph-side E2 is H(d')
+    ranks = {}
+
+    def dprime_rank(p, q):
+        if (p, q) not in ranks:
+            ranks[(p, q)] = rank(bar.dprime_matrix(p, q))
+        return ranks[(p, q)]
+
     dual_pairs = []
-    for (p, h), d in e2_ct.items():
+    for (p, h), d in ct.e2_dims().items():
         q2 = pr.dual_block(p, h)
-        db = ss.e_dim(2, *q2)
+        p2, q = q2
+        db = bar.block_dim(p2, q) - dprime_rank(p2, q) - dprime_rank(p2 - 1, q)
         if d or db:
             dual_pairs.append(((p, h), q2, d, db))
         if d != db:
@@ -219,36 +233,18 @@ def theorem1_check(alg, n, ct=None, bar=None):
 def _compose_pair_d1(pr, p, h):
     """Matrix of (z, w) -> < d1 z ; w >: rows = source quotient basis,
     cols = graph block dual to the d1 target."""
-    ct = pr.ct
-    d1 = ct.r_d1_matrix(p, h)
-    ptgt = pr.matrix(p - 1, h + ct.m)
-    rows = []
-    for j in range(d1.ncols):
-        col = d1.column(j)
-        row = {}
-        for i, c in col.items():
-            for k, x in ptgt.rows[i].items():
-                row[k] = row.get(k, pr.alg.field.zero) + c * x
-        rows.append({k: v for k, v in row.items() if v})
+    d1 = pr.ct.d1_matrix(p, h)
+    ptgt = pr.matrix(p - 1, h + pr.m)
+    rows = [{} for _ in range(d1.ncols)]
+    for i, row in enumerate(d1.rows):
+        for j, c in row.items():
+            vec_iadd(rows[j], ptgt.rows[i], c)
     return Matrix(pr.alg.field, d1.ncols, ptgt.ncols, rows)
 
 
 def _compose_dprime_pair(pr, p, h):
     """Matrix of (z, w) -> < z ; d' w > over the same index sets."""
-    ct = pr.ct
-    bar = pr.bar
     psrc = pr.matrix(p, h)
-    q_from = pr.dual_block(p - 1, h + ct.m)
-    dmat = bar.dprime_matrix(*q_from)
-    rows = []
-    for i in range(psrc.nrows):
-        row = {}
-        for j in range(dmat.ncols):
-            col = dmat.column(j)
-            s = pr.alg.field.zero
-            for t, c in col.items():
-                s = s + psrc.entry(i, t) * c
-            if s:
-                row[j] = s
-        rows.append(row)
+    dmat = pr.bar.dprime_matrix(*pr.dual_block(p - 1, h + pr.m))
+    rows = [_combine(dmat.rows, prow) for prow in psrc.rows]
     return Matrix(pr.alg.field, psrc.nrows, dmat.ncols, rows)

@@ -118,7 +118,7 @@ def test_03_collapse_both_sides():
 def test_04_duality():
     with budget(120):
         for nm in FORMAL:
-            for n in (2, 3):
+            for n in (2, 3, 4):
                 out = rp.check_duality(catalog.load(nm), n)
                 assert out["verdict"] == "pass", (nm, n)
                 assert out["details"]["second_page"]

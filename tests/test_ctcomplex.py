@@ -1,10 +1,124 @@
 """Tensor-power first-page complex: quotient dims, d1, known point counts."""
 
+from itertools import combinations
+from math import factorial
+
 import pytest
 
-from confspace.exactlinalg import QQ, rank
+from confspace.exactlinalg import (QQ, Matrix, quotient_basis, rank,
+                                   vec_iadd)
 from confspace import catalog
-from confspace.ctcomplex import CTComplex, rbasis_presentation, MismatchError
+from confspace.algebra import sign
+from confspace.ctcomplex import CTComplex
+
+
+class AmbientOracle:
+    """The ambient presentation of the tensor-power complex, as a reference.
+
+    Keys are every tensor times every squarefree monomial in the x_{st};
+    the quotient is by the symbol relations and by the three-term relations
+    x_{st} x_{tu} + (-1)^m x_{tu} x_{su} + (-1)^m x_{su} x_{st} times
+    anything.  Only the key-level operations (slot insertion and d1 of a
+    key) come from CTComplex."""
+
+    def __init__(self, ct):
+        self.ct = ct
+        self.field = ct.field
+        self.m = ct.m
+        degs = ct.alg.degrees
+        self.edges = list(combinations(range(1, ct.n + 1), 2))
+        tensors = [()]
+        for _ in range(ct.n):
+            tensors = [t + (i,) for t in tensors for i in range(ct.alg.dim)]
+        self.keys = {}
+        self.pos = {}
+        for p in range(len(self.edges) + 1):
+            for mu in combinations(self.edges, p):
+                for t in tensors:
+                    blk = self.keys.setdefault((p, sum(degs[i] for i in t)),
+                                               [])
+                    self.pos[(t, mu)] = len(blk)
+                    blk.append((t, mu))
+        self._quot = {}
+
+    def symbol_vectors(self, p, h):
+        ct, one = self.ct, self.field.one
+        out = []
+        for a in ct.alg.positive_indices():
+            for tens, mu in self.keys.get((p, h - ct.alg.degrees[a]), ()):
+                for (s, t) in mu:
+                    vec = {}
+                    for t2, c in ct.insert_slot(tens, s, {a: one}).items():
+                        vec_iadd(vec, {self.pos[(t2, mu)]: c})
+                    for t2, c in ct.insert_slot(tens, t, {a: one}).items():
+                        vec_iadd(vec, {self.pos[(t2, mu)]: -c})
+                    if vec:
+                        out.append(vec)
+        return out
+
+    def _normalize(self, edges):
+        """Sorted product of x generators and its sign, or None when one
+        repeats; swapping two degree-(m-1) generators costs (-1)^(m-1)."""
+        if len(set(edges)) != len(edges):
+            return None
+        inv = sum(1 for a in range(len(edges)) for b in range(a + 1, len(edges))
+                  if edges[a] > edges[b])
+        return tuple(sorted(edges)), sign((self.m - 1) * inv)
+
+    def three_term_vectors(self, p, h):
+        if p < 2:
+            return []
+        f = self.field
+        sm = f.of(sign(self.m))
+        tensors = sorted({t for t, _ in self.keys.get((p, h), ())})
+        out = []
+        for s, t, u in combinations(range(1, self.ct.n + 1), 3):
+            terms = [((s, t), (t, u), f.one), ((t, u), (s, u), sm),
+                     ((s, u), (s, t), sm)]
+            for rest in combinations(self.edges, p - 2):
+                combined = {}
+                for e1, e2, c in terms:
+                    norm = self._normalize((e1, e2) + rest)
+                    if norm is not None:
+                        vec_iadd(combined, {norm[0]: c * f.of(norm[1])})
+                for tens in tensors if combined else ():
+                    out.append({self.pos[(tens, mu)]: c
+                                for mu, c in combined.items()})
+        return out
+
+    def quotient(self, p, h):
+        if (p, h) not in self._quot:
+            self._quot[(p, h)] = quotient_basis(
+                self.field, len(self.keys.get((p, h), ())),
+                self.symbol_vectors(p, h) + self.three_term_vectors(p, h))
+        return self._quot[(p, h)]
+
+    def dim(self, p, h):
+        return len(self.quotient(p, h)[0])
+
+    def d1_matrix(self, p, h):
+        reps, _ = self.quotient(p, h)
+        _, project = self.quotient(p - 1, h + self.m)
+        cols = []
+        for v in reps:
+            img = {}
+            for idx, c in v.items():
+                for key2, c2 in self.ct.d1_key(self.keys[(p, h)][idx]).items():
+                    vec_iadd(img, {self.pos[key2]: c * c2})
+            cols.append({i: c for i, c in enumerate(project(img)) if c})
+        return Matrix.from_columns(self.field, cols,
+                                   self.dim(p - 1, h + self.m))
+
+    def e2_dims(self):
+        out = {}
+        for (p, h) in self.keys:
+            d = self.dim(p, h)
+            if d and p >= 1:
+                d -= rank(self.d1_matrix(p, h))
+            if d and (p + 1, h - self.m) in self.keys:
+                d -= rank(self.d1_matrix(p + 1, h - self.m))
+            out[(p, h)] = d
+        return out
 
 
 def e2_by_degree(nm, n):
@@ -38,11 +152,25 @@ def test_two_point_quotient_collapses_edge_column():
 
 
 def test_presentations_agree():
-    for nm, n in [("s2", 2), ("s2", 3), ("t2", 2), ("t2", 3), ("cp2", 2),
-                  ("s3", 3)]:
+    # the distinct-target presentation against the ambient quotient; n=4 is
+    # where a basis of increasing-target monomials misses x14 x23
+    for nm, n in [("s2", 2), ("s2", 3), ("s3", 2), ("s3", 3), ("t2", 2),
+                  ("t2", 3), ("cp2", 2), ("cp2", 3), ("s2", 4), ("s3", 4)]:
         ct = CTComplex(catalog.load(nm), n)
-        dims = rbasis_presentation(ct)
-        assert dims == {pq: ct.dim(*pq) for pq in ct.blocks()}
+        oracle = AmbientOracle(ct)
+        assert set(ct.blocks()) <= set(oracle.keys)
+        assert {pq: oracle.dim(*pq) for pq in oracle.keys} == \
+            {pq: ct.dim(*pq) for pq in oracle.keys}, (nm, n)
+        assert {k: d for k, d in oracle.e2_dims().items() if d} == \
+            {k: d for k, d in ct.e2_dims().items() if d}, (nm, n)
+
+
+def test_basis_is_distinct_target_monomials():
+    ct = CTComplex(catalog.load("s2"), 4)
+    monomials = {mu for blk in ct._blocks.values() for _, mu in blk}
+    assert len(monomials) == factorial(4)
+    assert ((1, 4), (2, 3)) in monomials
+    assert all(len({t for _, t in mu}) == len(mu) for mu in monomials)
 
 
 # -- differential -------------------------------------------------------------
@@ -85,13 +213,6 @@ def test_d1_squares_to_zero():
                 for i2, c2 in m2.column(i).items():
                     img[i2] = img.get(i2, QQ.zero) + c * c2
             assert not any(img.values())
-
-
-def test_r_presentation_d1_has_same_ranks():
-    ct = CTComplex(catalog.load("s2"), 3)
-    for (p, h) in ct.blocks():
-        if p >= 1:
-            assert rank(ct.d1_matrix(p, h)) == rank(ct.r_d1_matrix(p, h))
 
 
 # -- known configuration-space dimensions -------------------------------------

@@ -5,6 +5,7 @@ import pytest
 from confspace.exactlinalg import QQ
 from confspace import graphs as gr
 from confspace import catalog
+from confspace.algebra import sign
 from confspace.ctcomplex import CTComplex
 from confspace.bgcomplex import build_AG
 from confspace.duality import Pairing, theorem1_check, DualityError
@@ -72,15 +73,15 @@ def test_degenerate_blocks_rejected():
 # -- full verification ------------------------------------------------------------
 
 @pytest.mark.parametrize("nm", ["s2", "s3", "t2", "cp2"])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_duality_verified(nm, n):
     a = catalog.load(nm)
     out = theorem1_check(a, n)
-    # adjointness sign depends only on the column: + for one edge, - for two
+    # adjointness sign depends only on the column: (-1)^(p-1) for p edges
     for (p, h), s in out["signs"].items():
         if s is None:
             continue
-        assert s == QQ.of(-1 if p == 2 else 1), (nm, n, p, h)
+        assert s == QQ.of(sign(p - 1)), (nm, n, p, h)
     # every nonzero second-page block is mirrored with equal dimension
     assert out["e2_pairs"]
     for (ph, q2, d, db) in out["e2_pairs"]:
@@ -90,7 +91,12 @@ def test_duality_verified(nm, n):
 def test_relations_orthogonal_everywhere():
     a, pr = make_pairing("t2", 3)
     for (p, h) in pr.ct.blocks():
-        assert pr.relations_orthogonal(p, h)
+        keys = pr.ct._blocks[(p, h)]
+        bar_keys = pr.bar.blocks.get(pr.dual_block(p, h), [])
+        for v in pr.ct.relation_vectors(p, h):
+            for bkey in bar_keys:
+                assert not sum((c * pr.pair_keys(keys[i], bkey)
+                                for i, c in v.items()), QQ.zero)
 
 
 def test_pairing_matrix_square_and_full_rank():

@@ -64,6 +64,31 @@ def test_config_space_dims_against_known():
         {0: 1, 1: 4, 2: 5, 3: 2}
 
 
+def sphere_poincare(m, n):
+    """Betti numbers of F(S^m, n), n >= 3, by degree (Feichtner-Ziegler,
+    Doc. Math. 2000): (1+t^m) prod_{j=1}^{n-2} (1+j t^{m-1}) for odd m and
+    (1+t^{2m-1}) prod_{j=2}^{n-2} (1+j t^{m-1}) for even m."""
+    if m % 2:
+        factors = [(1, m)] + [(j, m - 1) for j in range(1, n - 1)]
+    else:
+        factors = [(1, 2 * m - 1)] + [(j, m - 1) for j in range(2, n - 1)]
+    poly = {0: 1}
+    for c, d in factors:
+        out = dict(poly)
+        for k, v in poly.items():
+            out[k + d] = out.get(k + d, 0) + c * v
+        poly = out
+    return poly
+
+
+@pytest.mark.parametrize("nm,n", [("s2", 3), ("s2", 4), ("s2", 5),
+                                  ("s3", 3), ("s3", 4), ("s3", 5),
+                                  ("s4", 3), ("s4", 4)])
+def test_config_space_dims_closed_form(nm, n):
+    m = int(nm[1:])
+    assert rp.config_space_dims(catalog.load(nm), n) == sphere_poincare(m, n)
+
+
 @pytest.mark.parametrize("nm", ["s2", "s3", "t2", "cp2"])
 def test_three_point_sequence(nm):
     out = rp.check_three_point_sequence(catalog.load(nm))
