@@ -1,8 +1,8 @@
 """Finite graded-commutative algebras and truncated free CDGAs.
 
-Two concrete carriers share one small protocol (``field``, ``labels``,
-``degrees``, ``unit``, ``mul_basis``, ``d_basis``, ``multiply``,
-``differentiate``):
+Two concrete carriers share one graded basis (``field``, ``labels``,
+``degrees``, ``unit``, held by :class:`_GradedBasis`) and one small protocol
+(``mul_basis``, ``d_basis``, ``multiply``, ``differentiate``):
 
 * :class:`Algebra` - basis plus structure constants, optional differential,
   optional top class.  All axioms are checked at construction time.
@@ -72,27 +72,49 @@ def format_element(alg, u):
     for i in sorted(u):
         c = u[i]
         lab = alg.labels[i]
-        if c == alg.field.one:
-            parts.append(lab if lab != "1" else "1")
-        else:
-            parts.append("%s*%s" % (alg.field.format(c), lab))
+        parts.append(lab if c == alg.field.one else "%s*%s" % (c, lab))
     return " + ".join(parts)
 
 
-class Algebra:
+class _GradedBasis:
+    """The graded basis of a carrier: basis index -> label and degree."""
+
+    def __init__(self, field, labels, degrees, unit):
+        self.field = field
+        self.labels = labels
+        self.degrees = degrees
+        self.unit = unit
+        self._by_degree = {}
+        for i, d in enumerate(degrees):
+            self._by_degree.setdefault(d, []).append(i)
+
+    @property
+    def dim(self):
+        return len(self.labels)
+
+    def basis_of_degree(self, d):
+        return self._by_degree.get(d, [])
+
+    def positive_indices(self):
+        return [i for i, d in enumerate(self.degrees) if d > 0]
+
+    def element(self, label, coeff=None):
+        i = self.labels.index(label)
+        return {i: self.field.one if coeff is None else coeff}
+
+
+class Algebra(_GradedBasis):
     """Graded-commutative algebra given by a basis and structure constants."""
 
     def __init__(self, name, field, basis, unit, products,
-                 differential=None, top=None, check=True):
+                 differential=None, top=None):
         """basis: sequence of (label, degree).  products: dict
         (i, j) -> element; missing (j, i) entries are filled in by graded
         commutativity, missing unit products by unitality, anything else
         defaults to zero."""
+        super().__init__(field, [lab for lab, _ in basis],
+                         [deg for _, deg in basis], unit)
         self.name = name
-        self.field = field
-        self.labels = [lab for lab, _ in basis]
-        self.degrees = [deg for _, deg in basis]
-        self.unit = unit
         self.top = top
         n = len(self.labels)
         if len(set(self.labels)) != n:
@@ -117,19 +139,11 @@ class Algebra:
         if differential:
             self.differential = {i: {k: c for k, c in el.items() if c}
                                  for i, el in differential.items() if el}
-        self._by_degree = {}
-        for i, d in enumerate(self.degrees):
-            self._by_degree.setdefault(d, []).append(i)
-        if check:
-            self._check_axioms()
+        self._check_axioms()
 
     # -- protocol ----------------------------------------------------------
     # a finite algebra is complete: slices beyond the top are truly zero
     is_truncation = False
-
-    @property
-    def dim(self):
-        return len(self.labels)
 
     def mul_basis(self, i, j):
         return self.products[(i, j)]
@@ -156,22 +170,9 @@ class Algebra:
             vec_iadd(out, self.d_basis(i), a)
         return out
 
-    def basis_of_degree(self, d):
-        return self._by_degree.get(d, [])
-
-    def positive_indices(self):
-        return [i for i, d in enumerate(self.degrees) if d > 0]
-
     @property
     def max_degree(self):
         return max(self.degrees)
-
-    def element(self, label, coeff=None):
-        i = self.labels.index(label)
-        return {i: self.field.one if coeff is None else coeff}
-
-    def show(self, u):
-        return format_element(self, u)
 
     # -- load-time checks ---------------------------------------------------
     def _check_axioms(self):
@@ -234,11 +235,6 @@ class PoincareData:
         self.m = m
         self.dual = dual          # list: basis index -> dual element (dict)
         self.diagonal = diagonal  # list of (i, j, scalar) for delta in A (x) A
-
-    def pairing(self, u, v):
-        """<u; v>: coefficient of the top class in u*v."""
-        prod = self.algebra.multiply(u, v)
-        return prod.get(self.algebra.top, self.algebra.field.zero)
 
 
 def poincare_data(alg):
@@ -325,7 +321,7 @@ def _mono_mul(m1, m2, godd):
     return merged, sign(inv)
 
 
-class TruncatedFreeCDGA:
+class TruncatedFreeCDGA(_GradedBasis):
     """Free graded-commutative algebra on finite generators, truncated.
 
     Odd generators are exterior, even generators polynomial.  The monomial
@@ -335,11 +331,9 @@ class TruncatedFreeCDGA:
 
     def __init__(self, name, field, generators, d_gens, bound):
         """generators: sequence of (label, degree > 0).  d_gens: dict
-        label -> {monomial-label-tuple: int coeff} or element built later via
-        monomials; here we accept dict label -> list of (tuple of gen labels,
-        coeff)."""
+        label -> list of (tuple of generator labels, int coeff), the
+        differential of that generator as a sum of monomials."""
         self.name = name
-        self.field = field
         self.gen_labels = [lab for lab, _ in generators]
         self.gen_degrees = [deg for _, deg in generators]
         if any(d <= 0 for d in self.gen_degrees):
@@ -350,9 +344,10 @@ class TruncatedFreeCDGA:
         self.bound = bound
         self._monomials = self._enumerate(bound)
         self._index = {m: i for i, m in enumerate(self._monomials)}
-        self.degrees = [_mono_degree(m, self.gen_degrees) for m in self._monomials]
-        self.labels = [self._mono_label(m) for m in self._monomials]
-        self.unit = self._index[()]
+        super().__init__(
+            field, [self._mono_label(m) for m in self._monomials],
+            [_mono_degree(m, self.gen_degrees) for m in self._monomials],
+            self._index[()])
         self.top = None
         # differential on generators, as monomial dicts
         self.d_on_gens = {}
@@ -363,12 +358,11 @@ class TruncatedFreeCDGA:
                 mono = tuple(sorted(self.gen_labels.index(x) for x in mono_labels))
                 if _mono_degree(mono, self.gen_degrees) != self.gen_degrees[g] + 1:
                     raise AxiomViolation("differential has degree +1", (lab, mono_labels))
-                el[mono] = el.get(mono, field.zero) + field.of(coeff)
-            self.d_on_gens[g] = {m: c for m, c in el.items() if c}
-        self._by_degree = {}
-        for i, d in enumerate(self.degrees):
-            self._by_degree.setdefault(d, []).append(i)
-        self._check_d_squared()
+                vec_iadd(el, {mono: field.of(coeff)})
+            self.d_on_gens[g] = el
+        for g, dg in self.d_on_gens.items():
+            if self._d_monomials(dg):
+                raise AxiomViolation("d o d = 0", self.gen_labels[g])
 
     def _enumerate(self, bound):
         monos = [()]
@@ -398,42 +392,20 @@ class TruncatedFreeCDGA:
     is_truncation = True
 
     @property
-    def dim(self):
-        return len(self._monomials)
-
-    @property
     def has_differential(self):
         return any(self.d_on_gens.values())
-
-    def basis_of_degree(self, d):
-        return self._by_degree.get(d, [])
-
-    def positive_indices(self):
-        return [i for i, d in enumerate(self.degrees) if d > 0]
 
     @property
     def max_degree(self):
         return self.bound
 
-    def monomial(self, i):
-        return self._monomials[i]
-
     def index_of(self, mono):
         return self._index[mono]
-
-    def element(self, label, coeff=None):
-        i = self.labels.index(label)
-        return {i: self.field.one if coeff is None else coeff}
-
-    def show(self, u):
-        return format_element(self, u)
 
     def _collect(self, acc):
         """Monomial dict -> basis-index element; Overflow on escape."""
         out = {}
         for mono, c in acc.items():
-            if not c:
-                continue
             i = self._index.get(mono)
             if i is None:
                 raise Overflow(_mono_degree(mono, self.gen_degrees))
@@ -441,70 +413,52 @@ class TruncatedFreeCDGA:
         return out
 
     def mul_basis(self, i, j):
-        acc = {}
         res = _mono_mul(self._monomials[i], self._monomials[j], self.gen_odd)
-        if res is not None:
-            mono, s = res
-            acc[mono] = self.field.of(s)
-        return self._collect(acc)
+        if res is None:
+            return {}
+        mono, s = res
+        return self._collect({mono: self.field.of(s)})
 
     def multiply(self, u, v):
         acc = {}
         for i, a in u.items():
             for j, b in v.items():
                 res = _mono_mul(self._monomials[i], self._monomials[j], self.gen_odd)
-                if res is None:
-                    continue
-                mono, s = res
-                c = acc.get(mono, self.field.zero) + a * b * self.field.of(s)
-                acc[mono] = c
-        return self._collect({m: c for m, c in acc.items() if c})
+                if res is not None:
+                    mono, s = res
+                    vec_iadd(acc, {mono: self.field.of(s)}, a * b)
+        return self._collect(acc)
 
-    def _d_mono(self, mono):
-        """Differential of a monomial, as a monomial dict (exact, unbounded)."""
+    def _d_monomials(self, el):
+        """Differential of a monomial dict, as a monomial dict (exact,
+        unbounded): the Leibniz rule applied generator by generator."""
         acc = {}
-        for pos in range(len(mono)):
-            g = mono[pos]
-            dg = self.d_on_gens.get(g)
-            if not dg:
-                continue
-            pre = mono[:pos]
-            post = mono[pos + 1:]
-            s0 = sign(sum(self.gen_degrees[h] for h in pre))
-            for dm, c in dg.items():
-                r1 = _mono_mul(pre, dm, self.gen_odd)
-                if r1 is None:
+        for mono, a in el.items():
+            for pos, g in enumerate(mono):
+                dg = self.d_on_gens.get(g)
+                if not dg:
                     continue
-                m1, s1 = r1
-                r2 = _mono_mul(m1, post, self.gen_odd)
-                if r2 is None:
-                    continue
-                m2, s2 = r2
-                coeff = c * self.field.of(s0 * s1 * s2)
-                tot = acc.get(m2, self.field.zero) + coeff
-                acc[m2] = tot
-        return {m: c for m, c in acc.items() if c}
+                pre = mono[:pos]
+                post = mono[pos + 1:]
+                s0 = sign(sum(self.gen_degrees[h] for h in pre))
+                for dm, c in dg.items():
+                    r1 = _mono_mul(pre, dm, self.gen_odd)
+                    if r1 is None:
+                        continue
+                    m1, s1 = r1
+                    r2 = _mono_mul(m1, post, self.gen_odd)
+                    if r2 is None:
+                        continue
+                    m2, s2 = r2
+                    vec_iadd(acc, {m2: c * self.field.of(s0 * s1 * s2)}, a)
+        return acc
 
     def d_basis(self, i):
-        return self._collect(self._d_mono(self._monomials[i]))
+        return self._collect(self._d_monomials({self._monomials[i]: self.field.one}))
 
     def differentiate(self, u):
-        acc = {}
-        for i, a in u.items():
-            for m, c in self._d_mono(self._monomials[i]).items():
-                tot = acc.get(m, self.field.zero) + a * c
-                acc[m] = tot
-        return self._collect({m: c for m, c in acc.items() if c})
-
-    def _check_d_squared(self):
-        for g, dg in self.d_on_gens.items():
-            acc = {}
-            for m, c in dg.items():
-                for m2, c2 in self._d_mono(m).items():
-                    tot = acc.get(m2, self.field.zero) + c * c2
-                    acc[m2] = tot
-            if any(acc.values()):
-                raise AxiomViolation("d o d = 0", self.gen_labels[g])
+        return self._collect(self._d_monomials(
+            {self._monomials[i]: a for i, a in u.items()}))
 
 
 # ---------------------------------------------------------------------------
@@ -513,51 +467,51 @@ class TruncatedFreeCDGA:
 class CochainView:
     """Degreewise view of a carrier's underlying cochain complex.
 
-    Degrees 0..max_degree (inclusive); requires max_degree + 1 within the
-    carrier's basis so cocycles in the top requested degree are detected
-    correctly."""
+    Each degree's slice positions and the columns of d out of it are built
+    on first use and kept, in every degree the carrier has: ``max_degree``
+    bounds the cohomology computed, not the degrees ``solve_d`` reaches.
+    A truncated carrier needs max_degree + 1 within its bound so cocycles
+    in the top requested degree are detected correctly."""
 
     def __init__(self, carrier, max_degree):
         if carrier.is_truncation and max_degree + 1 > carrier.max_degree:
             raise ValueError("max_degree + 1 exceeds the carrier's degree range")
         self.carrier = carrier
         self.max_degree = max_degree
-        self.slices = {k: carrier.basis_of_degree(k)
-                       for k in range(max_degree + 2)}
-        self._pos = {k: {i: p for p, i in enumerate(idx)}
-                     for k, idx in self.slices.items()}
-        self._dmat = {}
+        self._pos = {}     # degree -> {basis index: position in the slice}
+        self._dcols = {}   # degree k -> columns of d: k -> k+1
+
+    def _slice_pos(self, k):
+        if k not in self._pos:
+            self._pos[k] = {i: p for p, i in
+                            enumerate(self.carrier.basis_of_degree(k))}
+        return self._pos[k]
 
     def local(self, u, k):
-        pos = self._pos[k]
+        pos = self._slice_pos(k)
         return {pos[i]: c for i, c in u.items()}
 
     def unlocal(self, v, k):
-        idx = self.slices[k]
+        idx = self.carrier.basis_of_degree(k)
         return {idx[p]: c for p, c in v.items()}
 
-    def d_matrix(self, k):
-        """Matrix of d: degree k -> k+1 in the slice bases."""
-        if k not in self._dmat:
-            src = self.slices[k]
-            tgt_pos = self._pos[k + 1]
-            cols = []
-            for i in src:
-                cols.append({tgt_pos[j]: c for j, c in self.carrier.d_basis(i).items()})
-            self._dmat[k] = Matrix.from_columns(self.carrier.field, cols,
-                                                len(self.slices[k + 1]))
-        return self._dmat[k]
+    def d_columns(self, k):
+        """Columns of d: degree k -> k+1 in the slice bases."""
+        if k not in self._dcols:
+            self._dcols[k] = [self.local(self.carrier.d_basis(i), k + 1)
+                              for i in self.carrier.basis_of_degree(k)]
+        return self._dcols[k]
 
-    def is_cocycle(self, u):
-        return not self.carrier.differentiate(u)
+    def d_matrix(self, k):
+        return Matrix.from_columns(self.carrier.field, self.d_columns(k),
+                                   len(self.carrier.basis_of_degree(k + 1)))
 
     def solve_d(self, target):
         """x with d(x) = target, or NO_SOLUTION.  target must be homogeneous."""
         if not target:
             return {}
         k = el_degree(self.carrier, target) - 1
-        m = self.d_matrix(k)
-        x = solve(m, self.local(target, k + 1))
+        x = solve(self.d_matrix(k), self.local(target, k + 1))
         if x is NO_SOLUTION:
             return NO_SOLUTION
         return self.unlocal(x, k)
@@ -581,7 +535,10 @@ class CohomologyAlgebra(Algebra):
         """Cohomology class of a cocycle, as an element of this algebra."""
         if not cocycle:
             return {}
-        k = el_degree(self.view.carrier, cocycle)
+        k = el_degree(self.ambient, cocycle)
+        if k > self.view.max_degree:
+            raise ValueError("degree %d is above the computed range (%d)"
+                             % (k, self.view.max_degree))
         x = _class_coords(self.view, self.representatives, self.degrees,
                           cocycle, k)
         if x is NO_SOLUTION:
@@ -596,9 +553,9 @@ def _class_coords(view, reps, degrees, w, k):
     classes = [i for i, d in enumerate(degrees) if d == k]
     cols = [view.local(reps[i], k) for i in classes]
     if k > 0:
-        dm = view.d_matrix(k - 1)
-        cols += [dm.column(j) for j in range(dm.ncols)]
-    m = Matrix.from_columns(view.carrier.field, cols, len(view.slices[k]))
+        cols += view.d_columns(k - 1)
+    m = Matrix.from_columns(view.carrier.field, cols,
+                            len(view.carrier.basis_of_degree(k)))
     x = solve(m, view.local(w, k))
     if x is NO_SOLUTION:
         return x
@@ -613,29 +570,22 @@ def cohomology(carrier, max_degree):
     view = CochainView(carrier, max_degree)
     f = carrier.field
     reps = []
-    basis = []
+    degrees = []
     for k in range(max_degree + 1):
-        ker = kernel_basis(view.d_matrix(k))
         red = SpanReducer(f)
         if k > 0:
-            dm = view.d_matrix(k - 1)
-            for j in range(len(view.slices[k - 1])):
-                red.insert(dm.column(j))
-        cnt = 0
-        for v in ker:
+            red.extend(view.d_columns(k - 1))
+        for v in kernel_basis(view.d_matrix(k)):
             if red.insert(v):
-                rep = view.unlocal(v, k)
-                reps.append(rep)
-                basis.append(("h%d_%d" % (k, cnt), k))
-                cnt += 1
-    # nicer labels from the representatives when they are single monomials
+                reps.append(view.unlocal(v, k))
+                degrees.append(k)
+    # labels from the representatives, the carrier label for single monomials
     labels = []
-    for rep, (default, k) in zip(reps, basis):
+    for rep, k in zip(reps, degrees):
         if k == 0:
             labels.append("1")
         elif len(rep) == 1:
-            i = next(iter(rep))
-            labels.append("[%s]" % carrier.labels[i])
+            labels.append("[%s]" % carrier.labels[next(iter(rep))])
         else:
             labels.append("[%s]" % format_element(carrier, rep))
     seen = set()
@@ -643,16 +593,14 @@ def cohomology(carrier, max_degree):
         if lab in seen:
             labels[idx] = lab + "_%d" % idx
         seen.add(labels[idx])
-    basis = [(lab, k) for lab, (_, k) in zip(labels, basis)]
-    unit = next(i for i, (_, k) in enumerate(basis) if k == 0)
+    unit = degrees.index(0)
 
     # normalize the unit representative to the carrier unit
     reps[unit] = {carrier.unit: f.one}
 
-    degrees = [k for (_, k) in basis]
     products = {}
-    for i, (_, ki) in enumerate(basis):
-        for j, (_, kj) in enumerate(basis):
+    for i, ki in enumerate(degrees):
+        for j, kj in enumerate(degrees):
             w = carrier.multiply(reps[i], reps[j])
             k = ki + kj
             if not w:
@@ -661,33 +609,20 @@ def cohomology(carrier, max_degree):
                 products[(i, j)] = _class_coords(view, reps, degrees, w, k)
                 assert products[(i, j)] is not NO_SOLUTION
             else:
-                # above the computed range: the product must be exact
-                x = CochainViewExtended(carrier, k).solve_d(w)
-                if x is NO_SOLUTION:
+                # above the computed range the product must be exact
+                if view.solve_d(w) is NO_SOLUTION:
                     raise Overflow(k)
                 products[(i, j)] = {}
     top = None
-    pos_degrees = [k for (_, k) in basis if k > 0]
+    pos_degrees = [k for k in degrees if k > 0]
     if pos_degrees:
         mtop = max(pos_degrees)
-        top_classes = [i for i, (_, k) in enumerate(basis) if k == mtop]
+        top_classes = [i for i, k in enumerate(degrees) if k == mtop]
         if len(top_classes) == 1:
             top = top_classes[0]
-    return CohomologyAlgebra("H(%s)" % carrier.name, f, basis, unit,
-                             products, top, reps, view)
-
-
-class CochainViewExtended(CochainView):
-    """Solve d(x) = w in a single degree above a view's range."""
-
-    def __init__(self, carrier, degree):
-        self.carrier = carrier
-        self.max_degree = degree - 1
-        self.slices = {degree - 1: carrier.basis_of_degree(degree - 1),
-                       degree: carrier.basis_of_degree(degree)}
-        self._pos = {k: {i: p for p, i in enumerate(idx)}
-                     for k, idx in self.slices.items()}
-        self._dmat = {}
+    return CohomologyAlgebra("H(%s)" % carrier.name, f,
+                             list(zip(labels, degrees)), unit, products, top,
+                             reps, view)
 
 
 # ---------------------------------------------------------------------------

@@ -24,23 +24,18 @@ from .algebra import sign
 from . import graphs as gr
 
 
-AG_FULL = "ag-full"
-AG_BAR = "ag-bar"        # quotient by the duplicate-target ideal
-AG_J = "ag-j"            # the duplicate-target subcomplex
-C_KIND = "c"
-
-_FAMILY_OF = {AG_FULL: gr.FULL, AG_BAR: gr.NODUPTARGET,
-              AG_J: gr.JFAMILY, C_KIND: gr.HFAMILY}
-
-
 class Bicomplex:
-    """Blocks, basis keys and the two differentials of one bicomplex."""
+    """Blocks, basis keys and the two differentials of one bicomplex.
 
-    def __init__(self, carrier, n, kind, qmax=None):
+    family is the graph family indexing it: FULL, NODUPTARGET (the
+    quotient by the duplicate-target ideal) or JFAMILY (that ideal) for the
+    graph-family complexes, HFAMILY for the reduced one."""
+
+    def __init__(self, carrier, n, family, qmax=None):
         self.carrier = carrier
         self.field = carrier.field
         self.n = n
-        self.kind = kind
+        self.family = family
         self.qmax = qmax
         self.blocks = {}   # (p, q) -> list of keys
         self.pos = {}      # (p, q) -> {key: index}
@@ -53,14 +48,13 @@ class Bicomplex:
     def _factor_choices(self, g):
         comps = gr.components(g)
         pos = self.carrier.positive_indices()
-        if self.kind == C_KIND:
+        if self.family == gr.HFAMILY:
             return [list(range(self.carrier.dim))] + [pos] * (len(comps) - 1)
         return [list(range(self.carrier.dim))] * len(comps)
 
     def _build_basis(self):
-        family = _FAMILY_OF[self.kind]
         degs = self.carrier.degrees
-        for g in gr.enumerate_graphs(self.n, family):
+        for g in gr.enumerate_graphs(self.n, self.family):
             p = g.edge_count
             choices = self._factor_choices(g)
             stack = [((), 0)]
@@ -97,13 +91,12 @@ class Bicomplex:
         if res is gr.ZERO:
             return {}
         g2, esign = res
+        if not gr.in_family(g2, self.family):
+            return {}
+        if self.family == gr.HFAMILY:
+            return self._pair_term_reduced(g, factors, i, j, g2, esign)
         degs = self.carrier.degrees
         f = self.field
-        if self.kind == C_KIND:
-            return self._pair_term_reduced(g, factors, i, j, g2, esign)
-        family = _FAMILY_OF[self.kind]
-        if self.kind == AG_BAR and not gr.in_family(g2, family):
-            return {}
         s = gr.component_of(g, i)
         t = gr.component_of(g, j)
         if s == t:
@@ -122,8 +115,6 @@ class Bicomplex:
     def _pair_term_reduced(self, g, factors, i, j, g2, esign):
         degs = self.carrier.degrees
         f = self.field
-        if i == 1 or not gr.in_family(g2, gr.HFAMILY):
-            return {}
         s = gr.component_of(g, i)
         t = gr.component_of(g, j)
         # the target j must head its component, which forces s < t
@@ -153,7 +144,7 @@ class Bicomplex:
 
     def dprime_key(self, key):
         out = {}
-        lo = 2 if self.kind == C_KIND else 1
+        lo = 2 if self.family == gr.HFAMILY else 1
         for i in range(lo, self.n):
             for j in range(i + 1, self.n + 1):
                 vec_iadd(out, self._pair_term(key, i, j))
@@ -223,10 +214,6 @@ class Bicomplex:
     def pmax(self):
         return max((p for (p, _) in self.blocks), default=0)
 
-    def qrange(self):
-        qs = [q for (_, q) in self.blocks]
-        return (min(qs), max(qs)) if qs else (0, 0)
-
     def total_dim(self):
         return sum(len(b) for b in self.blocks.values())
 
@@ -239,19 +226,18 @@ class Bicomplex:
 
 def build_AG(carrier, n, family=gr.FULL, qmax=None):
     """Graph-family bicomplex: full family, quotient, or ideal subcomplex."""
-    kind = {gr.FULL: AG_FULL, gr.NODUPTARGET: AG_BAR, gr.JFAMILY: AG_J}[family]
-    return Bicomplex(carrier, n, kind, qmax)
+    return Bicomplex(carrier, n, family, qmax)
 
 
 def build_C(carrier, n, qmax=None):
     """Reduced bicomplex with vertex 1 isolated and positive later factors."""
-    return Bicomplex(carrier, n, C_KIND, qmax)
+    return Bicomplex(carrier, n, gr.HFAMILY, qmax)
 
 
 def edge_multiply(bc, el, i, j):
     """Right multiplication by the edge generator e_{ij} in a graph-family
     bicomplex (not defined for the reduced kind)."""
-    if bc.kind == C_KIND:
+    if bc.family == gr.HFAMILY:
         raise ValueError("edge multiplication lives on the graph-family side")
     out = {}
     for key, c in el.items():

@@ -32,13 +32,13 @@ class MismatchError(AssertionError):
 
 
 class CTComplex:
-    def __init__(self, alg, n, pd=None):
+    def __init__(self, alg, n):
         if not (1 <= n <= gr.MAX_VERTICES):
             raise ValueError("n outside the combinatorial guard")
         self.alg = alg
         self.field = alg.field
         self.n = n
-        self.pd = pd or poincare_data(alg)
+        self.pd = poincare_data(alg)
         self.m = self.pd.m
         self._blocks = {}      # (p, h) -> list of keys (tensor, edges)
         self._pos = {}

@@ -30,7 +30,7 @@ class Pairing:
         the same algebra and n, with zero internal differential."""
         if ct.alg is not bar.carrier:
             raise ValueError("the two complexes must share the algebra")
-        if bar.kind != "ag-bar":
+        if bar.family != gr.NODUPTARGET:
             raise ValueError("pairing is against the no-duplicate-target quotient")
         self.ct = ct
         self.bar = bar

@@ -95,7 +95,7 @@ class FpElement:
 
 
 class Field:
-    """Field descriptor: knows how to build and print scalars."""
+    """Field descriptor: knows how to build scalars."""
 
     def __init__(self, p=None):
         if p is not None:
@@ -122,9 +122,6 @@ class Field:
         if isinstance(n, Fraction):
             return FpElement(self.p, n.numerator) / FpElement(self.p, n.denominator)
         return FpElement(self.p, n)
-
-    def format(self, x):
-        return str(x)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -192,16 +189,6 @@ class Matrix:
         assert len(self.rows) == nrows
 
     @classmethod
-    def from_rows(cls, field, rows, ncols=None):
-        if ncols is None:
-            ncols = len(rows[0]) if rows else 0
-        sparse = []
-        for r in rows:
-            sparse.append({j: field.of(x) if isinstance(x, int) else x
-                           for j, x in enumerate(r) if x})
-        return cls(field, len(rows), ncols, sparse)
-
-    @classmethod
     def from_columns(cls, field, cols, nrows):
         rows = [dict() for _ in range(nrows)]
         for j, col in enumerate(cols):
@@ -212,19 +199,6 @@ class Matrix:
 
     def entry(self, i, j):
         return self.rows[i].get(j, self.field.zero)
-
-    def mulvec(self, v):
-        """Matrix times sparse dict vector -> sparse dict vector."""
-        out = {}
-        for i, row in enumerate(self.rows):
-            s = None
-            for j, x in row.items():
-                y = v.get(j)
-                if y is not None:
-                    s = x * y if s is None else s + x * y
-            if s:
-                out[i] = s
-        return out
 
     def column(self, j):
         return {i: row[j] for i, row in enumerate(self.rows) if j in row}

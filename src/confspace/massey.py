@@ -162,14 +162,6 @@ def obstruction_residual(H, tensor_el):
     qdim = len(reps)
     qdeg = [el_degree(H, v) for v in reps]
     out = {}
-
-    def add(key, c):
-        cur = out.get(key, f.zero) + c
-        if cur:
-            out[key] = cur
-        elif key in out:
-            del out[key]
-
     for (i, j), c in tensor_el.items():
         if H.degrees[j] == 0:
             raise ValueError("second factor must have positive degree")
@@ -177,7 +169,7 @@ def obstruction_residual(H, tensor_el):
         if i == H.unit:
             for t, ct in enumerate(qj):
                 if ct:
-                    add(("kq", t), c * ct)
+                    vec_iadd(out, {("kq", t): c * ct})
             continue
         qi = project({i: f.one})
         for t1, c1 in enumerate(qi):
@@ -187,8 +179,8 @@ def obstruction_residual(H, tensor_el):
                 if not c2:
                     continue
                 s = f.of(koszul(qdeg[t1], qdeg[t2]))
-                add(("qq", t1, t2), c * c1 * c2)
-                add(("qq", t2, t1), -s * c * c1 * c2)
+                vec_iadd(out, {("qq", t1, t2): c * c1 * c2})
+                vec_iadd(out, {("qq", t2, t1): -s * c * c1 * c2})
     return out
 
 

@@ -10,7 +10,7 @@ so reports serialize to json directly and two runs produce identical bytes
 failed identity; the verdict carries the outcome and the details say which
 block broke."""
 
-from .exactlinalg import rank, SpanReducer
+from .exactlinalg import rank, SpanReducer, vec_add
 from .algebra import el_degree
 from . import graphs as gr
 from .bgcomplex import build_AG, build_C, edge_multiply, phi_bar
@@ -64,14 +64,7 @@ def check_reduced_embedding(alg, n):
             # chain map
             lhs = phi(c.apply_total(el))
             rhs = bar.apply_total(img)
-            diff = dict(lhs)
-            for k2, v in rhs.items():
-                w = diff.get(k2, f.zero) - v
-                if w:
-                    diff[k2] = w
-                elif k2 in diff:
-                    del diff[k2]
-            if diff:
+            if vec_add(lhs, rhs, f.of(-1)):
                 ok, bad = False, ("not a chain map", c.show_key(key))
                 break
             for r in range(2, n + 1):

@@ -151,6 +151,14 @@ def test_overflow_is_loud():
         c.multiply(x2, x2)
 
 
+def test_d_squared_nonzero_rejected():
+    # d x = y, d y = z: d(d x) = z != 0
+    with pytest.raises(AxiomViolation) as e:
+        TruncatedFreeCDGA("bad", QQ, [("x", 1), ("y", 2), ("z", 3)],
+                          {"x": [(("y",), 1)], "y": [(("z",), 1)]}, 3)
+    assert e.value.axiom == "d o d = 0"
+
+
 def test_leibniz_within_bound():
     c = catalog.load("stb_s2xs2", truncate=8)
     # d(t*x) = d(t)*x = x*y*x = x^2 y
@@ -229,6 +237,16 @@ def test_class_of_roundtrip():
     H = catalog.load("stb_s2xs2_h")
     for i in range(H.dim):
         assert H.class_of(H.representatives[i]) == {i: QQ.one}
+
+
+def test_class_of_refuses_cocycle_above_range():
+    H = catalog.load("stb_s2xs2_h")
+    x = H.representatives[H.labels.index("[x]")]
+    top = H.representatives[H.top]
+    w = H.ambient.multiply(x, top)   # a degree-9 cocycle, above max_degree 7
+    assert w and not H.ambient.differentiate(w)
+    with pytest.raises(ValueError, match="above the computed range"):
+        H.class_of(w)
 
 
 # -- connected sum and tensor ----------------------------------------------
