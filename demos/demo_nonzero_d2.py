@@ -11,9 +11,9 @@ bicomplex.  Run with:  PYTHONPATH=src python3 demos/demo_nonzero_d2.py
 from confspace import catalog
 from confspace.algebra import format_element
 from confspace.bgcomplex import build_C
-from confspace.spectral import SpectralSequence
 from confspace.massey import (
-    triple_massey, d2_formula, d2_zigzag, quadruple_tensor, corner_element,
+    triple_massey, d2_formula, d2_certificate, quadruple_tensor,
+    corner_element,
 )
 
 
@@ -34,13 +34,9 @@ def main():
     print("\nsecond-page differential of [x (x) x (x) y (x) y] on C(4, model):")
     bc = build_C(H.ambient, 4, qmax=10)
     u = quadruple_tensor(bc, H, "[x]", "[x]", "[y]", "[y]")
-    _, img = d2_zigzag(bc, u)
-    ss = SpectralSequence(bc)
-    zz = ss.project_class(img, 2, 2, 7)
-    print("  zig-zag class in E2(2,7):", zz)
-
     tensors = d2_formula(H, "[x]", "[x]", "[y]", "[y]")
-    fc = ss.project_class(corner_element(bc, H, tensors), 2, 2, 7)
+    zz, fc = d2_certificate(bc, u, corner_element(bc, H, tensors))
+    print("  zig-zag class in E2(2,7):", zz)
     print("  closed-formula class:    ", fc)
     print("  corner tensor (edges 23,34):")
     for (i, j), c in sorted(tensors["e2334"].items()):

@@ -19,7 +19,7 @@ Three variants:
   the no-duplicate-target quotient.
 """
 
-from .exactlinalg import Matrix, vec_add, vec_iadd
+from .exactlinalg import Matrix, vec_iadd
 from .algebra import sign
 from . import graphs as gr
 
@@ -76,9 +76,6 @@ class Bicomplex:
 
     def block_dim(self, p, q):
         return len(self.blocks.get((p, q), ()))
-
-    def in_window(self, q):
-        return self.qmax is None or q <= self.qmax
 
     # -- differentials on single keys ---------------------------------------
     def _pair_term(self, key, i, j):
@@ -286,27 +283,3 @@ def phi_bar(c_bc, bar_bc):
         return out
 
     return apply
-
-
-def check_square_zero(bc):
-    """Assert d'd' = 0, d''d'' = 0 and d'd'' + d''d' = 0 on every basis key
-    whose images stay inside the q-window.  Returns the number of keys
-    checked."""
-    cnt = 0
-    for (p, q), keys in sorted(bc.blocks.items()):
-        for key in keys:
-            el = {key: bc.field.one}
-            dp = bc.apply_dprime(el)
-            if bc.apply_dprime(dp):
-                raise AssertionError("d'd' != 0 at %r" % (key,))
-            if bc.in_window(q + 2):
-                ds = bc.apply_dsecond(el)
-                if bc.apply_dsecond(ds):
-                    raise AssertionError("d''d'' != 0 at %r" % (key,))
-            if bc.in_window(q + 1):
-                ds = bc.apply_dsecond(el)
-                mix = vec_add(bc.apply_dsecond(dp), bc.apply_dprime(ds))
-                if mix:
-                    raise AssertionError("d'd'' + d''d' != 0 at %r" % (key,))
-            cnt += 1
-    return cnt

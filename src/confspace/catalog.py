@@ -95,11 +95,15 @@ def stb_s2xs2(field=QQ, truncate=12):
         "v": [(("y", "y"), 1)],
         "t": [(("x", "y"), 1)],
     }
-    return TruncatedFreeCDGA("stb_s2xs2", field, gens, d_gens, truncate)
+    model = TruncatedFreeCDGA("stb_s2xs2", field, gens, d_gens, truncate)
+    # the bundle is a closed 7-manifold: its cohomology stops in degree 7
+    model.formal_dimension = 7
+    return model
 
 
 def stb_s2xs2_h(field=QQ, truncate=12):
-    return cohomology(stb_s2xs2(field, truncate), 7)
+    model = stb_s2xs2(field, truncate)
+    return cohomology(model, model.formal_dimension)
 
 
 def heis3(field=QQ):

@@ -35,7 +35,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .exactlinalg import Field, QQ, vec_iadd
+from .exactlinalg import Field, QQ, SpanReducer, vec_iadd
 from .algebra import (Algebra, TruncatedFreeCDGA, AxiomViolation, Overflow,
                       cohomology, format_element, el_degree)
 from . import graphs as gr
@@ -44,6 +44,9 @@ from . import reports
 from .bgcomplex import build_AG, build_C
 from .spectral import SpectralSequence, total_cohomology
 from .ctcomplex import CTComplex
+from .massey import (triple_massey, d2_formula, d2_certificate,
+                     quadruple_tensor, corner_element, obstruction_residual,
+                     NotDefined)
 
 
 class ParseError(ValueError):
@@ -91,12 +94,12 @@ def _parse_terms(field, text, line_no):
     return out
 
 
-def _parse_field(tok, line_no):
+def _parse_field(tok):
     if tok == "Q":
         return QQ
     if tok.startswith("F") and tok[1:].isdigit():
         return Field(int(tok[1:]))
-    raise ParseError(line_no, "field must be Q or Fp, got %r" % tok)
+    raise InputError("field must be Q or Fp, got %r" % tok)
 
 
 def parse_algebra_text(text):
@@ -136,7 +139,10 @@ def parse_algebra_text(text):
         elif head == "field":
             if len(toks) != 2:
                 raise ParseError(ln, "expected: field Q|Fp")
-            field = _parse_field(toks[1], ln)
+            try:
+                field = _parse_field(toks[1])
+            except InputError as e:
+                raise ParseError(ln, str(e))
         elif head in ("basis", "generator"):
             want = "basis" if kind == "algebra" else "generator"
             if head != want:
@@ -244,60 +250,6 @@ def _build_free(name, field, gens, d_lines, truncate):
     return TruncatedFreeCDGA(name, field, gens, d_gens, truncate)
 
 
-def serialize_algebra(obj):
-    """Render an Algebra or TruncatedFreeCDGA back to file text.
-
-    Labels containing whitespace or '+' cannot be expressed in the
-    line-oriented format and are rejected."""
-    f = obj.field
-    fieldname = f.name
-    labels = (obj.gen_labels if isinstance(obj, TruncatedFreeCDGA)
-              else obj.labels)
-    for lab in labels:
-        if any(ch in lab for ch in " \t+"):
-            raise ValueError("label %r cannot be serialized" % lab)
-    out = []
-
-    def terms(el, labels):
-        if not el:
-            return "0"
-        return " + ".join("%s*%s" % (c, labels[i])
-                          for i, c in sorted(el.items()))
-
-    if isinstance(obj, TruncatedFreeCDGA):
-        out.append("cdga-free %s" % obj.name)
-        out.append("field %s" % fieldname)
-        for lab, d in zip(obj.gen_labels, obj.gen_degrees):
-            out.append("generator %s degree %d" % (lab, d))
-        for g, el in sorted(obj.d_on_gens.items()):
-            if not el:
-                continue
-            parts = " + ".join("%s*%s" % (c, obj._mono_label(m))
-                               for m, c in sorted(el.items()))
-            out.append("d %s = %s" % (obj.gen_labels[g], parts))
-        out.append("truncate %d" % obj.bound)
-    else:
-        out.append("algebra %s" % obj.name)
-        out.append("field %s" % fieldname)
-        for lab, d in zip(obj.labels, obj.degrees):
-            out.append("basis %s degree %d" % (lab, d))
-        out.append("unit %s" % obj.labels[obj.unit])
-        if obj.top is not None:
-            out.append("top %s" % obj.labels[obj.top])
-        for i in range(obj.dim):
-            for j in range(i, obj.dim):
-                el = obj.mul_basis(i, j)
-                if el and i != obj.unit and j != obj.unit:
-                    out.append("product %s %s = %s"
-                               % (obj.labels[i], obj.labels[j],
-                                  terms(el, obj.labels)))
-        if obj.differential:
-            for i, el in sorted(obj.differential.items()):
-                out.append("d %s = %s" % (obj.labels[i], terms(el, obj.labels)))
-    out.append("end")
-    return "\n".join(out) + "\n"
-
-
 # ---------------------------------------------------------------------------
 # command plumbing
 
@@ -330,14 +282,9 @@ _SUITE_ALIASES = {
 def _load(args):
     if args.input and args.catalog:
         raise InputError("give --input or --catalog, not both")
-    field = QQ
-    if args.field:
-        if args.field == "Q":
-            field = QQ
-        elif args.field.startswith("F") and args.field[1:].isdigit():
-            field = Field(int(args.field[1:]))
-        else:
-            raise InputError("--field must be Q or Fp")
+    if args.input and args.field:
+        raise InputError("--field does not apply to --input: "
+                         "the file names its field")
     if args.input:
         with open(args.input) as fh:
             obj = parse_algebra_text(fh.read())
@@ -347,6 +294,7 @@ def _load(args):
                                     _dgens_as_input(obj), args.truncate)
         return obj
     if args.catalog:
+        field = _parse_field(args.field) if args.field else QQ
         return cat.load(args.catalog, field=field, truncate=args.truncate)
     raise InputError("an algebra is required (--input FILE or --catalog NAME)")
 
@@ -401,10 +349,14 @@ def _resolve_class(H, token):
 
 
 def _cohomology_of(obj):
+    """Cohomology with representatives of a loaded algebra; one that
+    already keeps representatives is returned as it is.  A truncated model
+    is taken up to its declared formal dimension, else below its bound."""
+    if hasattr(obj, "representatives"):
+        return obj
     if isinstance(obj, TruncatedFreeCDGA):
-        # the catalog tangent-bundle model has top cohomology degree 7
-        md = 7 if obj.name == "stb_s2xs2" else obj.bound - 1
-        return cohomology(obj, md)
+        return cohomology(obj, getattr(obj, "formal_dimension",
+                                       obj.bound - 1))
     return cohomology(obj, max(obj.degrees))
 
 
@@ -480,9 +432,8 @@ def cmd_check(args):
 
 
 def cmd_massey(args):
-    from .massey import triple_massey, NotDefined
     obj = _load(args)
-    H = obj if hasattr(obj, "representatives") else _cohomology_of(obj)
+    H = _cohomology_of(obj)
     if len(args.classes) != 3:
         raise InputError("massey takes exactly three class labels")
     a, b, c = (_resolve_class(H, t) for t in args.classes)
@@ -499,46 +450,33 @@ def cmd_massey(args):
         "class": format_element(H, res.class_el),
         "class_modulo_indeterminacy":
             format_element(H, res.class_modulo_indeterminacy()),
-        "indeterminacy_dim": _span_dim(H, res.indeterminacy),
+        "indeterminacy_dim":
+            SpanReducer(H.field).extend(res.indeterminacy).dim,
         "residual": {str(k): str(v) for k, v in sorted(res.residual().items())},
     }
     return payload, 0
 
 
-def _span_dim(H, vectors):
-    from .exactlinalg import SpanReducer
-    red = SpanReducer(H.field)
-    for v in vectors:
-        red.insert(v)
-    return red.dim
-
-
 def cmd_d2(args):
-    from .massey import (d2_formula, d2_zigzag, quadruple_tensor,
-                         corner_element, obstruction_residual, NotDefined)
     obj = _load(args)
     n = _check_n(args.n)
     if n != 4:
         raise InputError("the second-page differential command needs --n 4")
-    H = obj if hasattr(obj, "representatives") else _cohomology_of(obj)
-    carrier = H.ambient
+    H = _cohomology_of(obj)
     if len(args.classes) != 4:
         raise InputError("d2 takes exactly four class labels")
     cls = [_resolve_class(H, t) for t in args.classes]
-    degs = [el_degree(H, u) for u in cls]
-    qtot = sum(degs)
-    bc = build_C(carrier, 4, qmax=qtot + 2)
+    qtot = sum(el_degree(H, u) for u in cls)
+    bc = build_C(H.ambient, 4, qmax=qtot + 2)
     try:
         tensors = d2_formula(H, *cls)
     except NotDefined as e:
         return {"command": "d2", "algebra": obj.name,
                 "classes": args.classes, "defined": False,
                 "reason": str(e)}, 1
-    u0 = quadruple_tensor(bc, H, *cls)
-    _, img = d2_zigzag(bc, u0)
-    ss = SpectralSequence(bc)
-    zz = ss.project_class(img, 2, 2, qtot - 1)
-    fcls = ss.project_class(corner_element(bc, H, tensors), 2, 2, qtot - 1)
+    zz, fcls = d2_certificate(bc, quadruple_tensor(bc, H, *cls),
+                              corner_element(bc, H, tensors))
+
     def res_key(k):
         if k[0] == "kq":
             return "1 (x) Q%d" % k[1]
@@ -578,7 +516,7 @@ def _build_parser():
         if algebra:
             p.add_argument("--input", help="algebra file")
             p.add_argument("--catalog", help="catalog algebra name")
-            p.add_argument("--field", help="Q or Fp")
+            p.add_argument("--field", help="Q or Fp (catalog algebras)")
             p.add_argument("--truncate", type=int, help="truncation bound")
         if n:
             p.add_argument("--n", type=int, help="number of points")

@@ -27,10 +27,6 @@ from .algebra import sign, poincare_data
 from . import graphs as gr
 
 
-class MismatchError(AssertionError):
-    pass
-
-
 class CTComplex:
     def __init__(self, alg, n):
         if not (1 <= n <= gr.MAX_VERTICES):
@@ -163,15 +159,6 @@ class CTComplex:
         m = Matrix.from_columns(self.field, cols, self.dim(p - 1, h + self.m))
         self._d1[(p, h)] = m
         return m
-
-    def check_d1_well_defined(self, p, h):
-        """Every relation vector must map into the target relation span."""
-        _, project_tgt = self.quotient(p - 1, h + self.m)
-        for v in self.relation_vectors(p, h):
-            if any(project_tgt(self._d1_image(v, p, h))):
-                raise MismatchError("d1 not defined on the quotient at (%d, %d)"
-                                    % (p, h))
-        return True
 
     def e2_dims(self):
         """Dims of ker d1 / im d1 on every quotient block."""

@@ -170,10 +170,6 @@ def vec_scale(v, c):
     return {j: c * x for j, x in v.items()}
 
 
-def vec_from_list(xs):
-    return {j: x for j, x in enumerate(xs) if x}
-
-
 class Matrix:
     """Sparse matrix over an exact field.
 
@@ -199,9 +195,6 @@ class Matrix:
 
     def entry(self, i, j):
         return self.rows[i].get(j, self.field.zero)
-
-    def column(self, j):
-        return {i: row[j] for i, row in enumerate(self.rows) if j in row}
 
     def is_zero(self):
         return all(not row for row in self.rows)
@@ -307,12 +300,10 @@ NO_SOLUTION = None  # what solve returns when rhs is not in the image
 def solve(matrix, rhs):
     """A particular solution x of matrix @ x = rhs, or NO_SOLUTION.
 
-    rhs may be a sparse dict or a dense list over the rows.  x is supported
-    on the columns independent of the columns before them, so free variables
-    are zero and the answer is deterministic.
+    rhs is a sparse dict over the rows.  x is supported on the columns
+    independent of the columns before them, so free variables are zero and
+    the answer is deterministic.
     """
-    if not isinstance(rhs, dict):
-        rhs = vec_from_list(rhs)
     field = matrix.field
     nrows = matrix.nrows
     cols = [{} for _ in range(matrix.ncols)]
@@ -343,18 +334,12 @@ def quotient_basis(field, ambient_dim, vectors):
     e_j for the non-pivot columns j of the subspace span; project maps any
     ambient sparse vector to its coordinate list in the quotient basis.
     """
-    red = SpanReducer(field)
-    for v in vectors:
-        if not isinstance(v, dict):
-            v = vec_from_list(v)
-        red.insert(v)
+    red = SpanReducer(field).extend(vectors)
     pivset = set(red.rows)
     free = [j for j in range(ambient_dim) if j not in pivset]
     reps = [{j: field.one} for j in free]
 
     def project(vec):
-        if not isinstance(vec, dict):
-            vec = vec_from_list(vec)
         r = red.reduce(vec)
         return [r.get(j, field.zero) for j in free]
 

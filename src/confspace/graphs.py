@@ -21,8 +21,6 @@ NODUPTARGET = "noduptarget"
 JFAMILY = "jfamily"
 HFAMILY = "hfamily"
 
-FAMILIES = (FULL, NODUPTARGET, JFAMILY, HFAMILY)
-
 MAX_VERTICES = 6
 
 ZERO = "zero"  # add_edge result when the edge is already present

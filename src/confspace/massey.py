@@ -10,11 +10,14 @@ The second-page differential on the four-point reduced bicomplex is
 available two ways: a closed formula evaluated from triple Massey products
 of the entries, and the zig-zag computation on the bicomplex itself (solve
 away the vertical leak of the horizontal differential and read off the
-resulting corner class).  The zig-zag value is the authoritative one; the
-formula is compared against it modulo the page boundaries."""
+resulting corner class).  The zig-zag value is the authoritative one;
+``d2_certificate`` is the one place that reads both off as second-page
+classes, so a predicted value is compared with it modulo the page
+boundaries."""
 
 from .exactlinalg import SpanReducer, solve, NO_SOLUTION, vec_iadd, vec_scale
 from .algebra import sign, koszul, el_degree, indecomposables
+from .spectral import SpectralSequence
 from . import graphs as gr
 
 
@@ -34,13 +37,8 @@ class MasseyResult:
         return q_residual(self.H, self.class_el)
 
     def class_modulo_indeterminacy(self):
-        red = SpanReducer(self.H.field)
-        for v in self.indeterminacy:
-            red.insert(v)
+        red = SpanReducer(self.H.field).extend(self.indeterminacy)
         return red.reduce(self.class_el)
-
-    def is_zero_modulo_indeterminacy(self):
-        return not self.class_modulo_indeterminacy()
 
 
 def _rep(H, u):
@@ -251,6 +249,21 @@ def d2_zigzag(bc, u):
     return u1, image
 
 
+def d2_certificate(bc, u, predicted):
+    """Second-page classes of d2_zigzag(bc, u) and of a predicted value.
+
+    u is a nonzero block element at (p, q) that survives to the second page;
+    predicted is a total-complex element of Z_2(p + 2, q - 1).  Returns the
+    pair (zig-zag class, predicted class) of E_2(p + 2, q - 1) coordinates;
+    the prediction holds when the two are equal, and the second-page
+    differential of [u] is nonzero when the first is."""
+    p, q = bc.block_of[next(iter(u))]
+    _, image = d2_zigzag(bc, u)
+    ss = SpectralSequence(bc)
+    return (ss.project_class(image, 2, p + 2, q - 1),
+            ss.project_class(predicted, 2, p + 2, q - 1))
+
+
 def quadruple_tensor(bc, H, a, b, c, d):
     """The discrete-graph element a (x) b (x) c (x) d of a four-point
     reduced bicomplex, using cocycle representatives from H."""
@@ -308,31 +321,7 @@ def matrix_obstruction_element(bc, H, x, L, B, C):
     return out
 
 
-def matrix_obstruction_check(bc, H, x, L, B, C):
-    """Verify that the second-page differential of the matrix obstruction
-    element equals [x (x) <L,B,C>] e2324 + 2 [x (x) <L,B,C>] e2334 as
-    second-page classes.  Returns a dict with both classes and the verdict."""
-    from .spectral import SpectralSequence
-    f = bc.field
-    u = matrix_obstruction_element(bc, H, x, L, B, C)
-    _, img = d2_zigzag(bc, u)
-    key = next(iter(u))
-    p, q = bc.block_of[key]
-    ss = SpectralSequence(bc)
-    zz = ss.project_class(img, 2, p + 2, q - 1)
-    m = matrix_massey(H, L, B, C).class_el
-    t = {}
-    for i, c in _as_class(H, x).items():
-        for j, cj in m.items():
-            t[(i, j)] = c * cj
-    pred = corner_element(bc, H, {"e2324": t,
-                                  "e2334": vec_scale(t, f.of(2))})
-    pc = ss.project_class(pred, 2, p + 2, q - 1)
-    return {"d2_class": zz, "predicted_class": pc, "match": zz == pc,
-            "nonzero": bool(zz), "massey_class": m}
-
-
-def thm3_detector(H, quadruples=None, use_zigzag=False, bc=None):
+def thm3_detector(H, quadruples=None):
     """Search for quadruples of indecomposable classes certifying a nonzero
     second-page differential on the four-point complex.
 
@@ -341,8 +330,7 @@ def thm3_detector(H, quadruples=None, use_zigzag=False, bc=None):
     is nonzero and indecomposable modulo its indeterminacy, and a is
     independent of b, c, d and <b, c, d>.  A finding is reported when the
     conditions hold or when the computed residual of the formula value is
-    already nonzero; when use_zigzag is set, the zig-zag value on the
-    supplied bicomplex is attached as well."""
+    already nonzero."""
     f = H.field
     qreps, project = _q_data(H)
     cand = [i for i in range(H.dim)
@@ -362,21 +350,14 @@ def thm3_detector(H, quadruples=None, use_zigzag=False, bc=None):
             continue
         core = mbcd.class_modulo_indeterminacy()
         indecomp = bool(core) and any(q_residual(H, core).values())
-        span = SpanReducer(f)
-        for u in (b, c, d, core):
-            span.insert(u)
-        independent = not span.contains(a)
+        independent = not SpanReducer(f).extend((b, c, d, core)).contains(a)
         res = {name: obstruction_residual(H, t) if t else {}
                for name, t in tensors.items()}
         res_nonzero = any(any(k[0] == "qq" for k in r) for r in res.values())
         if not ((indecomp and independent) or res_nonzero):
             continue
-        finding = {"quadruple": (ia, ib, ic, id_), "tensors": tensors,
-                   "residuals": res, "massey_bcd": mbcd,
-                   "hypotheses_met": indecomp and independent,
-                   "residual_nonzero": res_nonzero}
-        if use_zigzag and bc is not None:
-            u0 = quadruple_tensor(bc, H, a, b, c, d)
-            finding["zigzag"] = d2_zigzag(bc, u0)[1]
-        findings.append(finding)
+        findings.append({"quadruple": (ia, ib, ic, id_), "tensors": tensors,
+                         "residuals": res, "massey_bcd": mbcd,
+                         "hypotheses_met": indecomp and independent,
+                         "residual_nonzero": res_nonzero})
     return findings

@@ -11,7 +11,6 @@ failed identity; the verdict carries the outcome and the details say which
 block broke."""
 
 from .exactlinalg import rank, SpanReducer, vec_add
-from .algebra import el_degree
 from . import graphs as gr
 from .bgcomplex import build_AG, build_C, edge_multiply, phi_bar
 from .spectral import SpectralSequence, total_cohomology
@@ -103,33 +102,30 @@ def check_collapse(alg, n, expect_at=2):
                         "reduced_columns": c.pmax + 1})
 
 
+def _three_point_d1(alg):
+    """(kernel, cokernel) dims per internal degree of the three-point d1
+    (0, q) -> (1, q), read off one build of the reduced complex."""
+    c3 = build_C(alg, 3)
+    ker, cok = {}, {}
+    for q in sorted({q for (p, q) in c3.blocks if p <= 1}):
+        r = rank(c3.dprime_matrix(0, q)) if (0, q) in c3.blocks else 0
+        for p, out in ((0, ker), (1, cok)):
+            d = c3.block_dim(p, q) - r
+            if d:
+                out[q] = d
+    return ker, cok
+
+
 def kahler_differentials(alg):
     """Dims per internal degree of the cokernel of the three-point d1
     (the module of formal differentials of the algebra)."""
-    c3 = build_C(alg, 3)
-    out = {}
-    for (p, q) in sorted(c3.blocks):
-        if p != 1:
-            continue
-        r = rank(c3.dprime_matrix(0, q)) if (0, q) in c3.blocks else 0
-        d = c3.block_dim(1, q) - r
-        if d:
-            out[q] = d
-    return out
+    return _three_point_d1(alg)[1]
 
 
 def projective_kernel(alg):
     """Dims per internal degree of the kernel of the three-point d1 (the
     image of the ambient-product restriction map)."""
-    c3 = build_C(alg, 3)
-    out = {}
-    for (p, q) in sorted(c3.blocks):
-        if p != 0:
-            continue
-        d = c3.block_dim(0, q) - rank(c3.dprime_matrix(0, q))
-        if d:
-            out[q] = d
-    return out
+    return _three_point_d1(alg)[0]
 
 
 def config_space_dims(alg, n, ct=None):
@@ -153,8 +149,7 @@ def check_three_point_sequence(alg):
     three-point d1."""
     m = max(alg.degrees)
     hf = config_space_dims(alg, 3)
-    ker = projective_kernel(alg)
-    cok = kahler_differentials(alg)
+    ker, cok = _three_point_d1(alg)
     table = {}
     ok = True
     for k in range(0, 3 * m + 1):
@@ -171,7 +166,14 @@ def check_three_point_sequence(alg):
 def check_four_point_corner(alg):
     """The corner blocks of the four-point reduced complex: per internal
     degree, dim E_2^{2,q} equals twice the formal-differentials dim (one
-    copy per corner edge monomial)."""
+    copy per corner edge monomial).
+
+    A truncated free model is refused before anything is built: the
+    complexes here have no degree window, and over such a model they run
+    to millions of keys."""
+    if alg.is_truncation:
+        raise ValueError("four-point-corner does not take a truncated model "
+                         "(use its cohomology)")
     cok = kahler_differentials(alg)
     c4 = build_C(alg, 4)
     table = {}

@@ -138,11 +138,6 @@ class SpectralSequence:
     def e_dim(self, r, p, q):
         return len(self.e_block(r, p, q)[0])
 
-    def rep_elements(self, r, p, q):
-        keys, _ = self.tot_keys(p + q)
-        return [{keys[i]: c for i, c in v.items()}
-                for v in self.e_block(r, p, q)[0]]
-
     def d_matrix(self, r, p, q):
         """Matrix of d_r : E_r(p, q) -> E_r(p+r, q-r+1) in the chosen bases."""
         key = (r, p, q)
@@ -230,9 +225,3 @@ def total_cohomology(bc, kmin, kmax):
         imdim = rank_d(k - 1) if k - 1 >= 0 else 0
         out[k] = kerdim - imdim
     return out
-
-
-def pages(bc, rmax, pq_list=None):
-    """Dims of pages 1..rmax: dict r -> {(p, q): dim}."""
-    ss = SpectralSequence(bc)
-    return {r: ss.page(r, pq_list) for r in range(1, rmax + 1)}

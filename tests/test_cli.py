@@ -1,17 +1,72 @@
 """Command-line workbench: file format round-trips, commands, exit codes."""
 
 import json
+import os
 
 import pytest
 
 from confspace import catalog
 from confspace.algebra import TruncatedFreeCDGA
-from confspace.cli import (
-    ParseError, parse_algebra_text, serialize_algebra, main,
-)
+from confspace.cli import ParseError, parse_algebra_text, main
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 CATALOG_NAMES = ["point", "s2", "s3", "t2", "cp2", "s2xs2", "cs_s5",
                  "heis3", "heis3_s2", "cs_heis3_s2", "stb_s2xs2"]
+
+
+def serialize_algebra(obj):
+    """Render an Algebra or TruncatedFreeCDGA back to file text.
+
+    Labels containing whitespace or '+' cannot be expressed in the
+    line-oriented format and are rejected."""
+    f = obj.field
+    fieldname = f.name
+    labels = (obj.gen_labels if isinstance(obj, TruncatedFreeCDGA)
+              else obj.labels)
+    for lab in labels:
+        if any(ch in lab for ch in " \t+"):
+            raise ValueError("label %r cannot be serialized" % lab)
+    out = []
+
+    def terms(el, labels):
+        if not el:
+            return "0"
+        return " + ".join("%s*%s" % (c, labels[i])
+                          for i, c in sorted(el.items()))
+
+    if isinstance(obj, TruncatedFreeCDGA):
+        out.append("cdga-free %s" % obj.name)
+        out.append("field %s" % fieldname)
+        for lab, d in zip(obj.gen_labels, obj.gen_degrees):
+            out.append("generator %s degree %d" % (lab, d))
+        for g, el in sorted(obj.d_on_gens.items()):
+            if not el:
+                continue
+            parts = " + ".join("%s*%s" % (c, obj._mono_label(m))
+                               for m, c in sorted(el.items()))
+            out.append("d %s = %s" % (obj.gen_labels[g], parts))
+        out.append("truncate %d" % obj.bound)
+    else:
+        out.append("algebra %s" % obj.name)
+        out.append("field %s" % fieldname)
+        for lab, d in zip(obj.labels, obj.degrees):
+            out.append("basis %s degree %d" % (lab, d))
+        out.append("unit %s" % obj.labels[obj.unit])
+        if obj.top is not None:
+            out.append("top %s" % obj.labels[obj.top])
+        for i in range(obj.dim):
+            for j in range(i, obj.dim):
+                el = obj.mul_basis(i, j)
+                if el and i != obj.unit and j != obj.unit:
+                    out.append("product %s %s = %s"
+                               % (obj.labels[i], obj.labels[j],
+                                  terms(el, obj.labels)))
+        if obj.differential:
+            for i, el in sorted(obj.differential.items()):
+                out.append("d %s = %s" % (obj.labels[i], terms(el, obj.labels)))
+    out.append("end")
+    return "\n".join(out) + "\n"
 
 
 def run(capsys, *argv):
@@ -273,6 +328,17 @@ def test_input_file_loading(tmp_path, capsys):
     assert json.loads(out)["cohomology"] == {"2": 1, "4": 1}
 
 
+def test_field_with_input_exit_two(tmp_path, capsys):
+    # the file names its field; --field must not be silently ignored
+    path = tmp_path / "sphere.alg"
+    path.write_text(serialize_algebra(catalog.load("s2")))
+    code, out, err = run(capsys, "pages", "--input", str(path),
+                         "--field", "F3", "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert "--field" in err
+
+
 def test_input_and_catalog_conflict(capsys, tmp_path):
     path = tmp_path / "x.alg"
     path.write_text(serialize_algebra(catalog.load("s2")))
@@ -285,3 +351,22 @@ def test_table_format_prints_duration(capsys):
     code, out, err = run(capsys, "check", "anchors")
     assert code == 0
     assert "duration:" in out
+
+
+# -- payloads recorded by the benchmark ----------------------------------------
+
+def _recorded_payloads():
+    with open(os.path.join(ROOT, "perfbench", "expected.json")) as fh:
+        return json.load(fh)
+
+
+@pytest.mark.parametrize("job", ["d2 x x y y", "d2 x x x y", "d2 x x x x",
+                                 "massey x x y", "massey x y y"])
+def test_payload_matches_benchmark_record(job, capsys):
+    command, *classes = job.split()
+    argv = [command, "--catalog", "stb_s2xs2"]
+    if command == "d2":
+        argv += ["--n", "4"]
+    code, out, err = run(capsys, *argv, *classes, "--format", "json")
+    assert code == 0
+    assert out == _recorded_payloads()[job]

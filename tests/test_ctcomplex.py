@@ -12,6 +12,10 @@ from confspace.algebra import sign
 from confspace.ctcomplex import CTComplex
 
 
+def column(m, j):
+    return {i: row[j] for i, row in enumerate(m.rows) if j in row}
+
+
 class AmbientOracle:
     """The ambient presentation of the tensor-power complex, as a reference.
 
@@ -192,12 +196,20 @@ def test_d1_inserts_diagonal_odd_sphere():
     assert out == {((w, 0), ()): QQ.one, ((0, w), ()): QQ.of(-1)}
 
 
+def d1_well_defined(ct, p, h):
+    """Every relation vector of block (p, h) maps into the target relation
+    span."""
+    _, project_tgt = ct.quotient(p - 1, h + ct.m)
+    return not any(any(project_tgt(ct._d1_image(v, p, h)))
+                   for v in ct.relation_vectors(p, h))
+
+
 @pytest.mark.parametrize("nm,n", [("s2", 3), ("t2", 2), ("cp2", 2), ("s3", 3)])
 def test_d1_well_defined_on_quotients(nm, n):
     ct = CTComplex(catalog.load(nm), n)
     for (p, h) in ct.blocks():
         if p >= 1:
-            assert ct.check_d1_well_defined(p, h)
+            assert d1_well_defined(ct, p, h)
 
 
 def test_d1_squares_to_zero():
@@ -209,8 +221,8 @@ def test_d1_squares_to_zero():
         m2 = ct.d1_matrix(p - 1, h + ct.m)
         for j in range(m1.ncols):
             img = {}
-            for i, c in m1.column(j).items():
-                for i2, c2 in m2.column(i).items():
+            for i, c in column(m1, j).items():
+                for i2, c2 in column(m2, i).items():
                     img[i2] = img.get(i2, QQ.zero) + c * c2
             assert not any(img.values())
 

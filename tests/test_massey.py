@@ -2,7 +2,7 @@
 
 import pytest
 
-from confspace.exactlinalg import QQ
+from confspace.exactlinalg import QQ, vec_scale
 from confspace import graphs as gr
 from confspace import catalog
 from confspace.algebra import cohomology
@@ -10,8 +10,8 @@ from confspace.bgcomplex import build_C
 from confspace.spectral import SpectralSequence
 from confspace.massey import (
     NotDefined, triple_massey, matrix_massey, q_residual,
-    obstruction_residual, d2_formula, d2_zigzag, quadruple_tensor,
-    corner_element, matrix_obstruction_element, matrix_obstruction_check,
+    obstruction_residual, d2_formula, d2_zigzag, d2_certificate,
+    quadruple_tensor, corner_element, matrix_obstruction_element,
     thm3_detector,
 )
 
@@ -28,7 +28,7 @@ def test_triple_product_xxy():
     assert r.class_el == one(H, "[-1*x*t + y*u]")
     # no indeterminacy: nothing in degree 3 to multiply by
     assert r.indeterminacy == []
-    assert not r.is_zero_modulo_indeterminacy()
+    assert r.class_modulo_indeterminacy()
     assert any(r.residual().values())
 
 
@@ -80,7 +80,7 @@ def test_formal_triple_products_die_modulo_indeterminacy():
             r = triple_massey(hf, *trip)
         except NotDefined:
             continue
-        assert r.is_zero_modulo_indeterminacy()
+        assert not r.class_modulo_indeterminacy()
 
 
 # -- failure modes --------------------------------------------------------------
@@ -219,6 +219,21 @@ def test_corner_element_keys():
 
 # -- matrix obstruction ---------------------------------------------------------
 
+def matrix_obstruction_check(bc, H, x, L, B, C):
+    """Certify that the second-page differential of the matrix obstruction
+    element is [x (x) <L,B,C>] e2324 + 2 [x (x) <L,B,C>] e2334 as a
+    second-page class."""
+    m = matrix_massey(H, L, B, C).class_el
+    t = {(i, j): c * cj for i, c in H.element(x).items()
+         for j, cj in m.items()}
+    pred = corner_element(bc, H, {"e2324": t,
+                                  "e2334": vec_scale(t, QQ.of(2))})
+    zz, pc = d2_certificate(
+        bc, matrix_obstruction_element(bc, H, x, L, B, C), pred)
+    return {"d2_class": zz, "predicted_class": pc, "match": zz == pc,
+            "nonzero": bool(zz), "massey_class": m}
+
+
 def test_matrix_obstruction_one_by_one():
     H, bc = stb_setup()
     out = matrix_obstruction_check(bc, H, "[x]", ["[x]"], [["[x]"]], ["[y]"])
@@ -261,12 +276,3 @@ def test_detector_flags_tangent_bundle_quadruples():
 def test_detector_empty_on_formal_model():
     H = cohomology(catalog.load("s2xs2"), 4)
     assert thm3_detector(H) == []
-
-
-def test_detector_zigzag_attachment():
-    H, bc = stb_setup()
-    ix, iy = H.labels.index("[x]"), H.labels.index("[y]")
-    found = thm3_detector(H, quadruples=[(ix, ix, iy, iy)],
-                          use_zigzag=True, bc=bc)
-    assert len(found) == 1
-    assert found[0]["zigzag"]

@@ -6,6 +6,8 @@ import pytest
 
 from confspace import catalog
 from confspace import reports as rp
+from confspace.algebra import TruncatedFreeCDGA
+from confspace.exactlinalg import QQ
 
 
 @pytest.mark.parametrize("nm", ["s2", "t2"])
@@ -127,6 +129,19 @@ def test_formal_negative_control():
 def test_formal_negative_rejects_differential_carrier():
     with pytest.raises(ValueError):
         rp.check_formal_negative(catalog.load("stb_s2xs2"))
+
+
+def test_four_point_corner_refuses_truncated_model(monkeypatch):
+    # its complexes have no degree window, so over a truncated model the
+    # check must refuse before it builds anything
+    def build_C(*args, **kwargs):
+        raise AssertionError("a complex was built before the refusal")
+
+    monkeypatch.setattr(rp, "build_C", build_C)
+    model = TruncatedFreeCDGA("xu", QQ, [("x", 2), ("u", 3)],
+                              {"u": [(("x", "x"), 1)]}, 7)
+    with pytest.raises(ValueError, match="truncated"):
+        rp.check_four_point_corner(model)
 
 
 def test_reports_are_json_stable():
