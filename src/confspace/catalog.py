@@ -137,20 +137,26 @@ _SIMPLE = {
 }
 
 
+# entries built from a truncated free model: the only ones taking truncate
+_TRUNCATED = {"stb_s2xs2": stb_s2xs2, "stb_s2xs2_h": stb_s2xs2_h}
+
+
 def names():
-    fixed = sorted(_SIMPLE) + ["stb_s2xs2", "stb_s2xs2_h"]
+    fixed = sorted(_SIMPLE) + sorted(_TRUNCATED)
     return fixed + ["sphere(m)", "torus(k)", "s1..s7"]
 
 
 def load(name, field=QQ, truncate=None):
-    """Catalog entry by name.  truncate only applies to truncated models."""
+    """Catalog entry by name.  truncate is the bound of a truncated model
+    (default 12); any other entry refuses it rather than ignore it."""
     name = name.strip().lower()
+    if name in _TRUNCATED:
+        return _TRUNCATED[name](field, 12 if truncate is None else truncate)
+    if truncate is not None:
+        raise CatalogError("truncate applies only to %s, not %r"
+                           % (" and ".join(sorted(_TRUNCATED)), name))
     if name in _SIMPLE:
         return _SIMPLE[name](field)
-    if name == "stb_s2xs2":
-        return stb_s2xs2(field, truncate or 12)
-    if name == "stb_s2xs2_h":
-        return stb_s2xs2_h(field, truncate or 12)
     m = re.fullmatch(r"s([1-9])", name)
     if m:
         return sphere(int(m.group(1)), field)

@@ -288,7 +288,10 @@ def _load(args):
     if args.input:
         with open(args.input) as fh:
             obj = parse_algebra_text(fh.read())
-        if args.truncate and isinstance(obj, TruncatedFreeCDGA):
+        if args.truncate is not None:
+            if not isinstance(obj, TruncatedFreeCDGA):
+                raise InputError("--truncate applies only to a free CDGA "
+                                 "file (cdga-free)")
             obj = TruncatedFreeCDGA(obj.name, obj.field,
                                     list(zip(obj.gen_labels, obj.gen_degrees)),
                                     _dgens_as_input(obj), args.truncate)
@@ -517,7 +520,8 @@ def _build_parser():
             p.add_argument("--input", help="algebra file")
             p.add_argument("--catalog", help="catalog algebra name")
             p.add_argument("--field", help="Q or Fp (catalog algebras)")
-            p.add_argument("--truncate", type=int, help="truncation bound")
+            p.add_argument("--truncate", type=int,
+                           help="bound of a truncated free model")
         if n:
             p.add_argument("--n", type=int, help="number of points")
         if qmax:

@@ -38,16 +38,34 @@ class Pairing:
         self.m = ct.m
         self.n = ct.n
         self._mat = {}   # (p, h) -> pairing matrix, read again by adjointness
+        # Poincare pairing table: basis index c -> {b: top coefficient of
+        # c b} over the b where it is nonzero
+        self._partners = [{} for _ in range(self.alg.dim)]
+        for c, row in enumerate(self._partners):
+            for b in range(self.alg.dim):
+                v = self.alg.mul_basis(c, b).get(self.alg.top)
+                if v:
+                    row[b] = v
+        self._last = (None, None)  # ((tensor key, graph), its _dual)
 
     def dual_block(self, p, h):
         return (p, (self.n - p) * self.m - h)
 
     def pair_keys(self, ct_key, bar_key):
         """Scalar pairing of one tensor-power key with one graph key."""
-        tens, mu = ct_key
         g, factors = bar_key
-        if tuple(sorted(mu)) != g.edges:
+        if tuple(sorted(ct_key[1])) != g.edges:
             return self.alg.field.zero
+        # callers pair one tensor key with every graph key on its edge set
+        # in a row, so the latest key's pairings are all that is kept
+        if self._last[0] != (ct_key, g):
+            self._last = ((ct_key, g), self._dual(ct_key, g))
+        return self._last[1].get(factors, self.alg.field.zero)
+
+    def _dual(self, ct_key, g):
+        """{factors: < ct_key ; factors e_g >} over the factor tuples that
+        pair nonzero with ct_key; g has the edge set of ct_key."""
+        tens, mu = ct_key
         comps = gr.components(g)
         degs = self.alg.degrees
         f = self.alg.field
@@ -74,26 +92,19 @@ class Pairing:
             for v in comp:
                 el = self.alg.multiply(el, {tens[v - 1]: f.one})
             merged.append(el)
-        # factor-by-factor pairing with the interleaving sign
+        # factor-by-factor pairing with the interleaving sign; a partner b_i
+        # of c_i has degree m - |c_i|, so the sign depends on the combo only
         l = len(comps)
-        out = f.zero
+        out = {}
         for combo, c0 in _expand(merged, f):
             e2 = 0
             for i in range(l):
                 for j in range(i + 1, l):
-                    e2 += degs[factors[i]] * degs[combo[j]]
-            s = f.of(sign(e2))
-            val = f.one
-            for ci, bi in zip(combo, factors):
-                prod = self.alg.mul_basis(ci, bi)
-                v = prod.get(self.alg.top, f.zero)
-                if not v:
-                    val = f.zero
-                    break
-                val = val * v
-            if val:
-                out = out + c0 * s * val
-        return total * out
+                    e2 += (self.m - degs[combo[i]]) * degs[combo[j]]
+            s = total * f.of(sign(e2)) * c0
+            for fs, c in _expand([self._partners[ci] for ci in combo], f):
+                vec_iadd(out, {fs: c}, s)
+        return out
 
     def _key_rows(self, p, h):
         """Pairing of every key of block (p, h) with the dual graph block:

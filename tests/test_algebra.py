@@ -132,6 +132,21 @@ def test_polynomial_generator_truncation():
     assert c.labels == ["1", "x", "x^2"]
 
 
+def test_catalog_truncate_is_a_bound_of_truncated_models_only():
+    assert catalog.load("stb_s2xs2", truncate=8).bound == 8
+    assert catalog.load("stb_s2xs2").bound == 12
+    # 0 is a bound (below the generator degrees), not an absent option
+    with pytest.raises(ValueError, match="bound"):
+        catalog.load("stb_s2xs2", truncate=0)
+    with pytest.raises(ValueError, match="bound"):
+        catalog.load("stb_s2xs2_h", truncate=0)
+    for nm in ("s2", "t2", "heis3"):
+        with pytest.raises(catalog.CatalogError, match="truncate"):
+            catalog.load(nm, truncate=6)
+        with pytest.raises(catalog.CatalogError, match="truncate"):
+            catalog.load(nm, truncate=0)
+
+
 def test_stb_degree_five_slice():
     c = catalog.load("stb_s2xs2", truncate=8)
     assert len(c.basis_of_degree(3)) == 3   # u, v, t

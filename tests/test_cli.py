@@ -1,5 +1,6 @@
 """Command-line workbench: file format round-trips, commands, exit codes."""
 
+import argparse
 import json
 import os
 
@@ -7,7 +8,7 @@ import pytest
 
 from confspace import catalog
 from confspace.algebra import TruncatedFreeCDGA
-from confspace.cli import ParseError, parse_algebra_text, main
+from confspace.cli import ParseError, parse_algebra_text, main, _load
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -337,6 +338,49 @@ def test_field_with_input_exit_two(tmp_path, capsys):
     assert code == 2
     assert out == ""
     assert "--field" in err
+
+
+def _free_model_file(tmp_path):
+    path = tmp_path / "free.alg"
+    path.write_text("cdga-free model\nfield Q\ngenerator x degree 2\n"
+                    "generator u degree 3\nd u = 1*x^2\ntruncate 6\nend\n")
+    return str(path)
+
+
+def _load_args(**kw):
+    return argparse.Namespace(**dict(
+        dict(input=None, catalog=None, field=None, truncate=None), **kw))
+
+
+def test_truncate_applies_to_free_model_file(tmp_path):
+    path = _free_model_file(tmp_path)
+    assert _load(_load_args(input=path)).bound == 6
+    assert _load(_load_args(input=path, truncate=8)).bound == 8
+    # 0 is a bound below the generator degrees, not an absent option
+    with pytest.raises(ValueError, match="bound"):
+        _load(_load_args(input=path, truncate=0))
+
+
+@pytest.mark.parametrize("truncate", ["3", "0"])
+def test_truncate_refused_where_it_does_not_apply(tmp_path, capsys, truncate):
+    # it must not be silently ignored, like --field with --input
+    path = tmp_path / "sphere.alg"
+    path.write_text(serialize_algebra(catalog.load("s2")))
+    for source in (["--catalog", "s2"], ["--input", str(path)]):
+        code, out, err = run(capsys, "pages", *source, "--n", "2",
+                             "--truncate", truncate, "--format", "json")
+        assert code == 2
+        assert out == ""
+        assert "truncate" in err
+
+
+def test_truncate_zero_refused_for_truncated_model(capsys):
+    # refused while building the carrier, not read as the default bound
+    code, out, err = run(capsys, "massey", "--catalog", "stb_s2xs2",
+                         "--truncate", "0", "x", "x", "y")
+    assert code == 2
+    assert out == ""
+    assert "bound" in err
 
 
 def test_input_and_catalog_conflict(capsys, tmp_path):

@@ -1,19 +1,60 @@
 """Perfect pairing between the tensor-power complex and the graph quotient."""
 
+from itertools import product
+
 import pytest
 
-from confspace.exactlinalg import QQ
+from confspace.exactlinalg import QQ, Field
 from confspace import graphs as gr
 from confspace import catalog
-from confspace.algebra import sign
+from confspace.algebra import Algebra, sign
 from confspace.ctcomplex import CTComplex
 from confspace.bgcomplex import build_AG
 from confspace.duality import Pairing, theorem1_check, DualityError
 
 
-def make_pairing(nm, n):
-    a = catalog.load(nm)
+def make_pairing(nm, n, field=QQ):
+    a = catalog.load(nm, field=field)
     return a, Pairing(CTComplex(a, n), build_AG(a, n, gr.NODUPTARGET))
+
+
+def _reference_pair_keys(pr, ct_key, bar_key):
+    """The pairing of one tensor key with one graph key, evaluated from
+    scratch: merge the slots of ct_key along the components of the graph
+    (Koszul sign of the reordering, suspension sign of the edge monomial),
+    then pair factor by factor against the graph key's factors with the
+    interleaving sign."""
+    alg, f = pr.alg, pr.alg.field
+    degs = alg.degrees
+    tens, mu = ct_key
+    g, factors = bar_key
+    if tuple(sorted(mu)) != g.edges:
+        return f.zero
+    comps = gr.components(g)
+    order = [v for comp in comps for v in comp]
+    e = sum(degs[tens[order[a] - 1]] * degs[tens[order[b] - 1]]
+            for a in range(pr.n) for b in range(a + 1, pr.n)
+            if order[a] > order[b])
+    targets = [t for (_, t) in mu]
+    e += pr.m * (sum(targets) + sum(
+        1 for a in range(len(targets)) for b in range(a + 1, len(targets))
+        if targets[a] > targets[b]))
+    merged = []
+    for comp in comps:
+        el = {alg.unit: f.one}
+        for v in comp:
+            el = alg.multiply(el, {tens[v - 1]: f.one})
+        merged.append(sorted(el.items()))
+    out = f.zero
+    for terms in product(*merged):
+        combo = [i for i, _ in terms]
+        val = f.of(sign(sum(degs[factors[i]] * degs[combo[j]]
+                            for i in range(len(comps))
+                            for j in range(i + 1, len(comps)))))
+        for (ci, c), bi in zip(terms, factors):
+            val = val * c * alg.mul_basis(ci, bi).get(alg.top, f.zero)
+        out = out + val
+    return f.of(sign(e)) * out
 
 
 # -- key-level pairing --------------------------------------------------------
@@ -45,6 +86,48 @@ def test_dual_block_arithmetic():
     assert pr.dual_block(0, 2) == (0, 4)
     assert pr.dual_block(1, 2) == (1, 2)
     assert pr.dual_block(2, 0) == (2, 2)
+
+
+@pytest.mark.parametrize("nm, n, p", [
+    (nm, 3, p) for nm in ("s2", "s3", "t2", "cp2") for p in (None, 3)]
+    + [("s2", 4, None)])
+def test_pair_keys_matches_reference(nm, n, p):
+    _, pr = make_pairing(nm, n, Field(p))
+    pairs = []
+    for (b, h) in pr.ct.blocks():
+        by_edges = {}
+        for bkey in pr.bar.blocks.get(pr.dual_block(b, h), []):
+            by_edges.setdefault(bkey[0].edges, []).append(bkey)
+        for key in pr.ct._blocks[(b, h)]:
+            pairs += [(key, bkey) for bkey in by_edges.get(key[1], ())]
+    # every other pair first: consecutive calls then alternate between
+    # repeating the tensor key and moving to another one
+    pairs = pairs[0::2] + pairs[1::2]
+    nonzero = 0
+    for key, bkey in pairs:
+        x = pr.pair_keys(key, bkey)
+        assert x == _reference_pair_keys(pr, key, bkey), (key, bkey)
+        nonzero += bool(x)
+    assert nonzero
+
+
+def test_pairing_merges_each_key_once(monkeypatch):
+    calls = [0]
+    multiply = Algebra.multiply
+
+    def counted(self, u, v):
+        calls[0] += 1
+        return multiply(self, u, v)
+
+    monkeypatch.setattr(Algebra, "multiply", counted)
+    a = catalog.load("t2")
+    ct = CTComplex(a, 3)
+    keys = sum(ct.ambient_dim(*b) for b in ct.blocks())
+    assert keys == 384
+    assert theorem1_check(a, 3, ct=ct)["e2_pairs"]
+    # n merging products per tensor key at most, however many graph keys
+    # it pairs with
+    assert 0 < calls[0] <= 3 * keys
 
 
 # -- guards ---------------------------------------------------------------------

@@ -7,7 +7,10 @@ import pytest
 from confspace import catalog
 from confspace import reports as rp
 from confspace.algebra import TruncatedFreeCDGA
-from confspace.exactlinalg import QQ
+from confspace.bgcomplex import build_C
+from confspace.ctcomplex import CTComplex
+from confspace.exactlinalg import QQ, Field
+from confspace.spectral import SpectralSequence
 
 
 @pytest.mark.parametrize("nm", ["s2", "t2"])
@@ -89,6 +92,24 @@ def sphere_poincare(m, n):
 def test_config_space_dims_closed_form(nm, n):
     m = int(nm[1:])
     assert rp.config_space_dims(catalog.load(nm), n) == sphere_poincare(m, n)
+
+
+def _dimension_invariants(alg, n):
+    bc = build_C(alg, n)
+    ss = SpectralSequence(bc)
+    return (CTComplex(alg, n).e2_dims(),
+            {r: ss.page(r) for r in range(1, bc.pmax + 2)},
+            rp.config_space_dims(alg, n))
+
+
+@pytest.mark.parametrize("nm", ["s2", "t2", "cp2", "s2xs2"])
+def test_dimensions_agree_over_q_and_large_prime(nm):
+    # a rank over F_p is at most the rank over Q, with equality for all but
+    # finitely many p; a coefficient bug shows up as a disagreement
+    q = _dimension_invariants(catalog.load(nm), 3)
+    fp = _dimension_invariants(catalog.load(nm, field=Field(32003)), 3)
+    assert q == fp
+    assert any(q[0].values()) and q[2]
 
 
 @pytest.mark.parametrize("nm", ["s2", "s3", "t2", "cp2"])
