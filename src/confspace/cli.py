@@ -318,6 +318,12 @@ def _check_n(n):
     return n
 
 
+def _check_qmax(qmax):
+    if qmax is not None and qmax < 0:
+        raise InputError("--qmax must be at least 0, got %d" % qmax)
+    return qmax
+
+
 def _emit(payload, args, duration):
     if args.format == "json":
         payload = dict(payload)
@@ -372,11 +378,14 @@ def _tensor_to_labels(H, t):
 # commands
 
 def cmd_pages(args):
+    if args.page is not None and args.page < 1:
+        raise InputError("--page must be at least 1, got %d" % args.page)
+    qmax = _check_qmax(args.qmax)
     obj = _load(args)
     n = _check_n(args.n)
-    bc = build_AG(obj, n, _KINDS[args.kind], qmax=args.qmax)
+    bc = build_AG(obj, n, _KINDS[args.kind], qmax=qmax)
     ss = SpectralSequence(bc)
-    rmax = args.page or bc.pmax + 1
+    rmax = bc.pmax + 1 if args.page is None else args.page
     pages = {}
     for r in range(1, rmax + 1):
         pages["E%d" % r] = {"(%d,%d)" % pq: d
@@ -402,12 +411,13 @@ def cmd_ct_e2(args):
 
 
 def cmd_total(args):
+    qmax = _check_qmax(args.qmax)
     obj = _load(args)
     n = _check_n(args.n)
     if args.kind == "c":
-        bc = build_C(obj, n, qmax=args.qmax)
+        bc = build_C(obj, n, qmax=qmax)
     else:
-        bc = build_AG(obj, n, _KINDS[args.kind], qmax=args.qmax)
+        bc = build_AG(obj, n, _KINDS[args.kind], qmax=qmax)
     ks = [p + q for (p, q) in bc.blocks]
     h = total_cohomology(bc, min(ks), max(ks)) if ks else {}
     payload = {"command": "total", "algebra": obj.name, "n": n,

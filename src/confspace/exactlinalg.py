@@ -3,16 +3,20 @@
 Everything downstream (bicomplex differentials, spectral-sequence pages,
 Massey defining systems) reduces to rank / kernel / solve / quotient over an
 exact field, so no floating point appears anywhere in this package.  Matrices
-are stored sparsely, and every elimination runs through one kernel,
-``SpanReducer``: an incremental reduced row echelon form over rows kept as
-``{col: scalar}`` dicts, which is plenty fast at the desk scales we target (a
-few thousand columns at most).  ``rank`` and ``kernel_basis`` reduce the rows
-of a matrix, ``quotient_basis`` reduces the spanning vectors of a subspace,
-and ``solve`` reduces the columns of a matrix, each extended by its own
-index, so that every reduced row records the combination of columns it is.
+and vectors are stored sparsely as ``{index: scalar}`` dicts of field scalars
+(``Fraction`` over Q, ``FpElement`` over F_p), and every elimination runs
+through one kernel, ``SpanReducer``: an incremental reduced row echelon form
+whose rows are kept as ``{col: int}`` dicts, fraction-free and primitive over
+Q and residues mod p over F_p, so elimination does no scalar-object
+arithmetic; field scalars are formed only where its rows or reductions are
+read.  ``rank`` and ``kernel_basis`` reduce the rows of a matrix,
+``quotient_basis`` reduces the spanning vectors of a subspace, and ``solve``
+reduces the columns of a matrix, each extended by its own index, so that
+every reduced row records the combination of columns it is.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class FieldError(ValueError):
@@ -208,15 +212,24 @@ class Matrix:
 class SpanReducer:
     """Incremental reduced row echelon span of sparse vectors.
 
-    Maintains fully reduced rows keyed by pivot column (each normalized so
-    the pivot entry is 1, and every row has zeros at all other pivots), so
-    membership tests and quotient coordinates are single reduction passes.
-    Deterministic: the pivot of a new row is its smallest-index column.
+    Rows are kept fully reduced (zero at every other pivot), keyed by pivot
+    column, so membership tests and quotient coordinates are single reduction
+    passes.  Deterministic: the pivot of a new row is its smallest-index
+    column.
+
+    Inside, rows are ``{col: int}`` dicts and elimination never builds a
+    field scalar: over Q each row is primitive (content gcd 1) with a
+    positive pivot, and a step R <- b*R - a*v is taken fraction-free, after
+    cancelling gcd(a, b); over F_p each row holds residues in [0, p) with
+    pivot 1.  Field scalars appear only at the boundary: ``reduce`` and
+    ``basis`` return ``Fraction`` or ``FpElement`` values, those of the
+    unique reduced row echelon form with unit pivots.
     """
 
     def __init__(self, field):
         self.field = field
-        self.rows = {}  # pivot col -> row dict
+        self.p = field.p
+        self.rows = {}  # pivot col -> integer row dict
 
     @property
     def dim(self):
@@ -226,35 +239,106 @@ class SpanReducer:
     def pivots(self):
         return sorted(self.rows)
 
+    def _ints(self, vec):
+        """(integer row, scale s) with vec = row / s; over F_p s is 1."""
+        if self.p is not None:
+            v, s = {j: x.v for j, x in vec.items()}, 1
+        else:
+            s = lcm(*[x.denominator for x in vec.values()])
+            if s == 1:
+                v = {j: x.numerator for j, x in vec.items()}
+            else:
+                v = {j: x.numerator * (s // x.denominator)
+                     for j, x in vec.items()}
+        if not all(v.values()):
+            v = {j: x for j, x in v.items() if x}
+        return v, s
+
+    def _scalars(self, v, s):
+        """The field vector v / s (over F_p, v itself: s is always 1)."""
+        p = self.p
+        if p is None:
+            return {j: Fraction(x, s) for j, x in v.items()}
+        return {j: FpElement(p, x) for j, x in v.items()}
+
+    def _combine(self, u, a, w, b):
+        """u <- b*u - a*w in place; returns the factor u was multiplied by.
+        Over Q gcd(a, b) is cancelled first; over F_p b is 1 and every entry
+        is taken mod p."""
+        p = self.p
+        if p is not None:
+            for j, x in w.items():
+                t = (u.get(j, 0) - a * x) % p
+                if t:
+                    u[j] = t
+                else:
+                    del u[j]
+            return 1
+        g = gcd(a, b)
+        if g != 1:
+            a //= g
+            b //= g
+        if b != 1:
+            for j in u:
+                u[j] *= b
+        for j, x in w.items():
+            t = u.get(j, 0) - a * x
+            if t:
+                u[j] = t
+            else:
+                del u[j]
+        return b
+
+    def _normalise(self, v, piv):
+        """Scale the row v in place to the stored form, pivot at piv: over Q
+        primitive with a positive pivot, over F_p with pivot 1."""
+        p = self.p
+        if p is None:
+            g = gcd(*v.values())
+            if v[piv] < 0:
+                g = -g
+            if g != 1:
+                for j in v:
+                    v[j] //= g
+        elif v[piv] != 1:
+            inv = pow(v[piv], -1, p)
+            for j in v:
+                v[j] = v[j] * inv % p
+
+    def _reduce(self, v, s):
+        """Reduce the integer row v / s against the rows, in place; returns
+        the new scale.  One pass: the rows are zero at each other's pivots."""
+        rows = self.rows
+        for c in [c for c in v if c in rows]:
+            row = rows[c]
+            s *= self._combine(v, v[c], row, row[c])
+        return s
+
     def reduce(self, vec):
-        v = dict(vec)
-        hits = [c for c in v if c in self.rows]
-        while hits:
-            for c in hits:
-                x = v.get(c)
-                if x:
-                    vec_iadd(v, self.rows[c], -x)
-            hits = [c for c in v if c in self.rows]
-        return v
+        v, s = self._ints(vec)
+        s = self._reduce(v, s)
+        return self._scalars(v, s)
 
     def insert(self, vec):
         """Add vec to the span; returns True if the dimension grew."""
-        v = self.reduce(vec)
+        v, s = self._ints(vec)
+        self._reduce(v, s)
         if not v:
             return False
         piv = min(v)
-        inv = self.field.one / v[piv]
-        v = vec_scale(v, inv)
+        self._normalise(v, piv)
+        b = v[piv]
         # keep existing rows fully reduced against the new pivot
-        for c, row in list(self.rows.items()):
-            x = row.get(piv)
-            if x:
-                self.rows[c] = vec_add(row, v, -x)
+        for c, row in [(c, row) for c, row in self.rows.items() if piv in row]:
+            self._combine(row, row[piv], v, b)
+            self._normalise(row, c)
         self.rows[piv] = v
         return True
 
     def contains(self, vec):
-        return not self.reduce(vec)
+        v, s = self._ints(vec)
+        self._reduce(v, s)
+        return not v
 
     def extend(self, vecs):
         for v in vecs:
@@ -262,7 +346,8 @@ class SpanReducer:
         return self
 
     def basis(self):
-        return [self.rows[c] for c in sorted(self.rows)]
+        rows = self.rows
+        return [self._scalars(rows[c], rows[c][c]) for c in sorted(rows)]
 
 
 def _row_span(matrix):
@@ -280,18 +365,16 @@ def kernel_basis(matrix):
     1 at its free column (deterministic for a fixed input).
     """
     red = _row_span(matrix)
-    pivots = red.pivots
-    basis = []
-    for f in range(matrix.ncols):
-        if f in red.rows:
-            continue
-        v = {f: matrix.field.one}
-        for c in pivots:
-            x = red.rows[c].get(f)
-            if x:
-                v[c] = -x
-        basis.append(v)
-    return basis
+    field = matrix.field
+    basis = {f: {f: field.one} for f in range(matrix.ncols)
+             if f not in red.rows}
+    # each reduced row gives the pivot coordinate of every free column in it
+    for c in red.pivots:
+        row = red.rows[c]
+        neg = red._scalars({f: -x for f, x in row.items() if f != c}, row[c])
+        for f, x in neg.items():
+            basis[f][c] = x
+    return list(basis.values())
 
 
 NO_SOLUTION = None  # what solve returns when rhs is not in the image
@@ -338,9 +421,10 @@ def quotient_basis(field, ambient_dim, vectors):
     pivset = set(red.rows)
     free = [j for j in range(ambient_dim) if j not in pivset]
     reps = [{j: field.one} for j in free]
+    zero = field.zero
 
     def project(vec):
         r = red.reduce(vec)
-        return [r.get(j, field.zero) for j in free]
+        return [r.get(j, zero) for j in free]
 
     return reps, project

@@ -383,6 +383,29 @@ def test_truncate_zero_refused_for_truncated_model(capsys):
     assert "bound" in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["pages", "--page", "0"], "--page"),
+    (["pages", "--page", "-1"], "--page"),
+    (["pages", "--qmax", "-1"], "--qmax"),
+    (["total", "--qmax", "-3"], "--qmax"),
+])
+def test_meaningless_page_and_window_refused(argv, option, capsys):
+    # no page and no degree window select nothing: refuse, do not print a
+    # misleading (all pages, or empty) answer
+    code, out, err = run(capsys, *argv, "--catalog", "s2", "--n", "2",
+                         "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert option in err
+
+
+def test_page_one_shows_only_the_first_page(capsys):
+    code, out, err = run(capsys, "pages", "--catalog", "s2", "--n", "2",
+                         "--page", "1", "--format", "json")
+    assert code == 0
+    assert list(json.loads(out)["pages"]) == ["E1"]
+
+
 def test_input_and_catalog_conflict(capsys, tmp_path):
     path = tmp_path / "x.alg"
     path.write_text(serialize_algebra(catalog.load("s2")))

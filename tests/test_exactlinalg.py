@@ -1,12 +1,13 @@
 """Exact linear algebra: hand-checked anchors plus random properties."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from confspace.exactlinalg import (
-    Field, QQ, Matrix, rank, kernel_basis, solve, NO_SOLUTION,
+    Field, FpElement, QQ, Matrix, rank, kernel_basis, solve, NO_SOLUTION,
     quotient_basis, SpanReducer, vec_add, vec_scale,
 )
 
@@ -181,3 +182,196 @@ def dependent_system(draw, field):
 def test_solve_matches_reference(system):
     m, rhs = system
     assert solve(m, rhs) == _reference_solve(m, rhs)
+
+
+# -- the kernel against its field-scalar reference -----------------------------
+
+class _ReferenceSpanReducer:
+    """The reduced row echelon span kept over field scalars: the kernel that
+    the integer-row ``SpanReducer`` replaced, kept as its reference."""
+
+    def __init__(self, field):
+        self.field = field
+        self.rows = {}  # pivot col -> row dict with pivot entry 1
+
+    @property
+    def dim(self):
+        return len(self.rows)
+
+    @property
+    def pivots(self):
+        return sorted(self.rows)
+
+    def reduce(self, vec):
+        v = dict(vec)
+        hits = [c for c in v if c in self.rows]
+        while hits:
+            for c in hits:
+                x = v.get(c)
+                if x:
+                    v = vec_add(v, self.rows[c], -x)
+            hits = [c for c in v if c in self.rows]
+        return v
+
+    def insert(self, vec):
+        v = self.reduce(vec)
+        if not v:
+            return False
+        piv = min(v)
+        v = vec_scale(v, self.field.one / v[piv])
+        for c, row in list(self.rows.items()):
+            x = row.get(piv)
+            if x:
+                self.rows[c] = vec_add(row, v, -x)
+        self.rows[piv] = v
+        return True
+
+    def contains(self, vec):
+        return not self.reduce(vec)
+
+    def basis(self):
+        return [self.rows[c] for c in sorted(self.rows)]
+
+
+def _reference_kernel_basis(matrix):
+    red = _ReferenceSpanReducer(matrix.field)
+    for row in matrix.rows:
+        if row:
+            red.insert(row)
+    basis = []
+    for f in range(matrix.ncols):
+        if f not in red.rows:
+            v = {f: matrix.field.one}
+            for c in red.pivots:
+                x = red.rows[c].get(f)
+                if x:
+                    v[c] = -x
+            basis.append(v)
+    return basis
+
+
+def _reference_quotient_basis(field, ambient_dim, vectors):
+    red = _ReferenceSpanReducer(field)
+    for v in vectors:
+        red.insert(v)
+    free = [j for j in range(ambient_dim) if j not in red.rows]
+
+    def project(vec):
+        r = red.reduce(vec)
+        return [r.get(j, field.zero) for j in free]
+
+    return [{j: field.one} for j in free], project
+
+
+F3, F101 = Field(3), Field(101)
+NCOLS = 6
+
+
+def _scalars(field):
+    small = st.integers(-3, 3)
+    if field.p is not None:
+        return small.map(field.of)
+    # non-integral rationals, so the integer rows must clear denominators
+    return st.one_of(small, st.sampled_from(
+        [Fraction(1, 2), Fraction(-2, 3), Fraction(5, 4), Fraction(-7, 6)]
+    )).map(field.of)
+
+
+@st.composite
+def vector_family(draw, field):
+    """Sparse vectors over NCOLS columns, some mixing earlier ones, so that
+    inserts both grow the span and fall into it."""
+    scalar = _scalars(field)
+    vecs = []
+    for _ in range(draw(st.integers(0, 8))):
+        if vecs and draw(st.booleans()):
+            v = {}
+            for u in vecs:
+                v = vec_add(v, u, draw(scalar))
+        else:
+            v = {j: x for j in range(NCOLS) if (x := draw(scalar))}
+        vecs.append(v)
+    return vecs
+
+
+@st.composite
+def field_and_vectors(draw, families=1):
+    field = draw(st.sampled_from([QQ, F3, F101]))
+    return (field,) + tuple(draw(vector_family(field)) for _ in range(families))
+
+
+def _is_field_vector(field, vec):
+    kind = Fraction if field.p is None else FpElement
+    return all(type(x) is kind and x for x in vec.values())
+
+
+def _same(u, v):
+    """Equal vectors with the same key order."""
+    return list(u.items()) == list(v.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_and_vectors(families=2))
+def test_span_reducer_matches_reference(case):
+    field, vecs, probes = case
+    red, ref = SpanReducer(field), _ReferenceSpanReducer(field)
+    for v in vecs:
+        assert red.insert(v) == ref.insert(v)
+        assert red.dim == ref.dim and red.pivots == ref.pivots
+        got = red.basis()
+        assert all(_same(a, b) for a, b in zip(got, ref.basis()))
+        assert all(_is_field_vector(field, b) for b in got)
+    for v in vecs + probes:
+        got = red.reduce(v)
+        assert _same(got, ref.reduce(v))
+        assert _is_field_vector(field, got)
+        assert red.contains(v) == ref.contains(v)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_and_vectors())
+def test_kernel_solve_quotient_match_reference(case):
+    field, vecs = case
+    m = Matrix(field, len(vecs), NCOLS, vecs)
+    ker, ref_ker = kernel_basis(m), _reference_kernel_basis(m)
+    assert len(ker) == len(ref_ker)
+    assert all(_same(a, b) for a, b in zip(ker, ref_ker))
+    assert all(_is_field_vector(field, v) for v in ker)
+    mt = Matrix.from_columns(field, vecs, NCOLS)
+    for rhs in vecs[:3] + [{0: field.one}]:
+        x = solve(mt, rhs)
+        assert x == _reference_solve(mt, rhs)
+        assert x is NO_SOLUTION or _is_field_vector(field, x)
+    reps, project = quotient_basis(field, NCOLS, vecs)
+    ref_reps, ref_project = _reference_quotient_basis(field, NCOLS, vecs)
+    assert reps == ref_reps
+    for v in vecs + reps + [{j: field.one for j in range(NCOLS)}]:
+        coords = project(v)
+        assert coords == ref_project(v)
+        kind = Fraction if field.p is None else FpElement
+        assert all(type(x) is kind for x in coords)
+
+
+_DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+            "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
+
+
+@pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
+def test_elimination_does_no_scalar_arithmetic(field, monkeypatch):
+    rng = random.Random(20)
+    m = mat(field, [[rng.randint(-3, 3) for _ in range(20)]
+                    for _ in range(20)])
+    ref = _ReferenceSpanReducer(field)
+    for row in m.rows:
+        ref.insert(row)
+    calls = []
+    for cls in (Fraction, FpElement):
+        for name in _DUNDERS:
+            op = getattr(cls, name, None)
+            if op is not None:
+                def counted(*args, _op=op, _name=cls.__name__ + name):
+                    calls.append(_name)
+                    return _op(*args)
+                monkeypatch.setattr(cls, name, counted)
+    assert rank(m) == ref.dim
+    assert not calls, "%d scalar operations, first %s" % (len(calls), calls[0])

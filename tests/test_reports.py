@@ -10,7 +10,7 @@ from confspace.algebra import TruncatedFreeCDGA
 from confspace.bgcomplex import build_C
 from confspace.ctcomplex import CTComplex
 from confspace.exactlinalg import QQ, Field
-from confspace.spectral import SpectralSequence
+from confspace.spectral import SpectralSequence, total_cohomology
 
 
 @pytest.mark.parametrize("nm", ["s2", "t2"])
@@ -102,14 +102,33 @@ def _dimension_invariants(alg, n):
             rp.config_space_dims(alg, n))
 
 
-@pytest.mark.parametrize("nm", ["s2", "t2", "cp2", "s2xs2"])
-def test_dimensions_agree_over_q_and_large_prime(nm):
+@pytest.mark.parametrize("nm,n", [
+    pytest.param(nm, 3, id=nm) for nm in ("s2", "t2", "cp2", "s2xs2")
+] + [pytest.param(nm, 4, id=nm + "-n4") for nm in ("s2", "cp2")])
+def test_dimensions_agree_over_q_and_large_prime(nm, n):
     # a rank over F_p is at most the rank over Q, with equality for all but
     # finitely many p; a coefficient bug shows up as a disagreement
-    q = _dimension_invariants(catalog.load(nm), 3)
-    fp = _dimension_invariants(catalog.load(nm, field=Field(32003)), 3)
+    q = _dimension_invariants(catalog.load(nm), n)
+    fp = _dimension_invariants(catalog.load(nm, field=Field(32003)), n)
     assert q == fp
     assert any(q[0].values()) and q[2]
+
+
+@pytest.mark.parametrize("nm", ["s2", "t2", "cp2", "s2xs2"])
+def test_last_page_is_total_cohomology(nm):
+    # the sequence converges to the total cohomology, and each d_r keeps the
+    # Euler characteristic of the page it acts on
+    bc = build_C(catalog.load(nm), 3)
+    ss = SpectralSequence(bc)
+    pages = [ss.page(r) for r in range(1, bc.pmax + 2)]
+    ks = [p + q for (p, q) in bc.blocks]
+    h = total_cohomology(bc, min(ks), max(ks))
+    for k in h:
+        assert sum(d for (p, q), d in pages[-1].items() if p + q == k) == h[k]
+    assert any(h.values())
+    euler = {sum((-1) ** (p + q) * d for (p, q), d in page.items())
+             for page in pages}
+    assert len(euler) == 1
 
 
 @pytest.mark.parametrize("nm", ["s2", "s3", "t2", "cp2"])
