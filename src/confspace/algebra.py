@@ -16,7 +16,7 @@ Elements are sparse dicts ``{basis_index: scalar}``.
 """
 
 from .exactlinalg import (
-    Matrix, SpanReducer, kernel_basis, quotient_basis, solve, NO_SOLUTION,
+    SpanReducer, apply_map, kernel_basis, quotient_basis, solve, NO_SOLUTION,
     vec_add, vec_iadd, vec_scale,
 )
 
@@ -165,10 +165,7 @@ class Algebra(_GradedBasis):
         return out
 
     def differentiate(self, u):
-        out = {}
-        for i, a in u.items():
-            vec_iadd(out, self.d_basis(i), a)
-        return out
+        return apply_map(self.d_basis, u)
 
     @property
     def max_degree(self):
@@ -256,17 +253,18 @@ def poincare_data(alg):
         cols_idx = alg.basis_of_degree(m - p)
         if len(rows_idx) != len(cols_idx):
             raise DegeneratePairing(p)
-        pair = Matrix(f, len(rows_idx), len(cols_idx))
-        for r, i in enumerate(rows_idx):
-            prod_row = {}
-            for c, j in enumerate(cols_idx):
+        # columns of the pairing: entry (r, c) is the top coefficient of
+        # rows_idx[r] * cols_idx[c]
+        cols = []
+        for j in cols_idx:
+            col = {}
+            for r, i in enumerate(rows_idx):
                 val = alg.mul_basis(i, j).get(alg.top)
                 if val:
-                    prod_row[c] = val
-            pair.rows[r] = prod_row
+                    col[r] = val
+            cols.append(col)
         for r, i in enumerate(rows_idx):
-            rhs = {r: f.one}
-            x = solve(pair, rhs)
+            x = solve(f, cols, len(rows_idx), {r: f.one})
             if x is NO_SOLUTION:
                 raise DegeneratePairing(p)
             dual[i] = {cols_idx[c]: v for c, v in x.items()}
@@ -502,16 +500,14 @@ class CochainView:
                               for i in self.carrier.basis_of_degree(k)]
         return self._dcols[k]
 
-    def d_matrix(self, k):
-        return Matrix.from_columns(self.carrier.field, self.d_columns(k),
-                                   len(self.carrier.basis_of_degree(k + 1)))
-
     def solve_d(self, target):
         """x with d(x) = target, or NO_SOLUTION.  target must be homogeneous."""
         if not target:
             return {}
         k = el_degree(self.carrier, target) - 1
-        x = solve(self.d_matrix(k), self.local(target, k + 1))
+        x = solve(self.carrier.field, self.d_columns(k),
+                  len(self.carrier.basis_of_degree(k + 1)),
+                  self.local(target, k + 1))
         if x is NO_SOLUTION:
             return NO_SOLUTION
         return self.unlocal(x, k)
@@ -554,9 +550,8 @@ def _class_coords(view, reps, degrees, w, k):
     cols = [view.local(reps[i], k) for i in classes]
     if k > 0:
         cols += view.d_columns(k - 1)
-    m = Matrix.from_columns(view.carrier.field, cols,
-                            len(view.carrier.basis_of_degree(k)))
-    x = solve(m, view.local(w, k))
+    x = solve(view.carrier.field, cols, len(view.carrier.basis_of_degree(k)),
+              view.local(w, k))
     if x is NO_SOLUTION:
         return x
     return {classes[p]: c for p, c in x.items() if p < len(classes) and c}
@@ -575,7 +570,7 @@ def cohomology(carrier, max_degree):
         red = SpanReducer(f)
         if k > 0:
             red.extend(view.d_columns(k - 1))
-        for v in kernel_basis(view.d_matrix(k)):
+        for v in kernel_basis(f, view.d_columns(k)):
             if red.insert(v):
                 reps.append(view.unlocal(v, k))
                 degrees.append(k)

@@ -19,7 +19,7 @@ Three variants:
   the no-duplicate-target quotient.
 """
 
-from .exactlinalg import Matrix, vec_iadd
+from .exactlinalg import apply_map, vec_iadd
 from .algebra import sign
 from . import graphs as gr
 
@@ -41,8 +41,8 @@ class Bicomplex:
         self.pos = {}      # (p, q) -> {key: index}
         self.block_of = {}  # key -> (p, q)
         self._build_basis()
-        self._dp_mat = {}
-        self._ds_mat = {}
+        self._dp_cols = {}
+        self._ds_cols = {}
 
     # -- basis --------------------------------------------------------------
     def _factor_choices(self, g):
@@ -163,21 +163,15 @@ class Bicomplex:
         return out
 
     def apply_dprime(self, el):
-        out = {}
-        for key, c in el.items():
-            vec_iadd(out, self.dprime_key(key), c)
-        return out
+        return apply_map(self.dprime_key, el)
 
     def apply_dsecond(self, el):
-        out = {}
-        for key, c in el.items():
-            vec_iadd(out, self.dsecond_key(key), c)
-        return out
+        return apply_map(self.dsecond_key, el)
 
     def apply_total(self, el):
         return vec_iadd(self.apply_dprime(el), self.apply_dsecond(el))
 
-    # -- block matrices -----------------------------------------------------
+    # -- block maps -----------------------------------------------------------
     def _as_block(self, el, p, q):
         pos = self.pos.get((p, q), {})
         out = {}
@@ -191,21 +185,23 @@ class Bicomplex:
         keys = self.blocks.get((p, q), [])
         return {keys[i]: c for i, c in vec.items()}
 
+    def _block_columns(self, cache, on_key, p, q, tgt):
+        """Columns of a differential out of block (p, q), over block tgt;
+        built once, then shared, so callers must not mutate them."""
+        if (p, q) not in cache:
+            cache[(p, q)] = [self._as_block(on_key(k), *tgt)
+                             for k in self.blocks.get((p, q), [])]
+        return cache[(p, q)]
+
     def dprime_matrix(self, p, q):
-        if (p, q) not in self._dp_mat:
-            cols = [self._as_block(self.dprime_key(k), p + 1, q)
-                    for k in self.blocks.get((p, q), [])]
-            self._dp_mat[(p, q)] = Matrix.from_columns(
-                self.field, cols, self.block_dim(p + 1, q))
-        return self._dp_mat[(p, q)]
+        """Columns of d' : (p, q) -> (p + 1, q)."""
+        return self._block_columns(self._dp_cols, self.dprime_key, p, q,
+                                   (p + 1, q))
 
     def dsecond_matrix(self, p, q):
-        if (p, q) not in self._ds_mat:
-            cols = [self._as_block(self.dsecond_key(k), p, q + 1)
-                    for k in self.blocks.get((p, q), [])]
-            self._ds_mat[(p, q)] = Matrix.from_columns(
-                self.field, cols, self.block_dim(p, q + 1))
-        return self._ds_mat[(p, q)]
+        """Columns of d'' : (p, q) -> (p, q + 1)."""
+        return self._block_columns(self._ds_cols, self.dsecond_key, p, q,
+                                   (p, q + 1))
 
     @property
     def pmax(self):
@@ -236,10 +232,7 @@ def edge_multiply(bc, el, i, j):
     bicomplex (not defined for the reduced kind)."""
     if bc.family == gr.HFAMILY:
         raise ValueError("edge multiplication lives on the graph-family side")
-    out = {}
-    for key, c in el.items():
-        vec_iadd(out, bc._pair_term(key, i, j), c)
-    return out
+    return apply_map(lambda key: bc._pair_term(key, i, j), el)
 
 
 def phi_bar(c_bc, bar_bc):
@@ -276,10 +269,4 @@ def phi_bar(c_bc, bar_bc):
                 vec_iadd(out, {(g, tup): coeff * c})
         return out
 
-    def apply(el):
-        out = {}
-        for key, c in el.items():
-            vec_iadd(out, on_key(key), c)
-        return out
-
-    return apply
+    return lambda el: apply_map(on_key, el)

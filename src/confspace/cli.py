@@ -432,6 +432,16 @@ def cmd_check(args):
         raise InputError("unknown suite %r (have: %s)"
                          % (args.suite, ", ".join(sorted(_SUITES))))
     arity, fn = _SUITES[suite]
+    # options a suite does not read are refused, not silently ignored
+    unread = []
+    if arity == "none":
+        unread = ["--%s" % o for o in ("input", "catalog", "field", "truncate")
+                  if getattr(args, o) is not None]
+    if arity != "n" and args.n is not None:
+        unread.append("--n")
+    if unread:
+        raise InputError("%s does not apply to check %s"
+                         % (", ".join(unread), args.suite))
     if arity == "none":
         report = reports.check_anchors()
     else:

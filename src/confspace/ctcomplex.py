@@ -22,7 +22,7 @@ inserted into its two slots, mapping (p, h) to (p - 1, h + m); removing an
 edge keeps the targets distinct, so d1 maps keys to keys.
 """
 
-from .exactlinalg import Matrix, quotient_basis, rank, vec_iadd
+from .exactlinalg import apply_map, quotient_basis, rank, vec_iadd
 from .algebra import sign, poincare_data
 from . import graphs as gr
 
@@ -140,14 +140,11 @@ class CTComplex:
         key coordinates."""
         pos_tgt = self._pos.get((p - 1, h + self.m), {})
         keys_src = self._blocks.get((p, h), [])
-        img = {}
-        for idx, c in vec.items():
-            for key2, c2 in self.d1_key(keys_src[idx]).items():
-                vec_iadd(img, {pos_tgt[key2]: c * c2})
-        return img
+        img = apply_map(lambda idx: self.d1_key(keys_src[idx]), vec)
+        return {pos_tgt[key2]: c for key2, c in img.items()}
 
     def d1_matrix(self, p, h):
-        """d1 on quotient blocks: (p, h) -> (p - 1, h + m)."""
+        """Columns of d1 on quotient blocks: (p, h) -> (p - 1, h + m)."""
         if (p, h) in self._d1:
             return self._d1[(p, h)]
         reps, _ = self.quotient(p, h)
@@ -156,9 +153,12 @@ class CTComplex:
         for v in reps:
             coords = project_tgt(self._d1_image(v, p, h))
             cols.append({i: c for i, c in enumerate(coords) if c})
-        m = Matrix.from_columns(self.field, cols, self.dim(p - 1, h + self.m))
-        self._d1[(p, h)] = m
-        return m
+        # perfbench/tracer.py counts quotient calls, and its recorded counts
+        # include this read of the target dimension; the next benchmark
+        # change drops it
+        self.dim(p - 1, h + self.m)
+        self._d1[(p, h)] = cols
+        return cols
 
     def e2_dims(self):
         """Dims of ker d1 / im d1 on every quotient block."""
@@ -168,9 +168,9 @@ class CTComplex:
             if dsrc == 0:
                 out[(p, h)] = 0
                 continue
-            r_out = rank(self.d1_matrix(p, h)) if p >= 1 else 0
+            r_out = rank(self.field, self.d1_matrix(p, h)) if p >= 1 else 0
             r_in = 0
             if (p + 1, h - self.m) in self._blocks:
-                r_in = rank(self.d1_matrix(p + 1, h - self.m))
+                r_in = rank(self.field, self.d1_matrix(p + 1, h - self.m))
             out[(p, h)] = dsrc - r_out - r_in
         return out

@@ -15,7 +15,7 @@ intertwines the two differentials up to a sign that is constant on each
 block; ``theorem1_check`` verifies all of this and reports the discovered
 signs and the resulting second-page duality of dimensions."""
 
-from .exactlinalg import Matrix, rank, vec_iadd
+from .exactlinalg import apply_map, rank, transpose, vec_iadd
 from .algebra import sign
 from . import graphs as gr
 
@@ -37,7 +37,7 @@ class Pairing:
         self.alg = ct.alg
         self.m = ct.m
         self.n = ct.n
-        self._mat = {}   # (p, h) -> pairing matrix, read again by adjointness
+        self._mat = {}   # (p, h) -> pairing rows, read again by adjointness
         # Poincare pairing table: basis index c -> {b: top coefficient of
         # c b} over the b where it is nonzero
         self._partners = [{} for _ in range(self.alg.dim)]
@@ -122,31 +122,22 @@ class Pairing:
                 if x:
                     row[j] = x
             rows.append(row)
-        return rows, len(bar_keys)
+        return rows
 
     def matrix(self, p, h):
-        """Pairing matrix: rows = block quotient basis, columns = basis of
-        the dual graph block.  Raises DualityError when a relation of the
-        block pairs nontrivially, since the pairing is then not defined on
-        the quotient."""
+        """Rows of the pairing matrix, one per block quotient basis element,
+        each over the basis of the dual graph block.  Raises DualityError
+        when a relation of the block pairs nontrivially, since the pairing
+        is then not defined on the quotient."""
         if (p, h) not in self._mat:
-            rows, ncols = self._key_rows(p, h)
+            rows = self._key_rows(p, h)
             for v in self.ct.relation_vectors(p, h):
-                if _combine(rows, v):
+                if apply_map(rows.__getitem__, v):
                     raise DualityError(
                         "relation pairs nontrivially at (%d, %d)" % (p, h))
             reps, _ = self.ct.r_quotient(p, h)
-            self._mat[(p, h)] = Matrix(self.alg.field, len(reps), ncols,
-                                       [_combine(rows, v) for v in reps])
+            self._mat[(p, h)] = [apply_map(rows.__getitem__, v) for v in reps]
         return self._mat[(p, h)]
-
-
-def _combine(rows, vec):
-    """The sparse combination sum_i vec[i] rows[i]."""
-    out = {}
-    for i, c in vec.items():
-        vec_iadd(out, rows[i], c)
-    return out
 
 
 def _expand(factor_elements, f):
@@ -185,7 +176,8 @@ def theorem1_check(alg, n, ct=None, bar=None):
                                % (p, h, dim_t, dim_b))
         if dim_t == 0:
             continue
-        if rank(pr.matrix(p, h)) != dim_t:
+        # handed the pairing's columns, rank reduces its rows
+        if rank(f, transpose(pr.matrix(p, h)).values()) != dim_t:
             raise DualityError("pairing degenerate at (%d, %d)" % (p, h))
         signs[(p, h)] = None
     # adjointness: < d1 z ; w > = sigma < z ; d' w > with sigma constant per
@@ -199,9 +191,9 @@ def theorem1_check(alg, n, ct=None, bar=None):
         lhs = _compose_pair_d1(pr, p, h)
         rhs = _compose_dprime_pair(pr, p, h)
         sigma = None
-        for i, row in enumerate(lhs.rows):
+        for i, row in enumerate(lhs):
             for j, x in row.items():
-                y = rhs.entry(i, j)
+                y = rhs[i].get(j)
                 if not y:
                     raise DualityError("adjointness support mismatch at (%d, %d)"
                                        % (p, h))
@@ -211,9 +203,9 @@ def theorem1_check(alg, n, ct=None, bar=None):
                 elif sigma != r:
                     raise DualityError("adjointness sign not constant at (%d, %d)"
                                        % (p, h))
-        for i, row in enumerate(rhs.rows):
+        for i, row in enumerate(rhs):
             for j in row:
-                if not lhs.entry(i, j):
+                if not lhs[i].get(j):
                     raise DualityError("adjointness support mismatch at (%d, %d)"
                                        % (p, h))
         if sigma is not None and sigma * sigma != f.one:
@@ -225,7 +217,7 @@ def theorem1_check(alg, n, ct=None, bar=None):
 
     def dprime_rank(p, q):
         if (p, q) not in ranks:
-            ranks[(p, q)] = rank(bar.dprime_matrix(p, q))
+            ranks[(p, q)] = rank(f, bar.dprime_matrix(p, q))
         return ranks[(p, q)]
 
     dual_pairs = []
@@ -242,20 +234,15 @@ def theorem1_check(alg, n, ct=None, bar=None):
 
 
 def _compose_pair_d1(pr, p, h):
-    """Matrix of (z, w) -> < d1 z ; w >: rows = source quotient basis,
-    cols = graph block dual to the d1 target."""
+    """Rows of (z, w) -> < d1 z ; w >, one per source quotient basis
+    element, over the graph block dual to the d1 target."""
     d1 = pr.ct.d1_matrix(p, h)
     ptgt = pr.matrix(p - 1, h + pr.m)
-    rows = [{} for _ in range(d1.ncols)]
-    for i, row in enumerate(d1.rows):
-        for j, c in row.items():
-            vec_iadd(rows[j], ptgt.rows[i], c)
-    return Matrix(pr.alg.field, d1.ncols, ptgt.ncols, rows)
+    return [apply_map(ptgt.__getitem__, col) for col in d1]
 
 
 def _compose_dprime_pair(pr, p, h):
-    """Matrix of (z, w) -> < z ; d' w > over the same index sets."""
+    """Rows of (z, w) -> < z ; d' w > over the same index sets."""
     psrc = pr.matrix(p, h)
-    dmat = pr.bar.dprime_matrix(*pr.dual_block(p - 1, h + pr.m))
-    rows = [_combine(dmat.rows, prow) for prow in psrc.rows]
-    return Matrix(pr.alg.field, psrc.nrows, dmat.ncols, rows)
+    drows = transpose(pr.bar.dprime_matrix(*pr.dual_block(p - 1, h + pr.m)))
+    return [apply_map(lambda i: drows.get(i, {}), prow) for prow in psrc]

@@ -2,17 +2,20 @@
 
 Everything downstream (bicomplex differentials, spectral-sequence pages,
 Massey defining systems) reduces to rank / kernel / solve / quotient over an
-exact field, so no floating point appears anywhere in this package.  Matrices
-and vectors are stored sparsely as ``{index: scalar}`` dicts of field scalars
-(``Fraction`` over Q, ``FpElement`` over F_p), and every elimination runs
-through one kernel, ``SpanReducer``: an incremental reduced row echelon form
-whose rows are kept as ``{col: int}`` dicts, fraction-free and primitive over
-Q and residues mod p over F_p, so elimination does no scalar-object
-arithmetic; field scalars are formed only where its rows or reductions are
-read.  ``rank`` and ``kernel_basis`` reduce the rows of a matrix,
-``quotient_basis`` reduces the spanning vectors of a subspace, and ``solve``
-reduces the columns of a matrix, each extended by its own index, so that
-every reduced row records the combination of columns it is.
+exact field, so no floating point appears anywhere in this package.  Vectors
+are sparse ``{index: scalar}`` dicts of field scalars (``Fraction`` over Q,
+``FpElement`` over F_p), and a linear map is the list of its columns, each
+such a dict over the rows; ``apply_map`` applies a map given by the images
+of basis vectors, and ``transpose`` is the one place columns become rows.
+Every elimination runs through one kernel, ``SpanReducer``: an incremental
+reduced row echelon form whose rows are kept as ``{col: int}`` dicts,
+fraction-free and primitive over Q and residues mod p over F_p, so
+elimination does no scalar-object arithmetic; field scalars are formed only
+where its rows or reductions are read.  ``rank`` and ``kernel_basis``
+reduce the rows of a map, ``quotient_basis`` reduces the spanning vectors of
+a subspace, and ``solve`` reduces the columns of a map, each extended by its
+own index, so that every reduced row records the combination of columns it
+is.
 """
 
 from fractions import Fraction
@@ -174,39 +177,26 @@ def vec_scale(v, c):
     return {j: c * x for j, x in v.items()}
 
 
-class Matrix:
-    """Sparse matrix over an exact field.
+def apply_map(image, vec):
+    """sum_i vec[i] image(i): vec under the linear map that sends the i-th
+    basis vector to the sparse vector image(i)."""
+    out = {}
+    for i, c in vec.items():
+        vec_iadd(out, image(i), c)
+    return out
 
-    Entries are stored per row as ``{col: scalar}`` with all stored scalars
-    nonzero.  Immutable by convention once built.
-    """
 
-    def __init__(self, field, nrows, ncols, rows=None):
-        self.field = field
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = [dict() for _ in range(nrows)] if rows is None else rows
-        assert len(self.rows) == nrows
-
-    @classmethod
-    def from_columns(cls, field, cols, nrows):
-        rows = [dict() for _ in range(nrows)]
-        for j, col in enumerate(cols):
-            for i, x in col.items():
-                if x:
-                    rows[i][j] = x
-        return cls(field, nrows, len(cols), rows)
-
-    def entry(self, i, j):
-        return self.rows[i].get(j, self.field.zero)
-
-    def is_zero(self):
-        return all(not row for row in self.rows)
-
-    def __repr__(self):
-        return "Matrix(%s, %dx%d, nnz=%d)" % (
-            self.field.name, self.nrows, self.ncols,
-            sum(len(r) for r in self.rows))
+def transpose(vecs):
+    """{i: {j: vecs[j][i]}} over the i where some entry is nonzero, in
+    increasing i: the nonzero rows of the map whose columns are vecs, keyed
+    by row index (equally, the nonzero columns of the map whose rows are
+    vecs).  Each row lists its entries in increasing j."""
+    rows = {}
+    for j, v in enumerate(vecs):
+        for i, x in v.items():
+            if x:
+                rows.setdefault(i, {})[j] = x
+    return {i: rows[i] for i in sorted(rows)}
 
 
 class SpanReducer:
@@ -350,23 +340,24 @@ class SpanReducer:
         return [self._scalars(rows[c], rows[c][c]) for c in sorted(rows)]
 
 
-def _row_span(matrix):
-    return SpanReducer(matrix.field).extend(row for row in matrix.rows if row)
+def _row_span(field, cols):
+    return SpanReducer(field).extend(transpose(cols).values())
 
 
-def rank(matrix):
-    return _row_span(matrix).dim
+def rank(field, cols):
+    """Rank of the map with columns cols."""
+    return _row_span(field, cols).dim
 
 
-def kernel_basis(matrix):
-    """Basis of the right null space, as sparse dict vectors.
+def kernel_basis(field, cols):
+    """Basis of the null space of the map with columns cols, as sparse dict
+    vectors over the columns.
 
     One basis vector per free column, in increasing column order; each has a
     1 at its free column (deterministic for a fixed input).
     """
-    red = _row_span(matrix)
-    field = matrix.field
-    basis = {f: {f: field.one} for f in range(matrix.ncols)
+    red = _row_span(field, cols)
+    basis = {f: {f: field.one} for f in range(len(cols))
              if f not in red.rows}
     # each reduced row gives the pivot coordinate of every free column in it
     for c in red.pivots:
@@ -380,27 +371,26 @@ def kernel_basis(matrix):
 NO_SOLUTION = None  # what solve returns when rhs is not in the image
 
 
-def solve(matrix, rhs):
-    """A particular solution x of matrix @ x = rhs, or NO_SOLUTION.
+def solve(field, cols, nrows, rhs):
+    """A particular solution x of sum_j x_j cols[j] = rhs, or NO_SOLUTION.
 
-    rhs is a sparse dict over the rows.  x is supported on the columns
-    independent of the columns before them, so free variables are zero and
-    the answer is deterministic.
+    cols are the columns of a map with nrows rows and rhs is a sparse dict
+    over the rows.  x is supported on the columns independent of the columns
+    before them, so free variables are zero and the answer is deterministic.
+    cols is only read: callers hand in shared caches.
     """
-    field = matrix.field
-    nrows = matrix.nrows
-    cols = [{} for _ in range(matrix.ncols)]
-    for i, row in enumerate(matrix.rows):
-        for j, x in row.items():
-            cols[j][i] = x
-    # Column j carries its own index as the extra coordinate nrows + j, so
-    # every reduced row records the combination of columns it came from.
+    # Column j is copied in increasing row order (so neither the reduction
+    # nor the answer depends on the order its producer built it in) and
+    # extended by its own index as the extra coordinate nrows + j, so every
+    # reduced row records the combination of columns it came from.
     # Inserting only columns independent of the earlier ones keeps the free
     # variables at zero.
     red = SpanReducer(field)
+    one = field.one
     for j, col in enumerate(cols):
-        col[nrows + j] = field.one
-        v = red.reduce(col)
+        v = {i: col[i] for i in sorted(col)}
+        v[nrows + j] = one
+        v = red.reduce(v)
         if min(v) < nrows:
             red.insert(v)
     # rhs - sum x_j col_j reduces to zero over the rows, leaving -x behind

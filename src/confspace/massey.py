@@ -15,7 +15,8 @@ resulting corner class).  The zig-zag value is the authoritative one;
 classes, so a predicted value is compared with it modulo the page
 boundaries."""
 
-from .exactlinalg import SpanReducer, solve, NO_SOLUTION, vec_iadd, vec_scale
+from .exactlinalg import (SpanReducer, solve, NO_SOLUTION, apply_map,
+                          vec_iadd, vec_scale)
 from .algebra import sign, koszul, el_degree, indecomposables
 from .spectral import SpectralSequence
 from . import graphs as gr
@@ -43,10 +44,7 @@ class MasseyResult:
 
 def _rep(H, u):
     """Cocycle representative of an H element."""
-    out = {}
-    for i, c in u.items():
-        vec_iadd(out, H.representatives[i], c)
-    return out
+    return apply_map(H.representatives.__getitem__, u)
 
 
 def _as_class(H, u):
@@ -239,9 +237,9 @@ def d2_zigzag(bc, u):
     v = bc.apply_dprime(u)
     if not v:
         return {}, {}
-    mat = bc.dsecond_matrix(p + 1, q - 1)
+    cols = bc.dsecond_matrix(p + 1, q - 1)
     rhs = bc._as_block(vec_scale(v, bc.field.of(-1)), p + 1, q)
-    x = solve(mat, rhs)
+    x = solve(bc.field, cols, bc.block_dim(p + 1, q), rhs)
     if x is NO_SOLUTION:
         raise NotDefined("the horizontal image is not vertically exact")
     u1 = bc.from_block(x, p + 1, q - 1)
@@ -294,30 +292,6 @@ def corner_element(bc, H, tensors):
             for i0, c0 in _rep(H, {i: bc.field.one}).items():
                 for j0, c1 in _rep(H, {j: bc.field.one}).items():
                     vec_iadd(out, {(g, (i0, j0)): c * c0 * c1})
-    return out
-
-
-def matrix_obstruction_element(bc, H, x, L, B, C):
-    """The four-point element whose second-page differential detects the
-    matrix Massey product <L, B, C>:
-
-        u = sum_ij x (x) a_i (x) b_ij (x) c_j
-          - sum_ij (-1)^{|c||b| + |c||a| + |b||a|} x (x) c_j (x) b_ij (x) a_i
-    """
-    f = bc.field
-    x = _as_class(H, x)
-    L = [_as_class(H, u) for u in L]
-    B = [[_as_class(H, u) for u in row] for row in B]
-    C = [_as_class(H, u) for u in C]
-    out = {}
-    for i in range(len(L)):
-        for j in range(len(C)):
-            da = el_degree(H, L[i])
-            db = el_degree(H, B[i][j])
-            dc = el_degree(H, C[j])
-            vec_iadd(out, quadruple_tensor(bc, H, x, L[i], B[i][j], C[j]))
-            vec_iadd(out, quadruple_tensor(bc, H, x, C[j], B[i][j], L[i]),
-                     f.of(-sign(dc * db + dc * da + db * da)))
     return out
 
 

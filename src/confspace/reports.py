@@ -108,7 +108,9 @@ def _three_point_d1(alg):
     c3 = build_C(alg, 3)
     ker, cok = {}, {}
     for q in sorted({q for (p, q) in c3.blocks if p <= 1}):
-        r = rank(c3.dprime_matrix(0, q)) if (0, q) in c3.blocks else 0
+        r = 0
+        if (0, q) in c3.blocks:
+            r = rank(c3.field, c3.dprime_matrix(0, q))
         for p, out in ((0, ker), (1, cok)):
             d = c3.block_dim(p, q) - r
             if d:
@@ -120,12 +122,6 @@ def kahler_differentials(alg):
     """Dims per internal degree of the cokernel of the three-point d1
     (the module of formal differentials of the algebra)."""
     return _three_point_d1(alg)[1]
-
-
-def projective_kernel(alg):
-    """Dims per internal degree of the kernel of the three-point d1 (the
-    image of the ambient-product restriction map)."""
-    return _three_point_d1(alg)[0]
 
 
 def config_space_dims(alg, n, ct=None):
@@ -180,7 +176,7 @@ def check_four_point_corner(alg):
     ok = True
     qs = {q for (p, q) in c4.blocks if p == 2} | set(cok)
     for q in sorted(qs):
-        d = c4.block_dim(2, q) - rank(c4.dprime_matrix(1, q))
+        d = c4.block_dim(2, q) - rank(c4.field, c4.dprime_matrix(1, q))
         want = 2 * cok.get(q, 0)
         if d or want:
             table[q] = (d, want)

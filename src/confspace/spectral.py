@@ -18,8 +18,8 @@ spaces, pages and page differentials are cached per (r, p, q) on top.  A
 q-window on the underlying bicomplex restricts the total degrees that may
 be touched."""
 
-from .exactlinalg import (Matrix, SpanReducer, solve, NO_SOLUTION,
-                          kernel_basis, rank, vec_iadd)
+from .exactlinalg import (SpanReducer, solve, NO_SOLUTION, apply_map,
+                          kernel_basis, rank)
 
 
 class WindowError(ValueError):
@@ -67,10 +67,7 @@ class SpectralSequence:
 
     def _d_vec(self, v, k):
         """D of a Tot^k coordinate vector, as a Tot^{k+1} coordinate vector."""
-        out = {}
-        for i, c in v.items():
-            vec_iadd(out, self._column(k, i), c)
-        return out
+        return apply_map(lambda i: self._column(k, i), v)
 
     def _fp_indices(self, k, p):
         keys, _ = self.tot_keys(k)
@@ -101,9 +98,8 @@ class SpectralSequence:
         low = self._low_indices(k + 1, p + r)
         cols = [{j: c for j, c in self._column(k, i).items() if j in low}
                 for i in fp]
-        m = Matrix.from_columns(self.bc.field, cols, len(self.tot_keys(k + 1)[0]))
         basis = []
-        for v in kernel_basis(m):
+        for v in kernel_basis(self.bc.field, cols):
             basis.append({fp[i]: c for i, c in v.items()})
         self._z[key] = basis
         return basis
@@ -139,31 +135,26 @@ class SpectralSequence:
         return len(self.e_block(r, p, q)[0])
 
     def d_matrix(self, r, p, q):
-        """Matrix of d_r : E_r(p, q) -> E_r(p+r, q-r+1) in the chosen bases."""
+        """Columns of d_r : E_r(p, q) -> E_r(p+r, q-r+1) in the chosen
+        bases."""
         key = (r, p, q)
         if key in self._d:
             return self._d[key]
         src, _ = self.e_block(r, p, q)
         p2, q2 = p + r, q - r + 1
-        tgt, _ = self.e_block(r, p2, q2)
+        self.e_block(r, p2, q2)  # the target basis, built before any column
         k = p + q
-        cols = []
-        for v in src:
-            y = self._d_vec(v, k)
-            cols.append(self._project(y, r, p2, q2))
-        m = Matrix.from_columns(self.bc.field, cols, len(tgt))
-        self._d[key] = m
-        return m
+        cols = [self._project(self._d_vec(v, k), r, p2, q2) for v in src]
+        self._d[key] = cols
+        return cols
 
     def _project(self, y, r, p, q):
         """Class of a Z_r(p, q) coordinate vector in the E_r(p, q) basis."""
         reps, red = self.e_block(r, p, q)
         if not y:
             return {}
-        cols = list(reps) + red.basis()
-        m = Matrix.from_columns(self.bc.field, cols,
-                                len(self.tot_keys(p + q)[0]))
-        x = solve(m, y)
+        x = solve(self.bc.field, list(reps) + red.basis(),
+                  len(self.tot_keys(p + q)[0]), y)
         if x is NO_SOLUTION:
             raise AssertionError("image not in the cycle space at E_%d(%d,%d)"
                                  % (r, p, q))
@@ -188,7 +179,7 @@ class SpectralSequence:
         for (p, q) in pq_list:
             if self.e_dim(r, p, q) == 0:
                 continue
-            if not self.d_matrix(r, p, q).is_zero():
+            if any(self.d_matrix(r, p, q)):
                 return False
         return True
 
@@ -215,8 +206,7 @@ def total_cohomology(bc, kmin, kmax):
         if k not in ranks:
             ss._check_window(k)
             cols = [ss._column(k, i) for i in range(len(ss.tot_keys(k)[0]))]
-            ranks[k] = rank(Matrix.from_columns(
-                bc.field, cols, len(ss.tot_keys(k + 1)[0])))
+            ranks[k] = rank(bc.field, cols)
         return ranks[k]
 
     out = {}

@@ -1,5 +1,6 @@
 """Algebra carriers: axioms, duality data, truncated free CDGAs, cohomology."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -252,6 +253,21 @@ def test_class_of_roundtrip():
     H = catalog.load("stb_s2xs2_h")
     for i in range(H.dim):
         assert H.class_of(H.representatives[i]) == {i: QQ.one}
+
+
+def test_solve_d_twice_reads_unchanged_caches():
+    # solve_d and class_of both solve over the cached columns of d, at
+    # different positions; neither may leave a mark on them
+    H = catalog.load("stb_s2xs2_h")
+    c, view = H.ambient, H.view
+    w = c.d_basis(c.labels.index("u*v"))   # exact, in degree 7, with a class
+    k = el_degree(c, w) - 1
+    before = copy.deepcopy(view.d_columns(k))
+    first = view.solve_d(w)
+    assert c.differentiate(first) == w
+    assert H.class_of(w) == {}
+    assert view.solve_d(w) == first
+    assert view.d_columns(k) == before
 
 
 def test_class_of_refuses_cocycle_above_range():

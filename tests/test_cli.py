@@ -399,6 +399,25 @@ def test_meaningless_page_and_window_refused(argv, option, capsys):
     assert option in err
 
 
+@pytest.mark.parametrize("argv, option", [
+    (["formal-negative", "--catalog", "s2", "--n", "9"], "--n"),
+    (["three-point-sequence", "--catalog", "s2", "--n", "3"], "--n"),
+    (["four-point-corner", "--catalog", "s2", "--n", "4"], "--n"),
+    (["prop5", "--catalog", "s2", "--n", "3"], "--n"),
+    (["prop6", "--catalog", "s2", "--n", "4"], "--n"),
+    (["anchors", "--catalog", "s2", "--n", "3"], "--n"),
+    (["anchors", "--catalog", "s2"], "--catalog"),
+    (["anchors", "--field", "F3"], "--field"),
+    (["anchors", "--truncate", "4"], "--truncate"),
+    (["anchors", "--input", "x.alg"], "--input"),
+])
+def test_check_refuses_options_the_suite_does_not_read(argv, option, capsys):
+    code, out, err = run(capsys, "check", *argv, "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert option in err and argv[0] in err
+
+
 def test_page_one_shows_only_the_first_page(capsys):
     code, out, err = run(capsys, "pages", "--catalog", "s2", "--n", "2",
                          "--page", "1", "--format", "json")

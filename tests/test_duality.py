@@ -189,6 +189,9 @@ def test_pairing_matrix_square_and_full_rank():
         d = pr.ct.dim(p, h)
         if d == 0:
             continue
-        m = pr.matrix(p, h)
-        assert m.nrows == d
-        assert rank(m) == d
+        rows = pr.matrix(p, h)
+        assert len(rows) == d
+        assert pr.bar.block_dim(*pr.dual_block(p, h)) == d
+        assert all(j < d for row in rows for j in row)
+        # the rows taken as columns: the transpose has the same rank
+        assert rank(a.field, rows) == d

@@ -1,5 +1,6 @@
 """Exact linear algebra: hand-checked anchors plus random properties."""
 
+import copy
 import random
 from fractions import Fraction
 
@@ -7,33 +8,38 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from confspace.exactlinalg import (
-    Field, FpElement, QQ, Matrix, rank, kernel_basis, solve, NO_SOLUTION,
-    quotient_basis, SpanReducer, vec_add, vec_scale,
+    Field, FpElement, QQ, rank, kernel_basis, solve, NO_SOLUTION,
+    quotient_basis, SpanReducer, apply_map, transpose, vec_add, vec_scale,
 )
 
 F5 = Field(5)
 
 
-def column(m, j):
-    return {i: row[j] for i, row in enumerate(m.rows) if j in row}
+def columns(rows, ncols):
+    """The columns of the matrix with these sparse rows."""
+    return [{i: row[j] for i, row in enumerate(rows) if j in row}
+            for j in range(ncols)]
 
 
-def mat(field, rows):
-    dense = [{j: field.of(x) for j, x in enumerate(r) if x} for r in rows]
-    ncols = max((len(r) for r in rows), default=0)
-    return Matrix(field, len(rows), ncols, dense)
+def sparse_rows(field, rows):
+    return [{j: field.of(x) for j, x in enumerate(r) if x} for r in rows]
+
+
+def cols_of(field, rows):
+    """Columns of the matrix with these dense integer rows."""
+    return columns(sparse_rows(field, rows), max(map(len, rows), default=0))
 
 
 def test_rank_of_dependent_rows():
-    assert rank(mat(QQ, [[1, 2], [2, 4]])) == 1
+    assert rank(QQ, cols_of(QQ, [[1, 2], [2, 4]])) == 1
 
 
 def test_rank_full():
-    assert rank(mat(QQ, [[1, 2], [2, 5]])) == 2
+    assert rank(QQ, cols_of(QQ, [[1, 2], [2, 5]])) == 2
 
 
 def test_kernel_of_sum_functional():
-    ker = kernel_basis(mat(QQ, [[1, 1]]))
+    ker = kernel_basis(QQ, cols_of(QQ, [[1, 1]]))
     assert len(ker) == 1
     v = ker[0]
     assert v[0] + v[1] == 0 and any(v.values())
@@ -41,14 +47,37 @@ def test_kernel_of_sum_functional():
 
 def test_kernel_deterministic_normalization():
     # free columns get coefficient 1
-    ker = kernel_basis(mat(QQ, [[1, 1]]))
+    ker = kernel_basis(QQ, cols_of(QQ, [[1, 1]]))
     assert ker[0][1] == 1
 
 
 def test_solve_and_no_solution():
-    m = mat(QQ, [[1, 0], [0, 0]])
-    assert solve(m, {0: QQ.of(3)}) == {0: QQ.of(3)}
-    assert solve(m, {1: QQ.one}) is NO_SOLUTION
+    cols = cols_of(QQ, [[1, 0], [0, 0]])
+    assert solve(QQ, cols, 2, {0: QQ.of(3)}) == {0: QQ.of(3)}
+    assert solve(QQ, cols, 2, {1: QQ.one}) is NO_SOLUTION
+
+
+def test_solve_leaves_its_columns_unchanged():
+    # callers hand in shared caches; the copy keeps the key order too
+    cols = [{1: QQ.of(2), 0: QQ.one}, {}, {0: QQ.of(3), 1: QQ.of(6)},
+            {1: QQ.one}]
+    before = copy.deepcopy(cols)
+    for rhs in ({0: QQ.one, 1: QQ.of(5)}, {2: QQ.one}, {}):
+        solve(QQ, cols, 2, rhs)
+        assert cols == before
+        assert [list(c) for c in cols] == [list(c) for c in before]
+
+
+def test_transpose_and_apply_map():
+    cols = [{2: QQ.one, 0: QQ.of(2)}, {}, {0: QQ.of(-1), 1: QQ.zero}]
+    rows = transpose(cols)
+    assert list(rows) == [0, 2]
+    assert [list(r.items()) for r in rows.values()] == [
+        [(0, QQ.of(2)), (2, QQ.of(-1))], [(0, QQ.one)]]
+    assert apply_map(cols.__getitem__, {0: QQ.of(3), 2: QQ.of(2)}) == {
+        2: QQ.of(3), 0: QQ.of(4)}
+    assert apply_map(cols.__getitem__, {0: QQ.one, 2: QQ.of(2)}) == {
+        2: QQ.one}
 
 
 def test_quotient_basis():
@@ -71,31 +100,35 @@ def test_span_reducer_dim():
 
 @st.composite
 def random_matrix(draw, field):
+    """(columns, number of rows) of a small random matrix."""
     nr = draw(st.integers(0, 5))
     nc = draw(st.integers(0, 5))
     rows = [[draw(st.integers(-3, 3)) for _ in range(nc)] for _ in range(nr)]
-    return mat(field, rows) if nr else Matrix(field, 0, nc, [])
+    return columns(sparse_rows(field, rows), nc), nr
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_matrix(QQ))
 def test_rank_nullity_rational(m):
-    assert rank(m) + len(kernel_basis(m)) == m.ncols
+    cols, _ = m
+    assert rank(QQ, cols) + len(kernel_basis(QQ, cols)) == len(cols)
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_matrix(F5))
 def test_rank_nullity_mod_p(m):
-    assert rank(m) + len(kernel_basis(m)) == m.ncols
+    cols, _ = m
+    assert rank(F5, cols) + len(kernel_basis(F5, cols)) == len(cols)
 
 
 @settings(max_examples=60, deadline=None)
 @given(random_matrix(QQ))
 def test_kernel_vectors_annihilate(m):
-    for v in kernel_basis(m):
+    cols, _ = m
+    for v in kernel_basis(QQ, cols):
         img = {}
         for j, c in v.items():
-            img = vec_add(img, column(m, j), c)
+            img = vec_add(img, cols[j], c)
         assert not img
 
 
@@ -103,24 +136,24 @@ def test_kernel_vectors_annihilate(m):
 @given(random_matrix(QQ), st.lists(st.integers(-3, 3), min_size=5, max_size=5))
 def test_solve_finds_consistent_rhs(m, coeffs):
     # rhs built from the column span must always be solvable
+    cols, nr = m
     rhs = {}
-    for j in range(m.ncols):
-        rhs = vec_add(rhs, column(m, j), QQ.of(coeffs[j % 5]))
-    x = solve(m, rhs)
+    for j, col in enumerate(cols):
+        rhs = vec_add(rhs, col, QQ.of(coeffs[j % 5]))
+    x = solve(QQ, cols, nr, rhs)
     assert x is not NO_SOLUTION
     img = {}
     for j, c in x.items():
-        img = vec_add(img, column(m, j), c)
+        img = vec_add(img, cols[j], c)
     assert img == rhs
 
 
-def _reference_solve(matrix, rhs):
+def _reference_solve(field, cols, rhs):
     """Column elimination with combination tracking: the solver that
     ``solve`` replaced, kept as its reference."""
-    field = matrix.field
     combos = {}  # pivot row index -> (reduced col, combo dict over x-indices)
-    for j in range(matrix.ncols):
-        col = column(matrix, j)
+    for j in range(len(cols)):
+        col = cols[j]
         combo = {j: field.one}
         hits = [p for p in col if p in combos]
         while hits:
@@ -167,21 +200,22 @@ def dependent_system(draw, field):
         else:
             col = {i: field.of(x) for i in range(nr) if (x := draw(small))}
         cols.append(col)
-    m = Matrix.from_columns(field, cols, nr)
     if draw(st.booleans()):
         rhs = {}
         for c in cols:
             rhs = vec_add(rhs, c, field.of(draw(small)))
     else:
         rhs = {i: field.of(x) for i in range(nr) if (x := draw(small))}
-    return m, rhs
+    return field, cols, nr, rhs
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([QQ, F5]).flatmap(dependent_system))
 def test_solve_matches_reference(system):
-    m, rhs = system
-    assert solve(m, rhs) == _reference_solve(m, rhs)
+    field, cols, nr, rhs = system
+    before = copy.deepcopy(cols)
+    assert solve(field, cols, nr, rhs) == _reference_solve(field, cols, rhs)
+    assert cols == before
 
 
 # -- the kernel against its field-scalar reference -----------------------------
@@ -233,15 +267,15 @@ class _ReferenceSpanReducer:
         return [self.rows[c] for c in sorted(self.rows)]
 
 
-def _reference_kernel_basis(matrix):
-    red = _ReferenceSpanReducer(matrix.field)
-    for row in matrix.rows:
+def _reference_kernel_basis(field, rows, ncols):
+    red = _ReferenceSpanReducer(field)
+    for row in rows:
         if row:
             red.insert(row)
     basis = []
-    for f in range(matrix.ncols):
+    for f in range(ncols):
         if f not in red.rows:
-            v = {f: matrix.field.one}
+            v = {f: field.one}
             for c in red.pivots:
                 x = red.rows[c].get(f)
                 if x:
@@ -332,15 +366,15 @@ def test_span_reducer_matches_reference(case):
 @given(field_and_vectors())
 def test_kernel_solve_quotient_match_reference(case):
     field, vecs = case
-    m = Matrix(field, len(vecs), NCOLS, vecs)
-    ker, ref_ker = kernel_basis(m), _reference_kernel_basis(m)
+    # vecs as the rows of a map for the kernel, as its columns for solve
+    ker = kernel_basis(field, columns(vecs, NCOLS))
+    ref_ker = _reference_kernel_basis(field, vecs, NCOLS)
     assert len(ker) == len(ref_ker)
     assert all(_same(a, b) for a, b in zip(ker, ref_ker))
     assert all(_is_field_vector(field, v) for v in ker)
-    mt = Matrix.from_columns(field, vecs, NCOLS)
     for rhs in vecs[:3] + [{0: field.one}]:
-        x = solve(mt, rhs)
-        assert x == _reference_solve(mt, rhs)
+        x = solve(field, vecs, NCOLS, rhs)
+        assert x == _reference_solve(field, vecs, rhs)
         assert x is NO_SOLUTION or _is_field_vector(field, x)
     reps, project = quotient_basis(field, NCOLS, vecs)
     ref_reps, ref_project = _reference_quotient_basis(field, NCOLS, vecs)
@@ -359,10 +393,11 @@ _DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
 @pytest.mark.parametrize("field", [QQ, F101], ids=["Q", "F101"])
 def test_elimination_does_no_scalar_arithmetic(field, monkeypatch):
     rng = random.Random(20)
-    m = mat(field, [[rng.randint(-3, 3) for _ in range(20)]
-                    for _ in range(20)])
+    rows = sparse_rows(field, [[rng.randint(-3, 3) for _ in range(20)]
+                               for _ in range(20)])
+    cols = columns(rows, 20)
     ref = _ReferenceSpanReducer(field)
-    for row in m.rows:
+    for row in rows:
         ref.insert(row)
     calls = []
     for cls in (Fraction, FpElement):
@@ -373,5 +408,5 @@ def test_elimination_does_no_scalar_arithmetic(field, monkeypatch):
                     calls.append(_name)
                     return _op(*args)
                 monkeypatch.setattr(cls, name, counted)
-    assert rank(m) == ref.dim
+    assert rank(field, cols) == ref.dim
     assert not calls, "%d scalar operations, first %s" % (len(calls), calls[0])

@@ -2,17 +2,16 @@
 
 import pytest
 
-from confspace.exactlinalg import QQ, vec_scale
+from confspace.exactlinalg import QQ, vec_iadd, vec_scale
 from confspace import graphs as gr
 from confspace import catalog
-from confspace.algebra import cohomology
+from confspace.algebra import cohomology, el_degree, sign
 from confspace.bgcomplex import build_C
 from confspace.spectral import SpectralSequence
 from confspace.massey import (
     NotDefined, triple_massey, matrix_massey, q_residual,
     obstruction_residual, d2_formula, d2_zigzag, d2_certificate,
-    quadruple_tensor, corner_element, matrix_obstruction_element,
-    thm3_detector,
+    quadruple_tensor, corner_element, thm3_detector,
 )
 
 
@@ -218,6 +217,24 @@ def test_corner_element_keys():
 
 
 # -- matrix obstruction ---------------------------------------------------------
+
+def matrix_obstruction_element(bc, H, x, L, B, C):
+    """The four-point element whose second-page differential detects the
+    matrix Massey product <L, B, C> of class labels:
+
+        u = sum_ij x (x) a_i (x) b_ij (x) c_j
+          - sum_ij (-1)^{|c||b| + |c||a| + |b||a|} x (x) c_j (x) b_ij (x) a_i
+    """
+    out = {}
+    for i, a in enumerate(L):
+        for j, c in enumerate(C):
+            b = B[i][j]
+            da, db, dc = (el_degree(H, H.element(u)) for u in (a, b, c))
+            vec_iadd(out, quadruple_tensor(bc, H, x, a, b, c))
+            vec_iadd(out, quadruple_tensor(bc, H, x, c, b, a),
+                     bc.field.of(-sign(dc * db + dc * da + db * da)))
+    return out
+
 
 def matrix_obstruction_check(bc, H, x, L, B, C):
     """Certify that the second-page differential of the matrix obstruction
