@@ -264,7 +264,7 @@ def poincare_data(alg):
                     col[r] = val
             cols.append(col)
         for r, i in enumerate(rows_idx):
-            x = solve(f, cols, len(rows_idx), {r: f.one})
+            x = solve(f, cols, {r: f.one})
             if x is NO_SOLUTION:
                 raise DegeneratePairing(p)
             dual[i] = {cols_idx[c]: v for c, v in x.items()}
@@ -506,7 +506,6 @@ class CochainView:
             return {}
         k = el_degree(self.carrier, target) - 1
         x = solve(self.carrier.field, self.d_columns(k),
-                  len(self.carrier.basis_of_degree(k + 1)),
                   self.local(target, k + 1))
         if x is NO_SOLUTION:
             return NO_SOLUTION
@@ -550,8 +549,7 @@ def _class_coords(view, reps, degrees, w, k):
     cols = [view.local(reps[i], k) for i in classes]
     if k > 0:
         cols += view.d_columns(k - 1)
-    x = solve(view.carrier.field, cols, len(view.carrier.basis_of_degree(k)),
-              view.local(w, k))
+    x = solve(view.carrier.field, cols, view.local(w, k))
     if x is NO_SOLUTION:
         return x
     return {classes[p]: c for p, c in x.items() if p < len(classes) and c}

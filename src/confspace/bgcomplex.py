@@ -235,7 +235,7 @@ def edge_multiply(bc, el, i, j):
     return apply_map(lambda key: bc._pair_term(key, i, j), el)
 
 
-def phi_bar(c_bc, bar_bc):
+def phi_bar(c_bc):
     """Embedding of the reduced bicomplex into the no-duplicate-target
     quotient.  Returns a function mapping elements (dicts over reduced keys)
     to elements over quotient keys."""

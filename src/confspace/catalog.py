@@ -30,7 +30,7 @@ class CatalogError(ValueError):
     pass
 
 
-def to_algebra(carrier, name=None, top=None):
+def to_algebra(carrier, name, top):
     """Expand any finite carrier into an explicit structure-constant Algebra
     (running the full axiom checks in the process)."""
     basis = list(zip(carrier.labels, carrier.degrees))
@@ -43,9 +43,7 @@ def to_algebra(carrier, name=None, top=None):
         el = carrier.d_basis(i)
         if el:
             differential[i] = el
-    if top is None:
-        top = getattr(carrier, "top", None)
-    return Algebra(name or carrier.name, carrier.field, basis, carrier.unit,
+    return Algebra(name, carrier.field, basis, carrier.unit,
                    products, differential=differential or None, top=top)
 
 

@@ -403,7 +403,7 @@ def cmd_ct_e2(args):
                          "(use its cohomology)")
     ct = CTComplex(obj, n)
     e2 = ct.e2_dims()
-    by_deg = reports.config_space_dims(obj, n, ct)
+    by_deg = reports.e2_by_degree(e2, ct.m)
     payload = {"command": "ct-e2", "algebra": obj.name, "n": n,
                "blocks": {"(%d,%d)" % k: d for k, d in sorted(e2.items()) if d},
                "total_by_degree": {str(k): d for k, d in sorted(by_deg.items())}}

@@ -22,7 +22,7 @@ inserted into its two slots, mapping (p, h) to (p - 1, h + m); removing an
 edge keeps the targets distinct, so d1 maps keys to keys.
 """
 
-from .exactlinalg import apply_map, quotient_basis, rank, vec_iadd
+from .exactlinalg import apply_map, homology_dims, quotient_basis, vec_iadd
 from .algebra import sign, poincare_data
 from . import graphs as gr
 
@@ -162,15 +162,7 @@ class CTComplex:
 
     def e2_dims(self):
         """Dims of ker d1 / im d1 on every quotient block."""
-        out = {}
-        for (p, h) in self.blocks():
-            dsrc = self.dim(p, h)
-            if dsrc == 0:
-                out[(p, h)] = 0
-                continue
-            r_out = rank(self.field, self.d1_matrix(p, h)) if p >= 1 else 0
-            r_in = 0
-            if (p + 1, h - self.m) in self._blocks:
-                r_in = rank(self.field, self.d1_matrix(p + 1, h - self.m))
-            out[(p, h)] = dsrc - r_out - r_in
-        return out
+        dims = {b: self.dim(*b) for b in self.blocks()}
+        return homology_dims(self.field, dims, (
+            ((p, h), (p - 1, h + self.m), self.d1_matrix(p, h))
+            for (p, h), d in dims.items() if p >= 1 and d))

@@ -15,7 +15,7 @@ intertwines the two differentials up to a sign that is constant on each
 block; ``theorem1_check`` verifies all of this and reports the discovered
 signs and the resulting second-page duality of dimensions."""
 
-from .exactlinalg import apply_map, rank, transpose, vec_iadd
+from .exactlinalg import apply_map, homology_dims, rank, transpose, vec_iadd
 from .algebra import sign
 from . import graphs as gr
 
@@ -213,18 +213,13 @@ def theorem1_check(alg, n, ct=None, bar=None):
         signs[(p, h)] = sigma
     # second-page dimension duality; the carrier has no differential
     # (poincare_data refuses one), so d'' = 0 and the graph-side E2 is H(d')
-    ranks = {}
-
-    def dprime_rank(p, q):
-        if (p, q) not in ranks:
-            ranks[(p, q)] = rank(f, bar.dprime_matrix(p, q))
-        return ranks[(p, q)]
-
+    dims = {b: len(keys) for b, keys in bar.blocks.items()}
+    bar_e2 = homology_dims(f, dims, (
+        ((p, q), (p + 1, q), bar.dprime_matrix(p, q)) for (p, q) in dims))
     dual_pairs = []
     for (p, h), d in ct.e2_dims().items():
         q2 = pr.dual_block(p, h)
-        p2, q = q2
-        db = bar.block_dim(p2, q) - dprime_rank(p2, q) - dprime_rank(p2 - 1, q)
+        db = bar_e2.get(q2, 0)
         if d or db:
             dual_pairs.append(((p, h), q2, d, db))
         if d != db:

@@ -14,8 +14,9 @@ elimination does no scalar-object arithmetic; field scalars are formed only
 where its rows or reductions are read.  ``rank`` and ``kernel_basis``
 reduce the rows of a map, ``quotient_basis`` reduces the spanning vectors of
 a subspace, and ``solve`` reduces the columns of a map, each extended by its
-own index, so that every reduced row records the combination of columns it
-is.
+own index past every row index, so that every reduced row records the
+combination of columns it is.  ``homology_dims`` reads the cohomology of a
+complex of blocks off the ranks of its differentials, each ranked once.
 """
 
 from fractions import Fraction
@@ -349,6 +350,21 @@ def rank(field, cols):
     return _row_span(field, cols).dim
 
 
+def homology_dims(field, dims, maps):
+    """{x: dims[x] - rank out of x - rank into x} over the indices of dims.
+
+    dims maps each chain group of a complex to its dimension; maps yields
+    (source, target, columns) once per differential, and each is ranked
+    once.  A source or target that is not in dims is passed over."""
+    out = dict(dims)
+    for src, tgt, cols in maps:
+        r = rank(field, cols)
+        for x in (src, tgt):
+            if x in out:
+                out[x] -= r
+    return out
+
+
 def kernel_basis(field, cols):
     """Basis of the null space of the map with columns cols, as sparse dict
     vectors over the columns.
@@ -371,33 +387,34 @@ def kernel_basis(field, cols):
 NO_SOLUTION = None  # what solve returns when rhs is not in the image
 
 
-def solve(field, cols, nrows, rhs):
+def solve(field, cols, rhs):
     """A particular solution x of sum_j x_j cols[j] = rhs, or NO_SOLUTION.
 
-    cols are the columns of a map with nrows rows and rhs is a sparse dict
-    over the rows.  x is supported on the columns independent of the columns
-    before them, so free variables are zero and the answer is deterministic.
-    cols is only read: callers hand in shared caches.
+    cols are the columns of a map and rhs is a sparse dict over its rows.
+    x is supported on the columns independent of the columns before them,
+    so free variables are zero and the answer is deterministic.  cols is
+    only read: callers hand in shared caches.
     """
     # Column j is copied in increasing row order (so neither the reduction
     # nor the answer depends on the order its producer built it in) and
-    # extended by its own index as the extra coordinate nrows + j, so every
-    # reduced row records the combination of columns it came from.
-    # Inserting only columns independent of the earlier ones keeps the free
-    # variables at zero.
+    # extended by its own index as the extra coordinate off + j, past every
+    # row index, so every reduced row records the combination of columns it
+    # came from.  Inserting only columns independent of the earlier ones
+    # keeps the free variables at zero.
+    off = 1 + max((i for v in (*cols, rhs) for i in v), default=-1)
     red = SpanReducer(field)
     one = field.one
     for j, col in enumerate(cols):
         v = {i: col[i] for i in sorted(col)}
-        v[nrows + j] = one
+        v[off + j] = one
         v = red.reduce(v)
-        if min(v) < nrows:
+        if min(v) < off:
             red.insert(v)
     # rhs - sum x_j col_j reduces to zero over the rows, leaving -x behind
     v = red.reduce(rhs)
-    if any(i < nrows for i in v):
+    if any(i < off for i in v):
         return NO_SOLUTION
-    return {i - nrows: -x for i, x in v.items()}
+    return {i - off: -x for i, x in v.items()}
 
 
 def quotient_basis(field, ambient_dim, vectors):

@@ -15,6 +15,8 @@ resulting corner class).  The zig-zag value is the authoritative one;
 classes, so a predicted value is compared with it modulo the page
 boundaries."""
 
+from itertools import product
+
 from .exactlinalg import (SpanReducer, solve, NO_SOLUTION, apply_map,
                           vec_iadd, vec_scale)
 from .algebra import sign, koszul, el_degree, indecomposables
@@ -239,7 +241,7 @@ def d2_zigzag(bc, u):
         return {}, {}
     cols = bc.dsecond_matrix(p + 1, q - 1)
     rhs = bc._as_block(vec_scale(v, bc.field.of(-1)), p + 1, q)
-    x = solve(bc.field, cols, bc.block_dim(p + 1, q), rhs)
+    x = solve(bc.field, cols, rhs)
     if x is NO_SOLUTION:
         raise NotDefined("the horizontal image is not vertically exact")
     u1 = bc.from_block(x, p + 1, q - 1)
@@ -295,7 +297,7 @@ def corner_element(bc, H, tensors):
     return out
 
 
-def thm3_detector(H, quadruples=None):
+def thm3_detector(H):
     """Search for quadruples of indecomposable classes certifying a nonzero
     second-page differential on the four-point complex.
 
@@ -309,10 +311,8 @@ def thm3_detector(H, quadruples=None):
     qreps, project = _q_data(H)
     cand = [i for i in range(H.dim)
             if H.degrees[i] > 0 and any(project({i: f.one}))]
-    quadruples = quadruples or [(x, y, z, w) for x in cand for y in cand
-                                for z in cand for w in cand]
     findings = []
-    for (ia, ib, ic, id_) in quadruples:
+    for (ia, ib, ic, id_) in product(cand, repeat=4):
         a, b, c, d = ({t: f.one} for t in (ia, ib, ic, id_))
         if any(any(H.multiply(u, v).values())
                for u, v in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d))):

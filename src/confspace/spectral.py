@@ -19,7 +19,7 @@ q-window on the underlying bicomplex restricts the total degrees that may
 be touched."""
 
 from .exactlinalg import (SpanReducer, solve, NO_SOLUTION, apply_map,
-                          kernel_basis, rank)
+                          homology_dims, kernel_basis)
 
 
 class WindowError(ValueError):
@@ -153,8 +153,7 @@ class SpectralSequence:
         reps, red = self.e_block(r, p, q)
         if not y:
             return {}
-        x = solve(self.bc.field, list(reps) + red.basis(),
-                  len(self.tot_keys(p + q)[0]), y)
+        x = solve(self.bc.field, list(reps) + red.basis(), y)
         if x is NO_SOLUTION:
             raise AssertionError("image not in the cycle space at E_%d(%d,%d)"
                                  % (r, p, q))
@@ -199,19 +198,14 @@ class SpectralSequence:
 def total_cohomology(bc, kmin, kmax):
     """Dims of the total complex cohomology H^k for k in kmin..kmax."""
     ss = SpectralSequence(bc)
-    ranks = {}
+    dims = {k: len(ss.tot_keys(k)[0]) for k in range(kmin, kmax + 1)}
 
-    def rank_d(k):
-        # rank of D : Tot^k -> Tot^{k+1}, shared by H^k and H^{k+1}
-        if k not in ranks:
-            ss._check_window(k)
-            cols = [ss._column(k, i) for i in range(len(ss.tot_keys(k)[0]))]
-            ranks[k] = rank(bc.field, cols)
-        return ranks[k]
+    def d(k):
+        ss._check_window(k)
+        return k, k + 1, [ss._column(k, i)
+                          for i in range(len(ss.tot_keys(k)[0]))]
 
-    out = {}
-    for k in range(kmin, kmax + 1):
-        kerdim = len(ss.tot_keys(k)[0]) - rank_d(k)
-        imdim = rank_d(k - 1) if k - 1 >= 0 else 0
-        out[k] = kerdim - imdim
-    return out
+    # D into H^kmin is ranked last, so that a window error names the least
+    # degree of the range whose D leaves the window
+    low = [kmin - 1] if dims and kmin >= 1 else []
+    return homology_dims(bc.field, dims, map(d, [*dims, *low]))

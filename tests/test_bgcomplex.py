@@ -197,8 +197,7 @@ def test_square_zero_with_differential_and_window():
 def test_phi_bar_literal_two_points():
     a = catalog.load("s2")
     cbc = build_C(a, 2)
-    bbc = build_AG(a, 2, gr.NODUPTARGET)
-    phi = phi_bar(cbc, bbc)
+    phi = phi_bar(cbc)
     x = idx(a, "w2")
     g0 = gr.Graph(2)
     assert phi({(g0, (0, x)): QQ.one}) == \
@@ -211,7 +210,7 @@ def test_phi_bar_is_chain_map(nm, n):
     a = catalog.load(nm)
     cbc = build_C(a, n)
     bbc = build_AG(a, n, gr.NODUPTARGET)
-    phi = phi_bar(cbc, bbc)
+    phi = phi_bar(cbc)
     for keys in cbc.blocks.values():
         for key in keys:
             el = {key: QQ.one}
@@ -224,7 +223,7 @@ def test_phi_bar_chain_map_with_differential():
     c = catalog.load("stb_s2xs2", truncate=9)
     cbc = build_C(c, 3, qmax=7)
     bbc = build_AG(c, 3, gr.NODUPTARGET, qmax=8)
-    phi = phi_bar(cbc, bbc)
+    phi = phi_bar(cbc)
     for (p, q), keys in cbc.blocks.items():
         if q + 1 > 7:
             continue
@@ -238,7 +237,7 @@ def test_phi_bar_injective_on_blocks():
     a = catalog.load("t2")
     cbc = build_C(a, 3)
     bbc = build_AG(a, 3, gr.NODUPTARGET)
-    phi = phi_bar(cbc, bbc)
+    phi = phi_bar(cbc)
     for (p, q), keys in cbc.blocks.items():
         pos = bbc.pos[(p, q)]
         red = SpanReducer(QQ)

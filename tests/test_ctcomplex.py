@@ -1,12 +1,14 @@
 """Tensor-power first-page complex: quotient dims, d1, known point counts."""
 
+import sys
 from itertools import combinations
 from math import factorial
 
 import pytest
 
 from confspace.exactlinalg import QQ, quotient_basis, rank, vec_iadd
-from confspace import catalog
+from confspace import catalog, exactlinalg
+from confspace.cli import main
 from confspace.algebra import sign
 from confspace.ctcomplex import CTComplex
 
@@ -161,6 +163,37 @@ def test_presentations_agree():
             {pq: ct.dim(*pq) for pq in oracle.keys}, (nm, n)
         assert {k: d for k, d in oracle.e2_dims().items() if d} == \
             {k: d for k, d in ct.e2_dims().items() if d}, (nm, n)
+
+
+def count_rank_calls(monkeypatch):
+    """Count the calls of exactlinalg.rank made through every confspace
+    module that binds it; returns the list the calls are recorded in."""
+    orig = exactlinalg.rank
+    calls = []
+
+    def counted(field, cols):
+        calls.append(len(cols))
+        return orig(field, cols)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("confspace") and getattr(mod, "rank", None) is orig:
+            monkeypatch.setattr(mod, "rank", counted)
+    return calls
+
+
+def test_e2_ranks_each_d1_once(monkeypatch):
+    ct = CTComplex(catalog.load("t2"), 3)
+    calls = count_rank_calls(monkeypatch)
+    ct.e2_dims()
+    sources = [(p, h) for (p, h) in ct.blocks() if p >= 1 and ct.dim(p, h)]
+    assert len(calls) == len(sources) == 8
+
+
+def test_ct_e2_command_ranks_each_d1_once(monkeypatch, capsys):
+    calls = count_rank_calls(monkeypatch)
+    assert main(["ct-e2", "--catalog", "s2xs2", "--n", "4",
+                 "--format", "json"]) == 0
+    assert len(calls) == 15
 
 
 def test_basis_is_distinct_target_monomials():

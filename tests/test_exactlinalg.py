@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 from confspace.exactlinalg import (
     Field, FpElement, QQ, rank, kernel_basis, solve, NO_SOLUTION,
     quotient_basis, SpanReducer, apply_map, transpose, vec_add, vec_scale,
+    homology_dims,
 )
+from confspace import exactlinalg
 
 F5 = Field(5)
 
@@ -53,8 +55,13 @@ def test_kernel_deterministic_normalization():
 
 def test_solve_and_no_solution():
     cols = cols_of(QQ, [[1, 0], [0, 0]])
-    assert solve(QQ, cols, 2, {0: QQ.of(3)}) == {0: QQ.of(3)}
-    assert solve(QQ, cols, 2, {1: QQ.one}) is NO_SOLUTION
+    assert solve(QQ, cols, {0: QQ.of(3)}) == {0: QQ.of(3)}
+    assert solve(QQ, cols, {1: QQ.one}) is NO_SOLUTION
+    # row indices past the number of columns, in the columns and in rhs only
+    cols = [{4: QQ.one}, {1: QQ.of(2), 4: QQ.one}]
+    assert solve(QQ, cols, {1: QQ.one}) == {0: Fraction(-1, 2),
+                                            1: Fraction(1, 2)}
+    assert solve(QQ, cols, {4: QQ.one, 9: QQ.one}) is NO_SOLUTION
 
 
 def test_solve_leaves_its_columns_unchanged():
@@ -63,9 +70,31 @@ def test_solve_leaves_its_columns_unchanged():
             {1: QQ.one}]
     before = copy.deepcopy(cols)
     for rhs in ({0: QQ.one, 1: QQ.of(5)}, {2: QQ.one}, {}):
-        solve(QQ, cols, 2, rhs)
+        solve(QQ, cols, rhs)
         assert cols == before
         assert [list(c) for c in cols] == [list(c) for c in before]
+
+
+def test_homology_dims_of_a_toy_complex(monkeypatch):
+    # C0 -> C1 -> C2 = 0, and C3 -> C4 where C4 is not an index of dims
+    calls = []
+
+    def counted(field, cols):
+        calls.append(cols)
+        return rank(field, cols)
+
+    monkeypatch.setattr(exactlinalg, "rank", counted)
+    dims = {3: 1, 0: 1, 1: 2, 2: 0}
+    maps = iter([
+        (0, 1, [{0: QQ.one, 1: QQ.of(-1)}]),
+        (1, 2, [{}, {}]),
+        (3, 4, [{0: QQ.of(2)}]),
+    ])
+    h = homology_dims(QQ, dims, maps)
+    assert h == {3: 0, 0: 0, 1: 1, 2: 0}
+    assert list(h) == [3, 0, 1, 2]
+    assert len(calls) == 3
+    assert dims == {3: 1, 0: 1, 1: 2, 2: 0}
 
 
 def test_transpose_and_apply_map():
@@ -136,11 +165,11 @@ def test_kernel_vectors_annihilate(m):
 @given(random_matrix(QQ), st.lists(st.integers(-3, 3), min_size=5, max_size=5))
 def test_solve_finds_consistent_rhs(m, coeffs):
     # rhs built from the column span must always be solvable
-    cols, nr = m
+    cols, _ = m
     rhs = {}
     for j, col in enumerate(cols):
         rhs = vec_add(rhs, col, QQ.of(coeffs[j % 5]))
-    x = solve(QQ, cols, nr, rhs)
+    x = solve(QQ, cols, rhs)
     assert x is not NO_SOLUTION
     img = {}
     for j, c in x.items():
@@ -206,15 +235,15 @@ def dependent_system(draw, field):
             rhs = vec_add(rhs, c, field.of(draw(small)))
     else:
         rhs = {i: field.of(x) for i in range(nr) if (x := draw(small))}
-    return field, cols, nr, rhs
+    return field, cols, rhs
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.sampled_from([QQ, F5]).flatmap(dependent_system))
 def test_solve_matches_reference(system):
-    field, cols, nr, rhs = system
+    field, cols, rhs = system
     before = copy.deepcopy(cols)
-    assert solve(field, cols, nr, rhs) == _reference_solve(field, cols, rhs)
+    assert solve(field, cols, rhs) == _reference_solve(field, cols, rhs)
     assert cols == before
 
 
@@ -373,7 +402,7 @@ def test_kernel_solve_quotient_match_reference(case):
     assert all(_same(a, b) for a, b in zip(ker, ref_ker))
     assert all(_is_field_vector(field, v) for v in ker)
     for rhs in vecs[:3] + [{0: field.one}]:
-        x = solve(field, vecs, NCOLS, rhs)
+        x = solve(field, vecs, rhs)
         assert x == _reference_solve(field, vecs, rhs)
         assert x is NO_SOLUTION or _is_field_vector(field, x)
     reps, project = quotient_basis(field, NCOLS, vecs)
