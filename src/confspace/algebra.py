@@ -12,7 +12,11 @@ Two concrete carriers share one graded basis (``field``, ``labels``,
   component above the bound raises :class:`Overflow` rather than being
   dropped.
 
-Elements are sparse dicts ``{basis_index: scalar}``.
+Elements are sparse dicts ``{basis_index: scalar}``.  The dicts that
+``mul_basis`` and ``d_basis`` return are shared with the carrier (the
+truncated CDGA keeps d of each basis monomial once computed), so callers
+must not mutate them.  A truncated carrier raises ``Overflow`` on every call
+whose result escapes the bound; no such result is ever kept.
 """
 
 from .exactlinalg import (
@@ -347,6 +351,7 @@ class TruncatedFreeCDGA(_GradedBasis):
             [_mono_degree(m, self.gen_degrees) for m in self._monomials],
             self._index[()])
         self.top = None
+        self._d = {}   # basis index -> d of that monomial, once computed
         # differential on generators, as monomial dicts
         self.d_on_gens = {}
         for lab, terms in (d_gens or {}).items():
@@ -452,7 +457,13 @@ class TruncatedFreeCDGA(_GradedBasis):
         return acc
 
     def d_basis(self, i):
-        return self._collect(self._d_monomials({self._monomials[i]: self.field.one}))
+        """d of basis monomial i, computed on first use and kept; shared, so
+        callers must not mutate it.  Overflow is never kept: a monomial
+        whose differential escapes the bound raises on every call."""
+        if i not in self._d:
+            self._d[i] = self._collect(
+                self._d_monomials({self._monomials[i]: self.field.one}))
+        return self._d[i]
 
     def differentiate(self, u):
         return self._collect(self._d_monomials(

@@ -45,28 +45,34 @@ class Bicomplex:
         self._ds_cols = {}
 
     # -- basis --------------------------------------------------------------
-    def _factor_choices(self, g):
-        comps = gr.components(g)
-        pos = self.carrier.positive_indices()
-        if self.family == gr.HFAMILY:
-            return [list(range(self.carrier.dim))] + [pos] * (len(comps) - 1)
-        return [list(range(self.carrier.dim))] * len(comps)
-
     def _build_basis(self):
+        """Keys of every block, graph by graph.  Under a q-window a prefix of
+        total degree q is extended only by the indices of degree <= qmax - q,
+        in index order, so each block holds the same keys in the same order
+        as without the window and no key past it is built."""
         degs = self.carrier.degrees
+        every = list(range(self.carrier.dim))
+        positive = self.carrier.positive_indices()
+        fitting = {}   # (positive only, budget) -> options of degree <= budget
+
+        def options(pos_only, q):
+            opts = positive if pos_only else every
+            if self.qmax is None:
+                return opts
+            budget = self.qmax - q
+            if (pos_only, budget) not in fitting:
+                fitting[(pos_only, budget)] = [i for i in opts
+                                               if degs[i] <= budget]
+            return fitting[(pos_only, budget)]
+
         for g in gr.enumerate_graphs(self.n, self.family):
             p = g.edge_count
-            choices = self._factor_choices(g)
             stack = [((), 0)]
-            for opts in choices:
-                nxt = []
-                for tup, q in stack:
-                    for i in opts:
-                        q2 = q + degs[i]
-                        if self.qmax is not None and q2 > self.qmax:
-                            continue
-                        nxt.append((tup + (i,), q2))
-                stack = nxt
+            for slot in range(len(gr.components(g))):
+                # the reduced kind keeps every later factor positive
+                pos_only = slot > 0 and self.family == gr.HFAMILY
+                stack = [(tup + (i,), q + degs[i]) for tup, q in stack
+                         for i in options(pos_only, q)]
             for tup, q in stack:
                 key = (g, tup)
                 blk = self.blocks.setdefault((p, q), [])

@@ -31,6 +31,7 @@ LABEL means coefficient 1.  `= 0` denotes the zero element."""
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
@@ -72,6 +73,10 @@ def _parse_scalar(field, tok, line_no):
         raise ParseError(line_no, "bad coefficient %r" % tok)
 
 
+# an integer or fraction literal: a coefficient, never part of a label
+_NUMBER = re.compile(r"[+-]?\d+(/[+-]?\d+)?")
+
+
 def _parse_terms(field, text, line_no):
     """'1*A + -2*B' -> list of (coeff, label); '0' -> []."""
     text = text.strip()
@@ -86,10 +91,13 @@ def _parse_terms(field, text, line_no):
             head, rest = piece.split("*", 1)
             try:
                 c = _parse_scalar(field, head, line_no)
+            except ParseError:
+                # a number the field cannot hold, such as 1/3 over F3
+                if _NUMBER.fullmatch(head.strip()):
+                    raise
+            else:
                 out.append((c, rest.strip()))
                 continue
-            except ParseError:
-                pass
         out.append((field.one, piece))
     return out
 

@@ -167,6 +167,30 @@ def test_overflow_is_loud():
         c.multiply(x2, x2)
 
 
+def test_d_basis_is_kept_but_overflow_is_not():
+    # d of a basis monomial is computed once and reused; a monomial whose
+    # differential leaves the bound raises on every call, never caches
+    c = catalog.load("stb_s2xs2")
+    # d(x^5*u) = x^7 is past the bound 12
+    first = c.labels.index("x^5*u")
+    for _ in range(2):
+        with pytest.raises(Overflow):
+            c.d_basis(first)
+    escaping = 0
+    for i in range(c.dim):
+        try:
+            want = c.differentiate({i: c.field.one})
+        except Overflow:
+            escaping += 1
+            for _ in range(2):
+                with pytest.raises(Overflow):
+                    c.d_basis(i)
+            continue
+        assert c.d_basis(i) == want
+        assert c.d_basis(i) == want
+    assert (c.dim, escaping) == (224, 91)
+
+
 def test_d_squared_nonzero_rejected():
     # d x = y, d y = z: d(d x) = z != 0
     with pytest.raises(AxiomViolation) as e:

@@ -41,13 +41,23 @@ def test_pmax_by_kind():
     assert build_C(a, 4).pmax == 2
 
 
-def test_q_window_prunes_basis():
-    a = catalog.load("t2")
-    bc = build_AG(a, 3, gr.NODUPTARGET, qmax=2)
-    assert all(q <= 2 for (_, q) in bc.blocks)
-    full = build_AG(a, 3, gr.NODUPTARGET)
-    for (p, q) in bc.blocks:
-        assert bc.block_dim(p, q) == full.block_dim(p, q)
+@pytest.mark.parametrize("build,nm,n,args,qmax", [
+    (build_AG, "t2", 3, (gr.NODUPTARGET,), 2),
+    (build_AG, "s2xs2", 3, (gr.FULL,), 4),
+    (build_C, "heis3", 4, (), 6),
+], ids=["t2-bar", "s2xs2-full", "heis3-reduced"])
+def test_q_window_prunes_basis(build, nm, n, args, qmax):
+    # the window drops whole blocks and keeps every other block as it is:
+    # the same keys in the same order, so the same positions
+    a = catalog.load(nm)
+    bc = build(a, n, *args, qmax=qmax)
+    full = build(a, n, *args)
+    assert all(q <= qmax for (_, q) in bc.blocks)
+    assert set(bc.blocks) == {(p, q) for (p, q) in full.blocks if q <= qmax}
+    for blk, keys in bc.blocks.items():
+        assert keys == full.blocks[blk]
+        assert bc.pos[blk] == full.pos[blk]
+    assert bc.total_dim() < full.total_dim()
 
 
 # -- d' on explicit keys ----------------------------------------------------

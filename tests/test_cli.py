@@ -189,6 +189,32 @@ def test_parse_failures(text, fragment):
     assert fragment in str(e.value)
 
 
+@pytest.mark.parametrize("field,coeff", [("F3", "1/3"), ("Q", "1/0"),
+                                         ("F5", "-2/10")])
+def test_coefficient_the_field_cannot_hold_exit_two(tmp_path, capsys, field,
+                                                   coeff):
+    # a number literal is never retried as a label: the error names the
+    # coefficient and its line, not an unknown label
+    path = tmp_path / "bad.alg"
+    path.write_text("algebra bad\nfield %s\nbasis 1 degree 0\n"
+                    "basis a degree 2\nbasis b degree 4\nunit 1\n"
+                    "product a a = %s*b\nend\n" % (field, coeff))
+    code, out, err = run(capsys, "total", "--input", str(path), "--n", "2",
+                         "--kind", "bar", "--format", "json")
+    assert code == 2
+    assert out == ""
+    assert "line 7: bad coefficient %r" % coeff in err
+    assert "unknown label" not in err
+
+
+def test_free_form_monomial_terms_still_parse():
+    c = parse_algebra_text("cdga-free m\nfield Q\ngenerator y degree 2\n"
+                           "generator u degree 3\nd u = y*y\ntruncate 6\n"
+                           "end\n")
+    y2 = c.labels.index("y^2")
+    assert c.d_basis(c.labels.index("u")) == {y2: c.field.one}
+
+
 def test_field_fp_round_trip():
     a = parse_algebra_text("""
 algebra modfive

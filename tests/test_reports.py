@@ -100,6 +100,22 @@ def test_config_space_dims_closed_form(nm, n):
     assert rp.config_space_dims(catalog.load(nm), n) == sphere_poincare(m, n)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("nm", ["point", "s1", "s2", "s3", "s4", "t2", "cp2",
+                                "s2xs2", "cs_s5", "stb_s2xs2_h"])
+def test_config_space_euler_characteristic(nm, n):
+    # chi(F(M, n)) = chi(M) (chi(M) - 1) ... (chi(M) - n + 1), by induction
+    # on the Fadell-Neuwirth fibrations F(M, n+1) -> F(M, n), whose fibre is
+    # M minus n points
+    alg = catalog.load(nm)
+    chi = sum((-1) ** d for d in alg.degrees)
+    want = 1
+    for j in range(n):
+        want *= chi - j
+    dims = rp.config_space_dims(alg, n)
+    assert sum((-1) ** k * d for k, d in dims.items()) == want
+
+
 def _dimension_invariants(alg, n):
     bc = build_C(alg, n)
     ss = SpectralSequence(bc)
