@@ -46,7 +46,7 @@ class Pairing:
                 v = self.alg.mul_basis(c, b).get(self.alg.top)
                 if v:
                     row[b] = v
-        self._last = (None, None)  # ((tensor key, graph), its _dual)
+        self._last = (None, None)  # (tensor key, its _dual)
 
     def dual_block(self, p, h):
         return (p, (self.n - p) * self.m - h)
@@ -58,45 +58,30 @@ class Pairing:
             return self.alg.field.zero
         # callers pair one tensor key with every graph key on its edge set
         # in a row, so the latest key's pairings are all that is kept
-        if self._last[0] != (ct_key, g):
-            self._last = ((ct_key, g), self._dual(ct_key, g))
+        if self._last[0] != ct_key:
+            self._last = (ct_key, self._dual(ct_key))
         return self._last[1].get(factors, self.alg.field.zero)
 
-    def _dual(self, ct_key, g):
+    def _dual(self, ct_key):
         """{factors: < ct_key ; factors e_g >} over the factor tuples that
-        pair nonzero with ct_key; g has the edge set of ct_key."""
-        tens, mu = ct_key
-        comps = gr.components(g)
+        pair nonzero with ct_key, g the graph on the edge set of ct_key."""
+        mu = ct_key[1]
         degs = self.alg.degrees
         f = self.alg.field
-        # merge the tensor slots along components: Koszul sign of reordering
-        # slot order 1..n into component-grouped order
-        order = [v for comp in comps for v in comp]
-        e = 0
-        for a in range(self.n):
-            for b in range(a + 1, self.n):
-                if order[a] > order[b]:
-                    e += degs[tens[order[a] - 1]] * degs[tens[order[b] - 1]]
-        merged = []
         # suspension sign of the edge monomial: trivial for even m, needed
         # for the adjointness sign to be constant on blocks when m is odd;
         # from four points on the targets of mu can be out of order, and
         # each inversion among them costs another (-1)^m
         targets = [t for (_, t) in mu]
-        e += self.m * (sum(targets) + sum(
+        total = f.of(sign(self.m * (sum(targets) + sum(
             1 for a in range(len(targets)) for b in range(a + 1, len(targets))
-            if targets[a] > targets[b]))
-        total = f.of(sign(e))
-        for comp in comps:
-            el = {self.alg.unit: f.one}
-            for v in comp:
-                el = self.alg.multiply(el, {tens[v - 1]: f.one})
-            merged.append(el)
-        # factor-by-factor pairing with the interleaving sign; a partner b_i
-        # of c_i has degree m - |c_i|, so the sign depends on the combo only
-        l = len(comps)
+            if targets[a] > targets[b]))))
+        # pair the slots merged along the components factor by factor, with
+        # the interleaving sign; a partner b_i of c_i has degree m - |c_i|,
+        # so the sign depends on the combo only
         out = {}
-        for combo, c0 in _expand(merged, f):
+        for combo, c0 in self.ct.merge(ct_key).items():
+            l = len(combo)
             e2 = 0
             for i in range(l):
                 for j in range(i + 1, l):

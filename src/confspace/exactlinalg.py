@@ -124,9 +124,13 @@ class Field:
         return Fraction(1) if self.p is None else FpElement(self.p, 1)
 
     def of(self, n):
-        """Scalar from an integer (or a Fraction over Q)."""
+        """Scalar from an integer, a Fraction, or a scalar of this field."""
         if self.p is None:
             return Fraction(n)
+        if isinstance(n, FpElement):
+            if n.p != self.p:
+                raise FieldError("mixed prime fields")
+            return n
         if isinstance(n, Fraction):
             return FpElement(self.p, n.numerator) / FpElement(self.p, n.denominator)
         return FpElement(self.p, n)

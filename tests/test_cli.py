@@ -207,6 +207,22 @@ def test_coefficient_the_field_cannot_hold_exit_two(tmp_path, capsys, field,
     assert "unknown label" not in err
 
 
+@pytest.mark.parametrize("field", ["Q", "F5"])
+def test_free_model_file_over_any_field_exit_two(tmp_path, capsys, field):
+    # the differential's coefficients are already field scalars when the
+    # model is built; over F5 this once crashed with a TypeError
+    path = tmp_path / "free.alg"
+    path.write_text("cdga-free m\nfield %s\ngenerator x degree 2\n"
+                    "generator u degree 3\nd u = 1*x^2\ntruncate 8\nend\n"
+                    % field)
+    code, out, err = run(capsys, "total", "--input", str(path), "--n", "2",
+                         "--kind", "bar")
+    assert code == 2
+    assert out == ""
+    assert err == ("error: nonzero component in degree 10 exceeds the "
+                   "truncation bound\n")
+
+
 def test_free_form_monomial_terms_still_parse():
     c = parse_algebra_text("cdga-free m\nfield Q\ngenerator y degree 2\n"
                            "generator u degree 3\nd u = y*y\ntruncate 6\n"

@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from confspace.exactlinalg import QQ, quotient_basis, rank, vec_iadd
+from confspace.exactlinalg import QQ, Field, quotient_basis, rank, vec_iadd
 from confspace import catalog, exactlinalg
 from confspace.cli import main
 from confspace.algebra import sign
@@ -163,6 +163,28 @@ def test_presentations_agree():
             {pq: ct.dim(*pq) for pq in oracle.keys}, (nm, n)
         assert {k: d for k, d in oracle.e2_dims().items() if d} == \
             {k: d for k, d in ct.e2_dims().items() if d}, (nm, n)
+
+
+@pytest.mark.parametrize("nm,n,field", [
+    pytest.param(nm, n, field, id="%s-n%d-%s" % (nm, n, field.name))
+    for nm in ("s1", "s2", "s3", "s4", "t2", "cp2", "s2xs2", "cs_s5")
+    for n in (1, 2, 3) for field in (QQ, Field(3))
+] + [pytest.param(nm, 4, QQ, id="%s-n4-Q" % nm) for nm in ("t2", "cp2")])
+def test_merge_quotient_matches_relation_elimination(nm, n, field):
+    # the closed-form quotient against eliminating the symbol relations:
+    # the merge kills every relation, is onto (each rep projects to its own
+    # coordinate), and leaves the dimension elimination finds
+    ct = CTComplex(catalog.load(nm, field=field), n)
+    for (p, h) in ct.blocks():
+        reps, project = ct.quotient(p, h)
+        rels = ct.relation_vectors(p, h)
+        for v in rels:
+            assert not any(project(v)), (p, h, v)
+        for j, v in enumerate(reps):
+            assert project(v) == [field.one if i == j else field.zero
+                                  for i in range(len(reps))]
+        assert ct.dim(p, h) == len(
+            quotient_basis(field, ct.ambient_dim(p, h), rels)[0]), (p, h)
 
 
 def count_rank_calls(monkeypatch):

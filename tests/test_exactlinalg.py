@@ -32,6 +32,13 @@ def cols_of(field, rows):
     return columns(sparse_rows(field, rows), max(map(len, rows), default=0))
 
 
+def test_field_of_takes_its_own_scalars():
+    assert F5.of(FpElement(5, 3)) == FpElement(5, 3)
+    assert QQ.of(Fraction(2, 3)) == Fraction(2, 3)
+    with pytest.raises(exactlinalg.FieldError):
+        F5.of(FpElement(7, 1))
+
+
 def test_rank_of_dependent_rows():
     assert rank(QQ, cols_of(QQ, [[1, 2], [2, 4]])) == 1
 

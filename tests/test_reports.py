@@ -100,7 +100,7 @@ def test_config_space_dims_closed_form(nm, n):
     assert rp.config_space_dims(catalog.load(nm), n) == sphere_poincare(m, n)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("nm", ["point", "s1", "s2", "s3", "s4", "t2", "cp2",
                                 "s2xs2", "cs_s5", "stb_s2xs2_h"])
 def test_config_space_euler_characteristic(nm, n):
