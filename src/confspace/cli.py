@@ -160,10 +160,13 @@ def parse_algebra_text(text):
             if not toks[3].lstrip("-").isdigit():
                 raise ParseError(ln, "bad degree token %r" % toks[3])
             basis.append((toks[1], int(toks[3])))
-        elif head == "unit":
-            unit_label = toks[1]
-        elif head == "top":
-            top_label = toks[1]
+        elif head in ("unit", "top"):
+            if len(toks) != 2:
+                raise ParseError(ln, "expected: %s LABEL" % head)
+            if head == "unit":
+                unit_label = toks[1]
+            else:
+                top_label = toks[1]
         elif head == "product":
             if kind != "algebra":
                 raise ParseError(ln, "product lines belong to the algebra form")

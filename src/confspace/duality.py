@@ -15,6 +15,9 @@ intertwines the two differentials up to a sign that is constant on each
 block; ``theorem1_check`` verifies all of this and reports the discovered
 signs and the resulting second-page duality of dimensions."""
 
+from itertools import product
+from math import prod
+
 from .exactlinalg import apply_map, homology_dims, rank, transpose, vec_iadd
 from .algebra import sign
 from . import graphs as gr
@@ -38,15 +41,14 @@ class Pairing:
         self.m = ct.m
         self.n = ct.n
         self._mat = {}   # (p, h) -> pairing rows, read again by adjointness
-        # Poincare pairing table: basis index c -> {b: top coefficient of
-        # c b} over the b where it is nonzero
-        self._partners = [{} for _ in range(self.alg.dim)]
+        # Poincare pairing table: basis index c -> [(b, top coefficient of
+        # c b)] over the b where it is nonzero, in increasing b
+        self._partners = [[] for _ in range(self.alg.dim)]
         for c, row in enumerate(self._partners):
             for b in range(self.alg.dim):
                 v = self.alg.mul_basis(c, b).get(self.alg.top)
                 if v:
-                    row[b] = v
-        self._last = (None, None)  # (tensor key, its _dual)
+                    row.append((b, v))
 
     def dual_block(self, p, h):
         return (p, (self.n - p) * self.m - h)
@@ -56,11 +58,7 @@ class Pairing:
         g, factors = bar_key
         if tuple(sorted(ct_key[1])) != g.edges:
             return self.alg.field.zero
-        # callers pair one tensor key with every graph key on its edge set
-        # in a row, so the latest key's pairings are all that is kept
-        if self._last[0] != ct_key:
-            self._last = (ct_key, self._dual(ct_key))
-        return self._last[1].get(factors, self.alg.field.zero)
+        return self._dual(ct_key).get(factors, self.alg.field.zero)
 
     def _dual(self, ct_key):
         """{factors: < ct_key ; factors e_g >} over the factor tuples that
@@ -87,54 +85,36 @@ class Pairing:
                 for j in range(i + 1, l):
                     e2 += (self.m - degs[combo[i]]) * degs[combo[j]]
             s = total * f.of(sign(e2)) * c0
-            for fs, c in _expand([self._partners[ci] for ci in combo], f):
-                vec_iadd(out, {fs: c}, s)
+            for terms in product(*(self._partners[ci] for ci in combo)):
+                vec_iadd(out, {tuple(b for b, _ in terms):
+                               prod((x for _, x in terms), start=s)})
         return out
-
-    def _key_rows(self, p, h):
-        """Pairing of every key of block (p, h) with the dual graph block:
-        one sparse row per key, over the graph keys on the same edge set
-        (no other graph key pairs with it)."""
-        bar_keys = self.bar.blocks.get(self.dual_block(p, h), [])
-        by_edges = {}
-        for j, bkey in enumerate(bar_keys):
-            by_edges.setdefault(bkey[0].edges, []).append((j, bkey))
-        rows = []
-        for key in self.ct._blocks.get((p, h), ()):
-            row = {}
-            for j, bkey in by_edges.get(key[1], ()):
-                x = self.pair_keys(key, bkey)
-                if x:
-                    row[j] = x
-            rows.append(row)
-        return rows
 
     def matrix(self, p, h):
         """Rows of the pairing matrix, one per block quotient basis element,
-        each over the basis of the dual graph block.  Raises DualityError
-        when a relation of the block pairs nontrivially, since the pairing
-        is then not defined on the quotient."""
+        each over the basis of the dual graph block: the pairing of the
+        element's representative key, nonzero only on graph keys with its
+        edge set.  The pairing of any key is the tensor power of the
+        Poincare pairing (invertible, with signs) applied to its merge, so a
+        relation pairs nontrivially exactly when it projects to a nonzero
+        quotient vector; DualityError is raised then, since the pairing is
+        not defined on the quotient."""
         if (p, h) not in self._mat:
-            rows = self._key_rows(p, h)
+            reps, project = self.ct.r_quotient(p, h)
             for v in self.ct.relation_vectors(p, h):
-                if apply_map(rows.__getitem__, v):
+                if any(project(v)):
                     raise DualityError(
                         "relation pairs nontrivially at (%d, %d)" % (p, h))
-            reps, _ = self.ct.r_quotient(p, h)
-            self._mat[(p, h)] = [apply_map(rows.__getitem__, v) for v in reps]
+            keys = self.ct._blocks.get((p, h), ())
+            pos = self.bar.pos.get(self.dual_block(p, h), {})
+
+            def row(i):
+                g = gr.Graph(self.n, keys[i][1])
+                return dict(sorted((pos[(g, fs)], x)
+                                   for fs, x in self._dual(keys[i]).items()))
+
+            self._mat[(p, h)] = [apply_map(row, v) for v in reps]
         return self._mat[(p, h)]
-
-
-def _expand(factor_elements, f):
-    """All index combinations of a list of sparse elements, with coefficients."""
-    combos = [((), f.one)]
-    for el in factor_elements:
-        nxt = []
-        for tup, c in combos:
-            for i, ci in sorted(el.items()):
-                nxt.append((tup + (i,), c * ci))
-        combos = nxt
-    return combos
 
 
 def theorem1_check(alg, n, ct=None, bar=None):

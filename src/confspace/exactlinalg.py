@@ -102,12 +102,45 @@ class FpElement:
         return "%d" % self.v
 
 
+# Miller-Rabin with the prime bases up to 41 is exact below this bound, the
+# least strong pseudoprime to all of them; up to 37 it would be exact only
+# below 318665857834031151167461
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981
+
+
+def _is_prime(p):
+    """Deterministic Miller-Rabin primality test, exact for p < _PRIME_BOUND."""
+    if p < 2:
+        return False
+    for q in _PRIME_BASES:
+        if p % q == 0:
+            return p == q
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class Field:
     """Field descriptor: knows how to build scalars."""
 
     def __init__(self, p=None):
         if p is not None:
-            if p < 2 or any(p % q == 0 for q in range(2, int(p ** 0.5) + 1)):
+            if p >= _PRIME_BOUND:
+                raise FieldError("p has %d bits; primality is decided only "
+                                 "below 3.3e24" % p.bit_length())
+            if not _is_prime(p):
                 raise FieldError("p = %r is not prime" % (p,))
         self.p = p
 

@@ -189,6 +189,26 @@ def test_parse_failures(text, fragment):
     assert fragment in str(e.value)
 
 
+@pytest.mark.parametrize("line,head", [("unit", "unit"), ("top", "top"),
+                                       ("unit 1 extra", "unit")])
+def test_unit_and_top_take_one_label_exit_two(tmp_path, capsys, line, head):
+    path = tmp_path / "m.alg"
+    path.write_text("algebra m\nbasis 1 degree 0\n%s\nend\n" % line)
+    code, out, err = run(capsys, "total", "--input", str(path), "--n", "2")
+    assert code == 2
+    assert out == ""
+    assert err == "error: line 3: expected: %s LABEL\n" % head
+
+
+def test_huge_field_prime_refused_exit_two(capsys):
+    code, out, err = run(capsys, "ct-e2", "--catalog", "s2", "--n", "2",
+                         "--field", "F%d" % (10**400 + 7))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: p has 1329 bits")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("field,coeff", [("F3", "1/3"), ("Q", "1/0"),
                                          ("F5", "-2/10")])
 def test_coefficient_the_field_cannot_hold_exit_two(tmp_path, capsys, field,

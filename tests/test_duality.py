@@ -100,15 +100,48 @@ def test_pair_keys_matches_reference(nm, n, p):
             by_edges.setdefault(bkey[0].edges, []).append(bkey)
         for key in pr.ct._blocks[(b, h)]:
             pairs += [(key, bkey) for bkey in by_edges.get(key[1], ())]
-    # every other pair first: consecutive calls then alternate between
-    # repeating the tensor key and moving to another one
-    pairs = pairs[0::2] + pairs[1::2]
     nonzero = 0
     for key, bkey in pairs:
         x = pr.pair_keys(key, bkey)
         assert x == _reference_pair_keys(pr, key, bkey), (key, bkey)
         nonzero += bool(x)
     assert nonzero
+
+
+@pytest.mark.parametrize("nm, n, p", [
+    (nm, n, p) for nm in ("s2", "s3", "t2", "cp2") for n in (2, 3)
+    for p in (None, 3)] + [("t2", 4, None)])
+def test_matrix_rows_pair_the_quotient_representatives(nm, n, p):
+    _, pr = make_pairing(nm, n, Field(p))
+    for (b, h) in pr.ct.blocks():
+        keys = pr.ct._blocks[(b, h)]
+        bar_keys = pr.bar.blocks.get(pr.dual_block(b, h), [])
+        reps, _ = pr.ct.r_quotient(b, h)
+        rows = pr.matrix(b, h)
+        assert len(rows) == len(reps)
+        for v, row in zip(reps, rows):
+            (i,) = v
+            assert row == {j: x for j, bkey in enumerate(bar_keys)
+                           if (x := pr.pair_keys(keys[i], bkey))}
+
+
+@pytest.mark.parametrize("nm, block", [("t2", (1, 2)), ("s3", (1, 6))])
+def test_unsigned_merge_breaks_the_relation_check(monkeypatch, nm, block):
+    # without the Koszul sign of grouping the slots by component, merging
+    # no longer kills the symbol relations
+    merge = CTComplex.merge
+
+    def unsigned(self, key):
+        tens, mu = key
+        degs = self.alg.degrees
+        s = self.field.of(sign(sum(degs[tens[a]] * degs[tens[b]]
+                                   for a, b in self._forest[mu][1])))
+        return {fs: s * c for fs, c in merge(self, key).items()}
+
+    monkeypatch.setattr(CTComplex, "merge", unsigned)
+    with pytest.raises(DualityError) as e:
+        theorem1_check(catalog.load(nm), 3)
+    assert str(e.value) == "relation pairs nontrivially at (%d, %d)" % block
 
 
 def test_pairing_merges_each_key_once(monkeypatch):

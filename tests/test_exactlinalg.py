@@ -2,6 +2,7 @@
 
 import copy
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -37,6 +38,24 @@ def test_field_of_takes_its_own_scalars():
     assert QQ.of(Fraction(2, 3)) == Fraction(2, 3)
     with pytest.raises(exactlinalg.FieldError):
         F5.of(FpElement(7, 1))
+
+
+def test_field_primality_is_exact_and_fast():
+    # trial division once took minutes on a 61-bit prime
+    t0 = time.perf_counter()
+    assert Field(2**61 - 1).p == 2**61 - 1
+    assert time.perf_counter() - t0 < 1
+    small = [p for p in range(2, 2000)
+             if all(p % q for q in range(2, int(p ** 0.5) + 1))]
+    assert [p for p in range(-3, 2000) if exactlinalg._is_prime(p)] == small
+    # 2**61 + 1 = 3 * 768614336404564651, and the least strong pseudoprime
+    # to the bases 2, ..., 37 (a product of two primes)
+    for p in (2**61 + 1, 318665857834031151167461, 1, 0, -7):
+        with pytest.raises(exactlinalg.FieldError):
+            Field(p)
+    # past the bound where the test is exact, refused at once
+    with pytest.raises(exactlinalg.FieldError, match="bits"):
+        Field(10**400 + 7)
 
 
 def test_rank_of_dependent_rows():
