@@ -387,6 +387,22 @@ def rank(field, cols):
     return _row_span(field, cols).dim
 
 
+def pivot_pairs(field, cols):
+    """The pivot each column adds to the span of the columns before it.
+
+    cols are inserted in the order given; entry j is the row index that
+    became a pivot when cols[j] was inserted, or None if cols[j] lies in the
+    span of cols[:j].  Pivots are least row indices, so for every prefix of
+    the columns and every prefix of the rows the number of pairs inside is
+    the rank of that submatrix.  With columns in filtration order and rows
+    in increasing filtration, these are the pairs of a filtered complex (its
+    persistence pairing)."""
+    red = SpanReducer(field)
+    # rows only gain keys, so the last key of red.rows is the newest pivot
+    return [next(reversed(red.rows)) if red.insert(col) else None
+            for col in cols]
+
+
 def homology_dims(field, dims, maps):
     """{x: dims[x] - rank out of x - rank into x} over the indices of dims.
 

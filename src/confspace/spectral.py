@@ -1,7 +1,24 @@
 """Spectral sequence of a bicomplex, by exact linear algebra.
 
 The filtration is by columns: F^p is the span of all blocks with first index
->= p.  Pages are computed from explicit cycle representatives
+>= p.  Page dimensions come from the pairing of the filtered complex (its
+persistence pairing).  For each total degree k the D columns of Tot^k go
+into one elimination in order of decreasing p.  The rows of Tot^{k+1} are
+in increasing p, so the pivot row a column adds is the entry of least
+filtration left in it once the columns before it are eliminated.  The
+column and that pivot form a pair of gap p(pivot) - p(column) >= 0, and for
+r >= 1, with k = p + q,
+
+    dim E_r(p, q) = |block (p, q)|
+                    - #(pairs out of (p, q), into Tot^{k+1}, with gap < r)
+                    - #(pairs into (p, q), out of Tot^{k-1}, with gap < r).
+
+Each pair of gap s adds one to the rank of d_s, so the rank of d_r out of
+(p, q) is the number of pairs out of it with gap exactly r.  Pairs out of
+and into a block are counted apart: one index may be both a column and a
+pivot, since the order inside a block is not a filtration order.
+
+Pages with bases come from explicit cycle representatives
 
     Z_r(p, q) = { x in F^p Tot^{p+q} : D x in F^{p+r} },
     E_r(p, q) = Z_r(p, q) / ( Z_{r-1}(p+1, q-1) + D Z_{r-1}(p-r+1, q+r-2) ),
@@ -11,15 +28,15 @@ read the class off in the target block" (the zig-zag rule).
 
 D columns are evaluated once per bicomplex: D of each Tot^k basis key is
 computed lazily, the first time it is needed, and cached on the
-``SpectralSequence``; every other use of D (cycle spaces, boundaries, page
-differentials, total cohomology) combines these cached columns.  Build one
-``SpectralSequence`` per bicomplex and reuse it to keep that saving.  Cycle
-spaces, pages and page differentials are cached per (r, p, q) on top.  A
-q-window on the underlying bicomplex restricts the total degrees that may
-be touched."""
+``SpectralSequence``; every other use of D (pairs, cycle spaces, boundaries,
+page differentials, total cohomology) combines these cached columns.  Build
+one ``SpectralSequence`` per bicomplex and reuse it to keep that saving.
+Pairs are cached per total degree, and cycle spaces, pages and page
+differentials per (r, p, q).  A q-window on the underlying bicomplex
+restricts the total degrees that may be touched."""
 
 from .exactlinalg import (SpanReducer, solve, NO_SOLUTION, apply_map,
-                          homology_dims, kernel_basis)
+                          homology_dims, kernel_basis, pivot_pairs)
 
 
 class WindowError(ValueError):
@@ -31,6 +48,7 @@ class SpectralSequence:
         self.bc = bc
         self._tot = {}
         self._cols = {}    # k -> {Tot^k index: D of it, over Tot^{k+1}}
+        self._gaps = {}    # k -> pair gaps of D on Tot^k, see _pairs
         self._z = {}
         self._e = {}
         self._d = {}
@@ -131,8 +149,42 @@ class SpectralSequence:
         self._e[key] = (reps, red)
         return self._e[key]
 
+    def _pairs(self, k):
+        """(out, into): the gaps of the pairs of D : Tot^k -> Tot^{k+1}, as
+        lists keyed by the block of the column (out) and by the block of the
+        pivot (into)."""
+        if k not in self._gaps:
+            self._check_window(k)
+            keys, _ = self.tot_keys(k)
+            keys1, _ = self.tot_keys(k + 1)
+            block_of = self.bc.block_of
+            # decreasing p; sorted is stable, so each block keeps its order
+            order = sorted(range(len(keys)),
+                           key=lambda i: -block_of[keys[i]][0])
+            pivots = pivot_pairs(self.bc.field,
+                                 [self._column(k, i) for i in order])
+            out, into = {}, {}
+            for i, j in zip(order, pivots):
+                if j is not None:
+                    src, tgt = block_of[keys[i]], block_of[keys1[j]]
+                    out.setdefault(src, []).append(tgt[0] - src[0])
+                    into.setdefault(tgt, []).append(tgt[0] - src[0])
+            self._gaps[k] = (out, into)
+        return self._gaps[k]
+
+    def _block_gaps(self, p, q):
+        """(gaps of the pairs out of (p, q), gaps of the pairs into it).
+
+        Degree k - 1 is taken before degree k, so a window error names the
+        lower of the two."""
+        k = p + q
+        into = self._pairs(k - 1)[1].get((p, q), [])
+        return self._pairs(k)[0].get((p, q), []), into
+
     def e_dim(self, r, p, q):
-        return len(self.e_block(r, p, q)[0])
+        out, into = self._block_gaps(p, q)
+        return (len(self.bc.blocks.get((p, q), ()))
+                - sum(g < r for g in out) - sum(g < r for g in into))
 
     def d_matrix(self, r, p, q):
         """Columns of d_r : E_r(p, q) -> E_r(p+r, q-r+1) in the chosen
@@ -172,27 +224,14 @@ class SpectralSequence:
             pq_list = sorted(self.bc.blocks)
         return {(p, q): self.e_dim(r, p, q) for (p, q) in pq_list}
 
-    def differential_is_zero(self, r, pq_list=None):
+    def collapse_page(self, pq_list=None):
+        """Smallest r >= 1 with d_s = 0 for every s >= r: one more than the
+        largest gap of a pair out of the given blocks (default: all blocks);
+        pairs of gap 0 are d_0's and do not count."""
         if pq_list is None:
             pq_list = sorted(self.bc.blocks)
-        for (p, q) in pq_list:
-            if self.e_dim(r, p, q) == 0:
-                continue
-            if any(self.d_matrix(r, p, q)):
-                return False
-        return True
-
-    def collapse_page(self, pq_list=None):
-        """Smallest r >= 1 with d_s = 0 for every s >= r.
-
-        d_s vanishes structurally for s > pmax (the target column is empty),
-        so only s in 1..pmax are examined."""
-        pmax = self.bc.pmax
-        last_nonzero = 0
-        for s in range(1, pmax + 1):
-            if not self.differential_is_zero(s, pq_list):
-                last_nonzero = s
-        return last_nonzero + 1
+        return 1 + max((g for (p, q) in pq_list
+                        for g in self._block_gaps(p, q)[0]), default=0)
 
 
 def total_cohomology(bc, kmin, kmax):

@@ -3,6 +3,8 @@
 import argparse
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -518,3 +520,12 @@ def test_payload_matches_benchmark_record(job, capsys):
     code, out, err = run(capsys, *argv, *classes, "--format", "json")
     assert code == 0
     assert out == _recorded_payloads()[job]
+
+
+def test_module_entry_point_runs_from_a_checkout():
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run([sys.executable, "-m", "confspace", "catalog"],
+                          cwd=ROOT, env=env, stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "stb_s2xs2" in proc.stdout

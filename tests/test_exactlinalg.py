@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from confspace.exactlinalg import (
     Field, FpElement, QQ, rank, kernel_basis, solve, NO_SOLUTION,
     quotient_basis, SpanReducer, apply_map, transpose, vec_add, vec_scale,
-    homology_dims,
+    homology_dims, pivot_pairs,
 )
 from confspace import exactlinalg
 
@@ -439,6 +439,23 @@ def test_kernel_solve_quotient_match_reference(case):
         assert coords == ref_project(v)
         kind = Fraction if field.p is None else FpElement
         assert all(type(x) is kind for x in coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_and_vectors())
+def test_pivot_pairs_count_the_rank_of_every_corner(case):
+    # vecs as the columns of a map with NCOLS rows: the pairs inside the
+    # first j columns and the first t rows are as many as the rank there
+    field, vecs = case
+    pivots = pivot_pairs(field, vecs)
+    assert len(pivots) == len(vecs)
+    paired = [i for i in pivots if i is not None]
+    assert len(set(paired)) == len(paired)
+    for j in range(len(vecs) + 1):
+        for t in range(NCOLS + 1):
+            corner = [{i: x for i, x in v.items() if i < t} for v in vecs[:j]]
+            inside = sum(i is not None and i < t for i in pivots[:j])
+            assert inside == rank(field, corner)
 
 
 _DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",

@@ -137,7 +137,9 @@ def test_dimensions_agree_over_q_and_large_prime(nm, n):
     assert any(q[0].values()) and q[2]
 
 
-@pytest.mark.parametrize("nm", ["s2", "t2", "cp2", "s2xs2"])
+# heis3 and heis3_s2 carry a differential, so d'' pairs within a column
+@pytest.mark.parametrize("nm", ["s2", "t2", "cp2", "s2xs2", "heis3",
+                                "heis3_s2"])
 def test_last_page_is_total_cohomology(nm):
     # the sequence converges to the total cohomology, and each d_r keeps the
     # Euler characteristic of the page it acts on

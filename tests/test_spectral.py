@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from confspace.exactlinalg import QQ
+from confspace.exactlinalg import QQ, Field
 from confspace import graphs as gr
 from confspace import catalog
 from confspace.bgcomplex import build_AG, build_C
@@ -169,6 +169,103 @@ def test_pages_summary_shape():
     out = pages(bc, 2)
     assert sorted(out) == [1, 2]
     assert set(out[1]) == set(bc.blocks)
+
+
+# -- page dimensions from pairs against the bases they replace ---------------
+
+FAMILIES = {"bar": gr.NODUPTARGET, "full": gr.FULL, "j": gr.JFAMILY}
+
+# (carrier, prime or None for Q, n, graph family or "C", qmax)
+ORACLE_CASES = [
+    *[(nm, None, 3, kind, None) for nm in ("s2", "t2", "cp2", "s2xs2")
+      for kind in ("bar", "full", "j", "C")],
+    ("heis3", None, 3, "C", None),
+    ("heis3_s2", None, 3, "C", None),
+    ("heis3", 3, 3, "C", None),
+    ("stb_s2xs2", None, 4, "C", 10),
+    ("heis3", None, 4, "C", 8),
+    ("cs_heis3_s2", None, 4, "C", 6),
+]
+
+
+def _collapse_from_d_matrix(ss, pq_list):
+    """The collapse page read off the page differentials themselves."""
+    last = 0
+    for s in range(1, ss.bc.pmax + 1):
+        for (p, q) in pq_list:
+            if ss.e_block(s, p, q)[0] and any(ss.d_matrix(s, p, q)):
+                last = s
+    return last + 1
+
+
+def _check_pairs_against_page_bases(bc):
+    ss = SpectralSequence(bc)
+    qmax = bc.qmax
+    # a block of total degree k has pages while D on Tot^k stays inside
+    # the window, and page differentials while D on Tot^{k+1} does
+    inside = [pq for pq in sorted(bc.blocks) if qmax is None or sum(pq) < qmax]
+    for r in range(1, bc.pmax + 2):
+        for (p, q) in inside:
+            assert ss.e_dim(r, p, q) == len(ss.e_block(r, p, q)[0]), (r, p, q)
+    for (p, q) in sorted(set(bc.blocks) - set(inside)):
+        with pytest.raises(WindowError):
+            ss.e_dim(1, p, q)
+    with_d = [pq for pq in inside if qmax is None or sum(pq) + 1 < qmax]
+    assert ss.collapse_page(with_d) == _collapse_from_d_matrix(ss, with_d)
+
+
+def _oracle_id(case):
+    nm, p, n, kind, qmax = case
+    return "%s n=%d %s%s%s" % (nm, n, kind, "" if p is None else " F%d" % p,
+                              "" if qmax is None else " qmax=%d" % qmax)
+
+
+@pytest.mark.parametrize("nm,p,n,kind,qmax", ORACLE_CASES,
+                         ids=map(_oracle_id, ORACLE_CASES))
+def test_page_dims_from_pairs_match_page_bases(nm, p, n, kind, qmax):
+    alg = catalog.load(nm, field=Field(p))
+    if kind == "C":
+        bc = build_C(alg, n, qmax=qmax)
+    else:
+        bc = build_AG(alg, n, FAMILIES[kind], qmax=qmax)
+    _check_pairs_against_page_bases(bc)
+
+
+def test_toy_page_dims_from_pairs_match_page_bases():
+    _check_pairs_against_page_bases(ToyBicomplex())
+
+
+# Measured E2 -> E3 drops of the four-point reduced complex over non-formal
+# carriers, and of the cohomology algebra stb_s2xs2_h as the control.  Only
+# blocks whose d2 target is inside the window are compared beyond these.
+FOUR_POINT_DROPS = [
+    ("stb_s2xs2", 10, {(0, 8): (16, 14), (2, 7): (10, 8)}),
+    ("stb_s2xs2_h", 10, {}),
+    ("heis3", 6, {(0, 4): (22, 20), (2, 3): (10, 8)}),
+    ("heis3_s2", 6, {(0, 4): (25, 23), (2, 3): (18, 16)}),
+    ("cs_heis3_s2", 6, {(0, 4): (28, 26), (2, 3): (24, 22)}),
+]
+
+
+@pytest.mark.parametrize("nm,qmax,drops", FOUR_POINT_DROPS,
+                         ids=[c[0] for c in FOUR_POINT_DROPS])
+def test_four_point_second_page_drops(nm, qmax, drops):
+    bc = build_C(catalog.load(nm), 4, qmax=qmax)
+    ss = SpectralSequence(bc)
+    assert {pq: (ss.e_dim(2, *pq), ss.e_dim(3, *pq)) for pq in drops} == drops
+    for (p, q) in sorted(bc.blocks):
+        if p + q + 1 < qmax and (p, q) not in drops:
+            assert ss.e_dim(3, p, q) == ss.e_dim(2, p, q), (p, q)
+
+
+def test_four_point_control_has_the_same_second_page():
+    pages = {}
+    for nm in ("stb_s2xs2", "stb_s2xs2_h"):
+        bc = build_C(catalog.load(nm), 4, qmax=10)
+        ss = SpectralSequence(bc)
+        dims = {pq: ss.e_dim(2, *pq) for pq in bc.blocks if sum(pq) < 10}
+        pages[nm] = {pq: d for pq, d in dims.items() if d}
+    assert pages["stb_s2xs2"] == pages["stb_s2xs2_h"]
 
 
 # -- q-window guards ----------------------------------------------------------
