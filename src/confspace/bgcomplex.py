@@ -17,6 +17,14 @@ Three variants:
   later factors have positive degree.
 * ``phi_bar``   - the quasi-isomorphism embedding the reduced bicomplex into
   the no-duplicate-target quotient.
+
+Key images of d' and d'' are summed over exact ints and become field
+scalars once per entry.  d' reads two caches: per graph, the edges whose
+addition stays in the family, each with its enlarged graph, insertion sign
+and the components it joins; per pair of carrier indices, the product
+lifted to exact constants (residues over F_p; over Q an int, or the
+Fraction where the constant is not integral), as d'' reads the lifted
+carrier differential.
 """
 
 from .exactlinalg import apply_map, vec_iadd
@@ -43,6 +51,9 @@ class Bicomplex:
         self._build_basis()
         self._dp_cols = {}
         self._ds_cols = {}
+        self._edges = {}   # graph -> its edge table
+        self._mul = {}     # (a, b) -> lifted carrier product
+        self._d = {}       # a -> lifted carrier differential
 
     # -- basis --------------------------------------------------------------
     def _build_basis(self):
@@ -84,89 +95,164 @@ class Bicomplex:
         return len(self.blocks.get((p, q), ()))
 
     # -- differentials on single keys ---------------------------------------
-    def _pair_term(self, key, i, j):
-        """Multiplication by the edge generator e_{ij}: element dict over keys.
+    def _edge_table(self, g):
+        """The edges d' may add to graph g, built once per graph.
 
-        This is the single-edge summand of d'; for the reduced bicomplex it
-        applies the three-term rewriting that keeps later factors positive."""
-        g, factors = key
-        res = gr.add_edge(g, i, j)
-        if res is gr.ZERO:
-            return {}
-        g2, esign = res
-        if not gr.in_family(g2, self.family):
-            return {}
+        {(i, j): (g2, esign, s, t)} in d' order over the edges whose
+        addition stays in the family: g2 is the enlarged graph, esign the
+        insertion sign, and s <= t the components of i and j in g."""
+        table = self._edges.get(g)
+        if table is not None:
+            return table
+        table = {}
+        comp = {v: s for s, c in enumerate(gr.components(g)) for v in c}
+        reduced = self.family == gr.HFAMILY
+        for i in range(2 if reduced else 1, self.n):
+            for j in range(i + 1, self.n + 1):
+                res = gr.add_edge(g, i, j)
+                if res is gr.ZERO:
+                    continue
+                g2, esign = res
+                if not gr.in_family(g2, self.family):
+                    continue
+                s, t = sorted((comp[i], comp[j]))
+                # in the reduced kind the target j heads its component, so
+                # the component of i comes first
+                if reduced and not comp[i] < comp[j]:
+                    raise ValueError(
+                        "edge %r of %r: target does not head a later "
+                        "component" % ((i, j), g))
+                table[(i, j)] = (g2, esign, s, t)
+        self._edges[g] = table
+        return table
+
+    def _lift(self, el):
+        """A carrier element as (index, exact constant) pairs: residues over
+        F_p; over Q an int where the constant is integral, else the
+        Fraction."""
+        if self.field.p is not None:
+            return tuple((k, c.v) for k, c in el.items())
+        return tuple((k, c.numerator if c.denominator == 1 else c)
+                     for k, c in el.items())
+
+    def _product(self, a, b):
+        """carrier.mul_basis(a, b), lifted; kept per pair on first use, so a
+        product that raises Overflow is never kept."""
+        prod = self._mul.get((a, b))
+        if prod is None:
+            prod = self._mul[(a, b)] = self._lift(
+                self.carrier.mul_basis(a, b))
+        return prod
+
+    def _differential(self, a):
+        """carrier.d_basis(a), lifted; only the lift is kept.  The carrier
+        (which keeps d itself) is still asked once per slot, so its traced
+        d_basis count does not depend on this cache."""
+        d = self.carrier.d_basis(a)
+        if not d:
+            return ()
+        lifted = self._d.get(a)
+        if lifted is None:
+            lifted = self._d[a] = self._lift(d)
+        return lifted
+
+    def _scalars(self, acc):
+        """An element summed over exact constants, as field scalars; entries
+        that are 0 in the field (an integer sum may be 0 mod p) dropped."""
+        of = self.field.of
+        out = {}
+        for key, x in acc.items():
+            c = of(x)
+            if c:
+                out[key] = c
+        return out
+
+    def _edge_image(self, key, entries):
+        """Sum of the single-edge summands of d' on key over the given
+        edge-table entries: multiplication by the edge generators e_{ij};
+        for the reduced bicomplex each is the three-term rewriting that
+        keeps later factors positive."""
         if self.family == gr.HFAMILY:
-            return self._pair_term_reduced(g, factors, i, j, g2, esign)
-        degs = self.carrier.degrees
-        f = self.field
-        s = gr.component_of(g, i)
-        t = gr.component_of(g, j)
-        if s == t:
-            return {(g2, factors): f.of(esign)}
-        if s > t:
-            s, t = t, s
-        tau = sum(degs[factors[r]] for r in range(s + 1, t)) * degs[factors[t]]
-        coeff = f.of(esign * sign(tau))
-        prod = self.carrier.mul_basis(factors[s], factors[t])
-        out = {}
-        for k, c in prod.items():
-            tup = factors[:s] + (k,) + factors[s + 1:t] + factors[t + 1:]
-            vec_iadd(out, {(g2, tup): coeff * c})
-        return out
+            acc = self._reduced_edge_ints(key, entries)
+        else:
+            acc = self._edge_ints(key, entries)
+        return self._scalars(acc)
 
-    def _pair_term_reduced(self, g, factors, i, j, g2, esign):
+    def _edge_ints(self, key, entries):
         degs = self.carrier.degrees
-        f = self.field
-        s = gr.component_of(g, i)
-        t = gr.component_of(g, j)
-        # the target j must head its component, which forces s < t
-        assert s < t
-        ds = degs[factors[s]]
-        dt = degs[factors[t]]
-        d2s = sum(degs[factors[r]] for r in range(1, s))
-        dst = sum(degs[factors[r]] for r in range(s + 1, t))
-        base = f.of(esign)
-        out = {}
-        # merge the two factors in place
-        for k, c in self.carrier.mul_basis(factors[s], factors[t]).items():
-            tup = factors[:s] + (k,) + factors[s + 1:t] + factors[t + 1:]
-            vec_iadd(out, {(g2, tup): base * f.of(sign(dt * dst)) * c})
-        # absorb the source factor into the free slot, move the target factor up
-        eps = sign(ds * d2s + dt * dst)
-        for k, c in self.carrier.mul_basis(factors[0], factors[s]).items():
-            tup = ((k,) + factors[1:s] + (factors[t],)
-                   + factors[s + 1:t] + factors[t + 1:])
-            vec_iadd(out, {(g2, tup): -base * f.of(eps) * c})
-        # absorb the target factor into the free slot
-        for k, c in self.carrier.mul_basis(factors[0], factors[t]).items():
-            tup = ((k,) + factors[1:t] + factors[t + 1:])
-            vec_iadd(out, {(g2, tup):
-                           -base * f.of(sign(dt * (d2s + ds + dst))) * c})
-        return out
+        factors = key[1]
+        acc = {}
+        for g2, esign, s, t in entries:
+            if s == t:
+                k2 = (g2, factors)
+                acc[k2] = acc.get(k2, 0) + esign
+                continue
+            fs, ft = factors[s], factors[t]
+            tau = sum(degs[factors[r]] for r in range(s + 1, t)) * degs[ft]
+            e = -esign if tau % 2 else esign
+            head, mid, tail = factors[:s], factors[s + 1:t], factors[t + 1:]
+            for k, c in self._product(fs, ft):
+                k2 = (g2, head + (k,) + mid + tail)
+                acc[k2] = acc.get(k2, 0) + e * c
+        return acc
+
+    def _reduced_edge_ints(self, key, entries):
+        degs = self.carrier.degrees
+        factors = key[1]
+        f0 = factors[0]
+        acc = {}
+        for g2, esign, s, t in entries:
+            fs, ft = factors[s], factors[t]
+            ds = degs[fs]
+            dt = degs[ft]
+            d2s = sum(degs[factors[r]] for r in range(1, s))
+            dst = sum(degs[factors[r]] for r in range(s + 1, t))
+            head, mid, tail = factors[:s], factors[s + 1:t], factors[t + 1:]
+            # merge the two factors in place
+            e = -esign if dt * dst % 2 else esign
+            for k, c in self._product(fs, ft):
+                k2 = (g2, head + (k,) + mid + tail)
+                acc[k2] = acc.get(k2, 0) + e * c
+            # absorb the source factor into the free slot, move the target
+            # factor up
+            e = esign if (ds * d2s + dt * dst) % 2 else -esign
+            rest = factors[1:s] + (ft,) + mid + tail
+            for k, c in self._product(f0, fs):
+                k2 = (g2, (k,) + rest)
+                acc[k2] = acc.get(k2, 0) + e * c
+            # absorb the target factor into the free slot
+            e = esign if dt * (d2s + ds + dst) % 2 else -esign
+            rest = factors[1:t] + tail
+            for k, c in self._product(f0, ft):
+                k2 = (g2, (k,) + rest)
+                acc[k2] = acc.get(k2, 0) + e * c
+        return acc
+
+    def _pair_term(self, key, i, j):
+        """Multiplication by the edge generator e_{ij} on one key: element
+        dict over keys (the single-edge summand of d')."""
+        entry = self._edge_table(key[0]).get((i, j))
+        return self._edge_image(key, (entry,) if entry else ())
 
     def dprime_key(self, key):
-        out = {}
-        lo = 2 if self.family == gr.HFAMILY else 1
-        for i in range(lo, self.n):
-            for j in range(i + 1, self.n + 1):
-                vec_iadd(out, self._pair_term(key, i, j))
-        return out
+        return self._edge_image(key, self._edge_table(key[0]).values())
 
     def dsecond_key(self, key):
         g, factors = key
         degs = self.carrier.degrees
-        f = self.field
-        out = {}
-        gsign = f.of(sign(g.edge_count))
-        pre = 0
+        acc = {}
+        # the sign of a slot is (-1)^(edges + degrees of the slots before it)
+        pre = g.edge_count
         for slot, fi in enumerate(factors):
-            s = gsign * f.of(sign(pre))
-            for k, c in self.carrier.d_basis(fi).items():
-                tup = factors[:slot] + (k,) + factors[slot + 1:]
-                vec_iadd(out, {(g, tup): s * c})
+            d = self._differential(fi)
+            if d:
+                e = -1 if pre % 2 else 1
+                head, tail = factors[:slot], factors[slot + 1:]
+                for k, c in d:
+                    k2 = (g, head + (k,) + tail)
+                    acc[k2] = acc.get(k2, 0) + e * c
             pre += degs[fi]
-        return out
+        return self._scalars(acc)
 
     def apply_dprime(self, el):
         return apply_map(self.dprime_key, el)
@@ -238,6 +324,8 @@ def edge_multiply(bc, el, i, j):
     bicomplex (not defined for the reduced kind)."""
     if bc.family == gr.HFAMILY:
         raise ValueError("edge multiplication lives on the graph-family side")
+    if not 1 <= i < j <= bc.n:
+        raise ValueError("bad edge %r for n=%d" % ((i, j), bc.n))
     return apply_map(lambda key: bc._pair_term(key, i, j), el)
 
 

@@ -1,10 +1,14 @@
 """Graph-indexed bicomplexes: differentials, squares, the reduced embedding."""
 
+from fractions import Fraction
+from itertools import combinations
+
 import pytest
 
-from confspace.exactlinalg import QQ, vec_add
+from confspace.exactlinalg import QQ, Field, vec_add, vec_iadd
 from confspace import graphs as gr
 from confspace import catalog
+from confspace.algebra import Algebra, Overflow, sign
 from confspace.bgcomplex import build_AG, build_C, edge_multiply, phi_bar
 
 
@@ -123,6 +127,202 @@ def test_edge_multiply_matches_single_summand():
     key = (gr.Graph(3), (idx(a, "a1"), idx(a, "a2"), 0))
     el = {key: QQ.one}
     assert edge_multiply(bc, el, 1, 2) == bc._pair_term(key, 1, 2)
+
+
+class EdgeOracle:
+    """The key images of a Bicomplex, summand by summand, as a reference.
+
+    Every single-edge summand of d' adds its edge to the graph afresh, looks
+    up the components of both ends, and forms field scalars term by term;
+    d'' forms two field scalars per slot.  Only the carrier's products and
+    differentials come from the bicomplex."""
+
+    def __init__(self, bc):
+        self.bc = bc
+        self.carrier = bc.carrier
+        self.field = bc.field
+
+    def pair_term(self, key, i, j):
+        g, factors = key
+        res = gr.add_edge(g, i, j)
+        if res is gr.ZERO:
+            return {}
+        g2, esign = res
+        if not gr.in_family(g2, self.bc.family):
+            return {}
+        if self.bc.family == gr.HFAMILY:
+            return self.pair_term_reduced(g, factors, i, j, g2, esign)
+        degs = self.carrier.degrees
+        f = self.field
+        s = gr.component_of(g, i)
+        t = gr.component_of(g, j)
+        if s == t:
+            return {(g2, factors): f.of(esign)}
+        if s > t:
+            s, t = t, s
+        tau = sum(degs[factors[r]] for r in range(s + 1, t)) * degs[factors[t]]
+        coeff = f.of(esign * sign(tau))
+        out = {}
+        for k, c in self.carrier.mul_basis(factors[s], factors[t]).items():
+            tup = factors[:s] + (k,) + factors[s + 1:t] + factors[t + 1:]
+            vec_iadd(out, {(g2, tup): coeff * c})
+        return out
+
+    def pair_term_reduced(self, g, factors, i, j, g2, esign):
+        degs = self.carrier.degrees
+        f = self.field
+        s = gr.component_of(g, i)
+        t = gr.component_of(g, j)
+        assert s < t
+        ds = degs[factors[s]]
+        dt = degs[factors[t]]
+        d2s = sum(degs[factors[r]] for r in range(1, s))
+        dst = sum(degs[factors[r]] for r in range(s + 1, t))
+        base = f.of(esign)
+        out = {}
+        for k, c in self.carrier.mul_basis(factors[s], factors[t]).items():
+            tup = factors[:s] + (k,) + factors[s + 1:t] + factors[t + 1:]
+            vec_iadd(out, {(g2, tup): base * f.of(sign(dt * dst)) * c})
+        eps = sign(ds * d2s + dt * dst)
+        for k, c in self.carrier.mul_basis(factors[0], factors[s]).items():
+            tup = ((k,) + factors[1:s] + (factors[t],)
+                   + factors[s + 1:t] + factors[t + 1:])
+            vec_iadd(out, {(g2, tup): -base * f.of(eps) * c})
+        for k, c in self.carrier.mul_basis(factors[0], factors[t]).items():
+            tup = ((k,) + factors[1:t] + factors[t + 1:])
+            vec_iadd(out, {(g2, tup):
+                           -base * f.of(sign(dt * (d2s + ds + dst))) * c})
+        return out
+
+    def dprime_key(self, key):
+        out = {}
+        lo = 2 if self.bc.family == gr.HFAMILY else 1
+        for i, j in combinations(range(lo, self.bc.n + 1), 2):
+            vec_iadd(out, self.pair_term(key, i, j))
+        return out
+
+    def dsecond_key(self, key):
+        g, factors = key
+        degs = self.carrier.degrees
+        f = self.field
+        out = {}
+        gsign = f.of(sign(g.edge_count))
+        pre = 0
+        for slot, fi in enumerate(factors):
+            s = gsign * f.of(sign(pre))
+            for k, c in self.carrier.d_basis(fi).items():
+                tup = factors[:slot] + (k,) + factors[slot + 1:]
+                vec_iadd(out, {(g, tup): s * c})
+            pre += degs[fi]
+        return out
+
+
+def rescaled(alg, scales):
+    """alg over Q in the basis e'_i = scales[label] * e_i (other labels
+    unscaled), so its structure constants and differential are no longer
+    integral."""
+    lam = [Fraction(scales.get(lab, 1)) for lab in alg.labels]
+    products = {(i, j): {k: lam[i] * lam[j] * c / lam[k]
+                         for k, c in el.items()}
+                for (i, j), el in alg.products.items()}
+    differential = None
+    if alg.differential:
+        differential = {i: {k: lam[i] * c / lam[k] for k, c in el.items()}
+                        for i, el in alg.differential.items()}
+    return Algebra(alg.name + "'", alg.field,
+                   list(zip(alg.labels, alg.degrees)), alg.unit, products,
+                   differential=differential, top=alg.top)
+
+
+def test_rescaled_carriers_have_fractional_constants():
+    s2xs2 = rescaled(catalog.load("s2xs2"), {"a": Fraction(1, 2)})
+    a, b, ab = (idx(s2xs2, lab) for lab in ("a", "b", "ab"))
+    assert s2xs2.mul_basis(a, b) == {ab: Fraction(1, 2)}
+    heis3 = rescaled(catalog.load("heis3"), {"c": Fraction(1, 2)})
+    c, ab = idx(heis3, "c"), idx(heis3, "a*b")
+    assert heis3.d_basis(c) == {ab: Fraction(1, 2)}
+
+
+_FIELDS = [QQ, Field(3), Field(101)]
+
+
+def _oracle_cases():
+    for field in _FIELDS:
+        for nm, n, family in [("s2", 4, gr.FULL), ("t2", 4, gr.NODUPTARGET),
+                              ("cp2", 4, gr.JFAMILY),
+                              ("s2xs2", 3, gr.FULL)]:
+            yield pytest.param(
+                lambda nm=nm, n=n, family=family, field=field: build_AG(
+                    catalog.load(nm, field=field), n, family),
+                id="%s-n%d-%s-%s" % (nm, n, family, field.name))
+        for nm, n, qmax, truncate in [("stb_s2xs2", 4, 10, 12),
+                                      ("heis3", 4, None, None),
+                                      ("heis3_s2", 3, None, None)]:
+            yield pytest.param(
+                lambda nm=nm, n=n, qmax=qmax, truncate=truncate, field=field:
+                build_C(catalog.load(nm, field=field, truncate=truncate), n,
+                        qmax=qmax),
+                id="C-%s-n%d-%s" % (nm, n, field.name))
+    half = Fraction(1, 2)
+    yield pytest.param(
+        lambda: build_AG(rescaled(catalog.load("s2xs2"), {"a": half}), 4,
+                         gr.FULL), id="s2xs2-halved-n4-full-Q")
+    yield pytest.param(
+        lambda: build_AG(rescaled(catalog.load("s2xs2"), {"a": half}), 4,
+                         gr.NODUPTARGET), id="s2xs2-halved-n4-bar-Q")
+    yield pytest.param(
+        lambda: build_C(rescaled(catalog.load("heis3"), {"c": half}), 4),
+        id="C-heis3-halved-n4-Q")
+
+
+@pytest.mark.parametrize("make", _oracle_cases())
+def test_key_images_match_per_edge_oracle(make):
+    bc = make()
+    oracle = EdgeOracle(bc)
+    one = bc.field.one
+    graph_side = bc.family != gr.HFAMILY
+    edges = list(combinations(range(1, bc.n + 1), 2))
+    for keys in bc.blocks.values():
+        for key in keys:
+            assert bc.dprime_key(key) == oracle.dprime_key(key), key
+            assert bc.dsecond_key(key) == oracle.dsecond_key(key), key
+            if graph_side:
+                for i, j in edges:
+                    assert edge_multiply(bc, {key: one}, i, j) == \
+                        oracle.pair_term(key, i, j), (key, i, j)
+    # no column of either differential holds a zero scalar
+    for (p, q) in bc.blocks:
+        cols = bc.dprime_matrix(p, q)
+        if bc.qmax is None or q + 1 <= bc.qmax:
+            cols = cols + bc.dsecond_matrix(p, q)
+        assert all(all(col.values()) for col in cols), (p, q)
+
+
+def test_overflowing_product_is_never_kept():
+    # x^3 * x^2 = x^5 has degree 10, past the truncation bound 8
+    c = catalog.load("stb_s2xs2", truncate=8)
+    bc = build_AG(c, 2, gr.FULL)
+    x2 = c.index_of((0, 0))
+    x3 = c.index_of((0, 0, 0))
+    key = (gr.Graph(2), (x3, x2))
+    for _ in range(2):
+        with pytest.raises(Overflow):
+            bc.dprime_key(key)
+    # a product inside the bound still evaluates on the same bicomplex
+    assert bc.dprime_key((gr.Graph(2), (x2, x2))) == \
+        {(gr.Graph(2, [(1, 2)]), (c.index_of((0, 0, 0, 0)),)): QQ.one}
+
+
+def test_reduced_edge_table_refuses_a_target_heading_no_component(
+        monkeypatch):
+    # with the family test bypassed, edge (3, 4) on the graph {(2, 4)}
+    # targets vertex 4, which does not head its component
+    bc = build_C(catalog.load("s2"), 4)
+    monkeypatch.setattr(gr, "in_family", lambda g, family: True)
+    key = (gr.Graph(4, [(2, 4)]), (0, 1, 1))
+    with pytest.raises(ValueError, match=r"edge \(3, 4\) of Graph\(4, "
+                       r"\[\(2, 4\)\]\)"):
+        bc.dprime_key(key)
 
 
 # -- d'' on explicit keys ---------------------------------------------------

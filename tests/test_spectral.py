@@ -319,6 +319,22 @@ def test_pages_evaluate_each_key_once(dkey_calls):
     assert {pq: d for pq, d in out[3].items() if d} == e2
 
 
+def test_pages_add_each_edge_once_per_graph(monkeypatch):
+    # d' reads its edges off one table per graph, however many keys share it
+    bc = build_AG(catalog.load("t2"), 3, gr.NODUPTARGET)
+    orig = gr.add_edge
+    calls = []
+
+    def counted(g, i, j):
+        calls.append((g, i, j))
+        return orig(g, i, j)
+
+    monkeypatch.setattr(gr, "add_edge", counted)
+    pages(bc, bc.pmax + 1)
+    graphs = {g for g, _ in bc.block_of}
+    assert 0 < len(calls) <= len(graphs) * (bc.n * (bc.n - 1) // 2)
+
+
 def test_total_cohomology_evaluates_each_key_once(dkey_calls):
     bc = build_AG(catalog.load("t2"), 3, gr.NODUPTARGET)
     assert total_cohomology(bc, 0, 6) == \
