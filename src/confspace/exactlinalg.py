@@ -220,7 +220,8 @@ def apply_map(image, vec):
     basis vector to the sparse vector image(i)."""
     out = {}
     for i, c in vec.items():
-        vec_iadd(out, image(i), c)
+        # images hold field scalars already, so a unit adds them as they are
+        vec_iadd(out, image(i), None if c == 1 else c)
     return out
 
 
@@ -243,7 +244,8 @@ class SpanReducer:
     Rows are kept fully reduced (zero at every other pivot), keyed by pivot
     column, so membership tests and quotient coordinates are single reduction
     passes.  Deterministic: the pivot of a new row is its smallest-index
-    column.
+    column.  ``cols`` indexes the rows by the columns they have entries in,
+    so a new pivot is cleared from just the rows that hold it.
 
     Inside, rows are ``{col: int}`` dicts and elimination never builds a
     field scalar: over Q each row is primitive (content gcd 1) with a
@@ -258,6 +260,7 @@ class SpanReducer:
         self.field = field
         self.p = field.p
         self.rows = {}  # pivot col -> integer row dict
+        self.cols = {}  # col -> pivots of the rows with an entry there
 
     @property
     def dim(self):
@@ -356,11 +359,22 @@ class SpanReducer:
         piv = min(v)
         self._normalise(v, piv)
         b = v[piv]
-        # keep existing rows fully reduced against the new pivot
-        for c, row in [(c, row) for c, row in self.rows.items() if piv in row]:
+        rows, cols = self.rows, self.cols
+        hits = cols.pop(piv, ())
+        for j in v:
+            cols.setdefault(j, set()).add(piv)
+        # keep existing rows fully reduced against the new pivot; a row
+        # changes only at v's columns, each of which now lists piv
+        for c in hits:
+            row = rows[c]
             self._combine(row, row[piv], v, b)
             self._normalise(row, c)
-        self.rows[piv] = v
+            for j in v:
+                if j in row:
+                    cols[j].add(c)
+                else:
+                    cols[j].discard(c)
+        rows[piv] = v
         return True
 
     def contains(self, vec):

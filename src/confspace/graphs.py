@@ -29,7 +29,7 @@ ZERO = "zero"  # add_edge result when the edge is already present
 class Graph:
     """Immutable graph on vertices {1..n}; edges stored sorted lexicographically."""
 
-    __slots__ = ("n", "edges", "_components")
+    __slots__ = ("n", "edges", "_components", "_hash")
 
     def __init__(self, n, edges=()):
         edges = tuple(sorted(edges))
@@ -41,12 +41,14 @@ class Graph:
         self.n = n
         self.edges = edges
         self._components = None
+        # every basis-key dict operation hashes the graph again
+        self._hash = hash((n, edges))
 
     def __eq__(self, other):
         return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
 
     def __hash__(self):
-        return hash((self.n, self.edges))
+        return self._hash
 
     def __repr__(self):
         return "Graph(%d, %r)" % (self.n, list(self.edges))

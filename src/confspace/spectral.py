@@ -3,20 +3,28 @@
 The filtration is by columns: F^p is the span of all blocks with first index
 >= p.  Page dimensions come from the pairing of the filtered complex (its
 persistence pairing).  For each total degree k the D columns of Tot^k go
-into one elimination in order of decreasing p.  The rows of Tot^{k+1} are
-in increasing p, so the pivot row a column adds is the entry of least
-filtration left in it once the columns before it are eliminated.  The
-column and that pivot form a pair of gap p(pivot) - p(column) >= 0, and for
-r >= 1, with k = p + q,
+into one elimination in exact reverse row order, so by decreasing p.  The
+rows of Tot^{k+1} are in increasing p, so the pivot row a column adds is the
+entry of least filtration left in it once the columns before it are
+eliminated.  The column and that pivot form a pair of gap
+p(pivot) - p(column) >= 0, and for r >= 1, with k = p + q,
 
     dim E_r(p, q) = |block (p, q)|
                     - #(pairs out of (p, q), into Tot^{k+1}, with gap < r)
                     - #(pairs into (p, q), out of Tot^{k-1}, with gap < r).
 
 Each pair of gap s adds one to the rank of d_s, so the rank of d_r out of
-(p, q) is the number of pairs out of it with gap exactly r.  Pairs out of
-and into a block are counted apart: one index may be both a column and a
-pivot, since the order inside a block is not a filtration order.
+(p, q) is the number of pairs out of it with gap exactly r, and the rank of
+D on Tot^k is the number of its pairs.  Pairs out of and into a block are
+counted apart: one index may be both a column and a pivot, since the order
+inside a block is not a filtration order.  Pair counts between blocks do
+not depend on that order, only the pairing does.
+
+The pairing of degree k - 1 comes first and clears degree k (the "twist"
+of persistent homology): a pivot row of D on Tot^{k-1} is the least index
+of a boundary, so its own column is a combination of the columns after it
+in the row order, which go in before it; it would add no pair, and it is
+never evaluated.
 
 Pages with bases come from explicit cycle representatives
 
@@ -26,8 +34,8 @@ Pages with bases come from explicit cycle representatives
 so the page differential d_r is literally "apply D to a representative and
 read the class off in the target block" (the zig-zag rule).
 
-D columns are evaluated once per bicomplex: D of each Tot^k basis key is
-computed lazily, the first time it is needed, and cached on the
+D columns are evaluated at most once per bicomplex: D of each Tot^k basis
+key is computed lazily, the first time it is needed, and cached on the
 ``SpectralSequence``; every other use of D (pairs, cycle spaces, boundaries,
 page differentials, total cohomology) combines these cached columns.  Build
 one ``SpectralSequence`` per bicomplex and reuse it to keep that saving.
@@ -36,7 +44,7 @@ differentials per (r, p, q).  A q-window on the underlying bicomplex
 restricts the total degrees that may be touched."""
 
 from .exactlinalg import (SpanReducer, solve, NO_SOLUTION, apply_map,
-                          homology_dims, kernel_basis, pivot_pairs)
+                          kernel_basis, pivot_pairs)
 
 
 class WindowError(ValueError):
@@ -150,17 +158,21 @@ class SpectralSequence:
         return self._e[key]
 
     def _pairs(self, k):
-        """(out, into): the gaps of the pairs of D : Tot^k -> Tot^{k+1}, as
-        lists keyed by the block of the column (out) and by the block of the
-        pivot (into)."""
+        """(out, into, pivots): the gaps of the pairs of D : Tot^k ->
+        Tot^{k+1}, as lists keyed by the block of the column (out) and by
+        the block of the pivot (into), and the set of pivot rows."""
         if k not in self._gaps:
             self._check_window(k)
             keys, _ = self.tot_keys(k)
             keys1, _ = self.tot_keys(k + 1)
             block_of = self.bc.block_of
-            # decreasing p; sorted is stable, so each block keeps its order
-            order = sorted(range(len(keys)),
-                           key=lambda i: -block_of[keys[i]][0])
+            # degree k - 1 lies inside the window too; its pivot rows are
+            # cleared (see above): their columns would add no pair, and they
+            # are never evaluated
+            cleared = (self._pairs(k - 1)[2]
+                       if keys and self.tot_keys(k - 1)[0] else ())
+            order = [i for i in range(len(keys) - 1, -1, -1)
+                     if i not in cleared]
             pivots = pivot_pairs(self.bc.field,
                                  [self._column(k, i) for i in order])
             out, into = {}, {}
@@ -169,7 +181,7 @@ class SpectralSequence:
                     src, tgt = block_of[keys[i]], block_of[keys1[j]]
                     out.setdefault(src, []).append(tgt[0] - src[0])
                     into.setdefault(tgt, []).append(tgt[0] - src[0])
-            self._gaps[k] = (out, into)
+            self._gaps[k] = (out, into, set(pivots) - {None})
         return self._gaps[k]
 
     def _block_gaps(self, p, q):
@@ -235,16 +247,15 @@ class SpectralSequence:
 
 
 def total_cohomology(bc, kmin, kmax):
-    """Dims of the total complex cohomology H^k for k in kmin..kmax."""
+    """Dims of the total complex cohomology H^k for k in kmin..kmax.
+
+    The rank of D on Tot^k is its number of pairs.  Degrees are paired
+    upwards from kmin, so a window error names the least degree of the
+    range whose D leaves the window."""
     ss = SpectralSequence(bc)
-    dims = {k: len(ss.tot_keys(k)[0]) for k in range(kmin, kmax + 1)}
-
-    def d(k):
-        ss._check_window(k)
-        return k, k + 1, [ss._column(k, i)
-                          for i in range(len(ss.tot_keys(k)[0]))]
-
-    # D into H^kmin is ranked last, so that a window error names the least
-    # degree of the range whose D leaves the window
-    low = [kmin - 1] if dims and kmin >= 1 else []
-    return homology_dims(bc.field, dims, map(d, [*dims, *low]))
+    ks = range(kmin, kmax + 1)
+    rank = {k: len(ss._pairs(k)[2]) for k in ks}
+    if ks and ss.tot_keys(kmin - 1)[0]:
+        rank[kmin - 1] = len(ss._pairs(kmin - 1)[2])
+    return {k: len(ss.tot_keys(k)[0]) - rank[k] - rank.get(k - 1, 0)
+            for k in ks}

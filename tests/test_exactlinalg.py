@@ -417,6 +417,44 @@ def test_span_reducer_matches_reference(case):
         assert red.contains(v) == ref.contains(v)
 
 
+class _ScanningSpanReducer(SpanReducer):
+    """The integer kernel clearing a new pivot by scanning every stored row,
+    as before its column index: the reference for that index."""
+
+    def insert(self, vec):
+        v, s = self._ints(vec)
+        self._reduce(v, s)
+        if not v:
+            return False
+        piv = min(v)
+        self._normalise(v, piv)
+        b = v[piv]
+        for c, row in [(c, row) for c, row in self.rows.items() if piv in row]:
+            self._combine(row, row[piv], v, b)
+            self._normalise(row, c)
+        self.rows[piv] = v
+        return True
+
+
+def _column_index(rows):
+    index = {}
+    for c, row in rows.items():
+        for j in row:
+            index.setdefault(j, set()).add(c)
+    return index
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_and_vectors())
+def test_column_index_matches_rows_and_scan(case):
+    field, vecs = case
+    red, scan = SpanReducer(field), _ScanningSpanReducer(field)
+    for v in vecs:
+        assert red.insert(v) == scan.insert(v)
+        assert red.cols == _column_index(red.rows)
+        assert list(red.rows.items()) == list(scan.rows.items())
+
+
 @settings(max_examples=150, deadline=None)
 @given(field_and_vectors())
 def test_kernel_solve_quotient_match_reference(case):

@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from confspace.exactlinalg import QQ, Field
+from confspace.exactlinalg import QQ, Field, pivot_pairs
 from confspace import graphs as gr
 from confspace import catalog
 from confspace.bgcomplex import build_AG, build_C
@@ -235,6 +235,73 @@ def test_toy_page_dims_from_pairs_match_page_bases():
     _check_pairs_against_page_bases(ToyBicomplex())
 
 
+# -- the cleared pairing against the uncleared one ----------------------------
+
+def _uncleared_pairs(bc, k):
+    """(out, into) of D on Tot^k as paired without clearing: every column,
+    evaluated afresh through apply_total, goes in by decreasing p, each block
+    in its own order."""
+    ss = SpectralSequence(bc)  # read for the row order only
+    keys, _ = ss.tot_keys(k)
+    keys1, pos1 = ss.tot_keys(k + 1)
+    block_of = bc.block_of
+    order = sorted(range(len(keys)), key=lambda i: -block_of[keys[i]][0])
+    cols = [{pos1[key]: c
+             for key, c in bc.apply_total({keys[i]: bc.field.one}).items()}
+            for i in order]
+    out, into = {}, {}
+    for i, j in zip(order, pivot_pairs(bc.field, cols)):
+        if j is not None:
+            src, tgt = block_of[keys[i]], block_of[keys1[j]]
+            out.setdefault(src, []).append(tgt[0] - src[0])
+            into.setdefault(tgt, []).append(tgt[0] - src[0])
+    return out, into
+
+
+def _gap_multisets(gaps):
+    return {pq: sorted(g) for pq, g in gaps.items()}
+
+
+# (carrier, prime or None for Q, n, qmax): formal carriers on the quotient
+# and the reduced complex, non-formal ones windowed on the reduced complex
+CLEARING_CASES = [
+    *[(nm, p, n, None) for nm in ("s2", "t2", "cp2", "s2xs2")
+      for p in (None, 3, 101) for n in (3, 4)],
+    ("heis3", None, 4, 6),
+    ("heis3_s2", None, 4, 6),
+    ("stb_s2xs2", None, 4, 10),
+]
+
+
+def _clearing_id(case):
+    nm, p, n, qmax = case
+    return "%s n=%d %s%s" % (nm, n, "Q" if p is None else "F%d" % p,
+                             "" if qmax is None else " qmax=%d" % qmax)
+
+
+@pytest.mark.parametrize("nm,p,n,qmax", CLEARING_CASES,
+                         ids=map(_clearing_id, CLEARING_CASES))
+def test_cleared_pairing_matches_uncleared(nm, p, n, qmax):
+    alg = catalog.load(nm, field=Field(p))
+    bcs = [build_C(alg, n, qmax=qmax)]
+    if qmax is None:
+        bcs.append(build_AG(alg, n, gr.NODUPTARGET))
+    for bc in bcs:
+        ss = SpectralSequence(bc)
+        ks = sorted({p + q for (p, q) in bc.blocks})
+        for k in ks:
+            if qmax is not None and k + 1 > qmax:
+                continue
+            out, into, pivots = ss._pairs(k)
+            ref_out, ref_into = _uncleared_pairs(bc, k)
+            assert _gap_multisets(out) == _gap_multisets(ref_out), k
+            assert _gap_multisets(into) == _gap_multisets(ref_into), k
+            assert len(pivots) == sum(map(len, ref_out.values())), k
+            # no cleared column was evaluated
+            if k - 1 in ss._gaps:
+                assert not ss._gaps[k - 1][2] & set(ss._cols.get(k, ())), k
+
+
 # Measured E2 -> E3 drops of the four-point reduced complex over non-formal
 # carriers, and of the cohomology algebra stb_s2xs2_h as the control.  Only
 # blocks whose d2 target is inside the window are compared beyond these.
@@ -283,6 +350,19 @@ def test_window_error_in_total_cohomology():
         total_cohomology(bc, 0, 5)
 
 
+def test_window_errors_name_the_least_degree():
+    # D on Tot^k needs the q-window above k; of the degrees a call needs,
+    # the error names the least one leaving it
+    bc = build_C(catalog.load("stb_s2xs2"), 3, qmax=4)
+    with pytest.raises(WindowError, match="total degree 4 "):
+        total_cohomology(bc, 0, 5)
+    ss = SpectralSequence(bc)
+    with pytest.raises(WindowError, match="total degree 4 "):
+        ss.e_dim(1, 1, 4)
+    with pytest.raises(WindowError, match="total degree 5 "):
+        ss.e_dim(1, 2, 4)
+
+
 # -- each D column is evaluated once ------------------------------------------
 
 @pytest.fixture
@@ -317,6 +397,17 @@ def test_pages_evaluate_each_key_once(dkey_calls):
         (1, 3): 12, (1, 4): 3, (2, 0): 2, (2, 1): 4, (2, 2): 2}
     assert {pq: d for pq, d in out[2].items() if d} == e2
     assert {pq: d for pq, d in out[3].items() if d} == e2
+
+
+def test_pages_never_evaluate_cleared_columns(dkey_calls):
+    # the cleared columns are the pivots of D from the degree below, as many
+    # as the ranks of D add up to: (total_dim - sum of the Betti numbers) / 2
+    bc = build_AG(catalog.load("t2"), 3, gr.NODUPTARGET)
+    pages(bc, bc.pmax + 1)
+    betti = {2: 5, 3: 14, 4: 14, 5: 6, 6: 1}
+    cleared = (bc.total_dim() - sum(betti.values())) // 2
+    assert dkey_calls["dprime_key"] == bc.total_dim() - cleared
+    assert dkey_calls["dsecond_key"] == bc.total_dim() - cleared
 
 
 def test_pages_add_each_edge_once_per_graph(monkeypatch):
