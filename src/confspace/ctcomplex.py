@@ -19,11 +19,12 @@ relation on any other monomial straightens into the span of these.
 Modulo the symbol relations on mu, H tensored n times is H tensored once per
 connected component of mu (Kriz, Totaro): merging the slots of each
 component into their product, with the Koszul sign of grouping the slots by
-component, is onto and kills exactly the symbol relations.  The block
-quotient is computed this way, with no elimination.  Its basis is mu times
-one factor per component, represented by the key that has each factor on
-its component's least vertex and the unit elsewhere.  The symbol relations
-themselves are still built for the duality check and the tests.
+component, is onto and kills exactly the symbol relations.  So the stored
+blocks are the quotient basis itself: mu times one factor per component,
+keyed by the tensor that has each factor on its component's least vertex
+and the unit elsewhere, and an element over any keys projects to it by
+merging each key.  The ambient keys and the symbol relations are built on
+demand, only where they are asked for.
 
 Blocks are keyed (p, h): p the number of x factors and h the internal
 degree.  The differential d1 replaces one x factor by the diagonal class
@@ -31,7 +32,9 @@ inserted into its two slots, mapping (p, h) to (p - 1, h + m); removing an
 edge keeps the targets distinct, so d1 maps keys to keys.
 """
 
-from .exactlinalg import apply_map, homology_dims, vec_iadd
+from itertools import product
+
+from .exactlinalg import homology_dims, vec_iadd
 from .algebra import sign, poincare_data
 from . import graphs as gr
 
@@ -45,23 +48,29 @@ class CTComplex:
         self.n = n
         self.pd = poincare_data(alg)
         self.m = self.pd.m
-        self._blocks = {}      # (p, h) -> list of keys (tensor, edges)
-        self._pos = {}
+        self._blocks = {}      # (p, h) -> quotient basis keys (tensor, edges)
+        self._coord = {}       # (p, h) -> {(edges, component factors): index}
         self._forest = {}      # edges -> (components, slot inversions)
+        self._tensors = {}     # h -> tensors of internal degree h
         self._build_ambient()
         self._quot = {}        # (p, h) -> (reps, project)
         self._merged = {}      # key -> merge(key)
         self._d1 = {}
 
     # -- basis -----------------------------------------------------------------
+    # perfbench/tracer.py wraps this name; it builds the quotient basis.
     def _build_ambient(self):
-        """Keys (T, mu): every tensor T times every distinct-target edge set
-        mu, ordered by edge count, then edge set, then tensor."""
-        degs = self.alg.degrees
+        """Keys (T, mu) of the quotient basis: mu a distinct-target edge set
+        and T one factor per component of mu, on its least vertex, with the
+        unit elsewhere; ordered by edge count, then edge set, then tensor.
+        Also every tensor by internal degree, for the ambient keys."""
+        degs, unit = self.alg.degrees, self.alg.unit
         tensors = [((), 0)]
         for _ in range(self.n):
             tensors = [(t + (i,), h + degs[i]) for t, h in tensors
                        for i in range(self.alg.dim)]
+        for t, h in tensors:
+            self._tensors.setdefault(h, []).append(t)
         for g in gr.enumerate_graphs(self.n, gr.NODUPTARGET):
             # slot pairs (0-based) that grouping the slots by component
             # puts out of order
@@ -71,17 +80,31 @@ class CTComplex:
                           for b in order[i + 1:] if a > b]
             self._forest[g.edges] = (comps, inversions)
             p = g.edge_count
-            for t, h in tensors:
-                key = (t, g.edges)
+            # components are ordered by least vertex, so factor tuples in
+            # increasing order give their keys in increasing tensor order
+            for factors in product(range(self.alg.dim), repeat=len(comps)):
+                tens = [unit] * self.n
+                for comp, i in zip(comps, factors):
+                    tens[comp[0] - 1] = i
+                h = sum(degs[i] for i in factors)
                 blk = self._blocks.setdefault((p, h), [])
-                self._pos.setdefault((p, h), {})[key] = len(blk)
-                blk.append(key)
+                self._coord.setdefault((p, h), {})[(g.edges, factors)] = \
+                    len(blk)
+                blk.append((tuple(tens), g.edges))
 
     def blocks(self):
         return sorted(self._blocks)
 
+    def ambient_keys(self, p, h):
+        """Keys (T, mu) of the ambient block (p, h): every tensor T of
+        internal degree h times every p-edge set mu, ordered by edge set,
+        then tensor."""
+        return [(t, mu) for mu in self._forest if len(mu) == p
+                for t in self._tensors.get(h, ())]
+
     def ambient_dim(self, p, h):
-        return len(self._blocks.get((p, h), ()))
+        return len(self._tensors.get(h, ())) * sum(
+            len(mu) == p for mu in self._forest)
 
     # -- operations on keys ----------------------------------------------------
     def insert_slot(self, t, i, a_el):
@@ -99,22 +122,19 @@ class CTComplex:
 
     def relation_vectors(self, p, h):
         """Symbol relations (a in slot s - a in slot t) T (x) mu, (s, t) an
-        edge of mu, in block (p, h) coordinates: one pass over block
-        (p, h - |a|) per positive basis element a."""
+        edge of mu, in block (p, h), as elements over keys: one pass over the
+        ambient keys of block (p, h - |a|) per positive basis element a."""
         degs = self.alg.degrees
-        pos = self._pos.get((p, h), {})
+        minus = -self.field.one
         out = []
         for a in self.alg.positive_indices():
             a_el = {a: self.field.one}
-            for tens, mu in self._blocks.get((p, h - degs[a]), ()):
+            for tens, mu in self.ambient_keys(p, h - degs[a]):
                 for (s, t) in mu:
-                    vec = {}
-                    for t2, c in self.insert_slot(tens, s, a_el).items():
-                        vec_iadd(vec, {pos[(t2, mu)]: c})
-                    for t2, c in self.insert_slot(tens, t, a_el).items():
-                        vec_iadd(vec, {pos[(t2, mu)]: -c})
+                    vec = vec_iadd(self.insert_slot(tens, s, a_el),
+                                   self.insert_slot(tens, t, a_el), minus)
                     if vec:
-                        out.append(vec)
+                        out.append({(t2, mu): c for t2, c in vec.items()})
         return out
 
     def merge(self, key):
@@ -140,32 +160,21 @@ class CTComplex:
         return out
 
     def quotient(self, p, h):
-        """(reps, project) for the block quotient; reps are key coordinate
-        vectors, project maps key coordinate vectors to coordinates.  The
-        quotient basis is (mu, component factors), represented by the key
-        with each factor on its component's least vertex and the unit on
-        every other vertex; project merges each key."""
+        """(reps, project) for the block quotient: reps are the unit
+        coordinate vectors of the block keys, and project maps an element
+        over keys of (p, h), with any tensors, to its sparse quotient
+        coordinates by merging each key."""
         if (p, h) not in self._quot:
-            keys = self._blocks.get((p, h), ())
-            unit, one, zero = self.alg.unit, self.field.one, self.field.zero
-            coord = {}    # (mu, component factors) -> quotient coordinate
-            reps = []
-            for i, (tens, mu) in enumerate(keys):
-                comps = self._forest[mu][0]
-                if all(tens[v - 1] == unit for comp in comps
-                       for v in comp[1:]):
-                    factors = tuple(tens[comp[0] - 1] for comp in comps)
-                    coord[(mu, factors)] = len(reps)
-                    reps.append({i: one})
+            coord = self._coord.get((p, h), {})
 
-            def project(vec):
-                out = [zero] * len(reps)
-                for i, c in vec.items():
-                    key = keys[i]
-                    for factors, x in self.merge(key).items():
-                        out[coord[(key[1], factors)]] += c * x
+            def project(el):
+                out = {}
+                for key, c in el.items():
+                    vec_iadd(out, {coord[(key[1], fs)]: x
+                                   for fs, x in self.merge(key).items()}, c)
                 return out
 
+            reps = [{i: self.field.one} for i in range(len(coord))]
             self._quot[(p, h)] = reps, project
         return self._quot[(p, h)]
 
@@ -175,7 +184,7 @@ class CTComplex:
     r_quotient = quotient
 
     def dim(self, p, h):
-        return len(self.quotient(p, h)[0])
+        return len(self._blocks.get((p, h), ()))
 
     # -- differential ----------------------------------------------------------
     def d1_key(self, key):
@@ -196,30 +205,17 @@ class CTComplex:
                         vec_iadd(out, {(t2, mu2): pref * c * c1 * c2})
         return out
 
-    def _d1_image(self, vec, p, h):
-        """d1 of a block (p, h) coordinate vector, in block (p - 1, h + m)
-        key coordinates."""
-        pos_tgt = self._pos.get((p - 1, h + self.m), {})
-        keys_src = self._blocks.get((p, h), [])
-        img = apply_map(lambda idx: self.d1_key(keys_src[idx]), vec)
-        return {pos_tgt[key2]: c for key2, c in img.items()}
-
     def d1_matrix(self, p, h):
         """Columns of d1 on quotient blocks: (p, h) -> (p - 1, h + m)."""
-        if (p, h) in self._d1:
-            return self._d1[(p, h)]
-        reps, _ = self.quotient(p, h)
-        _, project_tgt = self.quotient(p - 1, h + self.m)
-        cols = []
-        for v in reps:
-            coords = project_tgt(self._d1_image(v, p, h))
-            cols.append({i: c for i, c in enumerate(coords) if c})
-        self._d1[(p, h)] = cols
-        return cols
+        if (p, h) not in self._d1:
+            _, project_tgt = self.quotient(p - 1, h + self.m)
+            self._d1[(p, h)] = [project_tgt(self.d1_key(key))
+                                for key in self._blocks.get((p, h), ())]
+        return self._d1[(p, h)]
 
     def e2_dims(self):
         """Dims of ker d1 / im d1 on every quotient block."""
         dims = {b: self.dim(*b) for b in self.blocks()}
         return homology_dims(self.field, dims, (
             ((p, h), (p - 1, h + self.m), self.d1_matrix(p, h))
-            for (p, h), d in dims.items() if p >= 1 and d))
+            for (p, h) in dims if p >= 1))

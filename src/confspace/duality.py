@@ -91,29 +91,25 @@ class Pairing:
         return out
 
     def matrix(self, p, h):
-        """Rows of the pairing matrix, one per block quotient basis element,
-        each over the basis of the dual graph block: the pairing of the
-        element's representative key, nonzero only on graph keys with its
-        edge set.  The pairing of any key is the tensor power of the
-        Poincare pairing (invertible, with signs) applied to its merge, so a
-        relation pairs nontrivially exactly when it projects to a nonzero
-        quotient vector; DualityError is raised then, since the pairing is
-        not defined on the quotient."""
+        """Rows of the pairing matrix, one per block quotient basis key,
+        each over the basis of the dual graph block: the pairing of the key,
+        nonzero only on graph keys with its edge set.  The pairing of any key
+        is the tensor power of the Poincare pairing (invertible, with signs)
+        applied to its merge, so a symbol relation pairs nontrivially exactly
+        when it projects to a nonzero quotient vector; DualityError is raised
+        then, since the pairing is not defined on the quotient."""
         if (p, h) not in self._mat:
-            reps, project = self.ct.r_quotient(p, h)
+            _, project = self.ct.r_quotient(p, h)
             for v in self.ct.relation_vectors(p, h):
-                if any(project(v)):
+                if project(v):
                     raise DualityError(
                         "relation pairs nontrivially at (%d, %d)" % (p, h))
-            keys = self.ct._blocks.get((p, h), ())
             pos = self.bar.pos.get(self.dual_block(p, h), {})
-
-            def row(i):
-                g = gr.Graph(self.n, keys[i][1])
-                return dict(sorted((pos[(g, fs)], x)
-                                   for fs, x in self._dual(keys[i]).items()))
-
-            self._mat[(p, h)] = [apply_map(row, v) for v in reps]
+            rows = self._mat[(p, h)] = []
+            for key in self.ct._blocks.get((p, h), ()):
+                g = gr.Graph(self.n, key[1])
+                rows.append(dict(sorted((pos[(g, fs)], x)
+                                        for fs, x in self._dual(key).items())))
         return self._mat[(p, h)]
 
 

@@ -6,8 +6,10 @@ from math import factorial
 
 import pytest
 
-from confspace.exactlinalg import QQ, Field, quotient_basis, rank, vec_iadd
+from confspace.exactlinalg import (QQ, Field, apply_map, quotient_basis, rank,
+                                   vec_iadd)
 from confspace import catalog, exactlinalg
+from confspace import graphs as gr
 from confspace.cli import main
 from confspace.algebra import sign
 from confspace.ctcomplex import CTComplex
@@ -165,6 +167,12 @@ def test_presentations_agree():
             {k: d for k, d in ct.e2_dims().items() if d}, (nm, n)
 
 
+def ambient_blocks(ct):
+    """Every ambient block (p, h), the ones of quotient dimension 0 too:
+    forests on n vertices have 0 to n - 1 edges."""
+    return [(p, h) for p in range(ct.n) for h in sorted(ct._tensors)]
+
+
 @pytest.mark.parametrize("nm,n,field", [
     pytest.param(nm, n, field, id="%s-n%d-%s" % (nm, n, field.name))
     for nm in ("s1", "s2", "s3", "s4", "t2", "cp2", "s2xs2", "cs_s5")
@@ -175,16 +183,46 @@ def test_merge_quotient_matches_relation_elimination(nm, n, field):
     # the merge kills every relation, is onto (each rep projects to its own
     # coordinate), and leaves the dimension elimination finds
     ct = CTComplex(catalog.load(nm, field=field), n)
-    for (p, h) in ct.blocks():
+    for (p, h) in ambient_blocks(ct):
         reps, project = ct.quotient(p, h)
+        keys = ct._blocks.get((p, h), [])
         rels = ct.relation_vectors(p, h)
         for v in rels:
-            assert not any(project(v)), (p, h, v)
+            assert not project(v), (p, h, v)
+        assert len(reps) == len(keys) == ct.dim(p, h)
         for j, v in enumerate(reps):
-            assert project(v) == [field.one if i == j else field.zero
-                                  for i in range(len(reps))]
-        assert ct.dim(p, h) == len(
-            quotient_basis(field, ct.ambient_dim(p, h), rels)[0]), (p, h)
+            assert project({keys[i]: c for i, c in v.items()}) == \
+                {j: field.one}
+        # relations are elements over keys; index them by ambient position
+        amb = ct.ambient_keys(p, h)
+        assert len(amb) == ct.ambient_dim(p, h)
+        pos = {key: i for i, key in enumerate(amb)}
+        assert set(keys) <= set(pos)
+        assert ct.dim(p, h) == len(quotient_basis(
+            field, len(amb),
+            [{pos[key]: c for key, c in v.items()} for v in rels])[0]), (p, h)
+
+
+@pytest.mark.parametrize("nm,n", [(nm, n) for nm in ("s2", "t2", "cp2")
+                                  for n in (3, 4)])
+def test_stored_keys_are_the_quotient_basis(nm, n):
+    # one key per forest and factor per component, none for the rest of
+    # H tensored n times
+    alg = catalog.load(nm)
+    ct = CTComplex(alg, n)
+    comps = {g.edges: gr.components(g)
+             for g in gr.enumerate_graphs(n, gr.NODUPTARGET)}
+    assert sum(len(b) for b in ct._blocks.values()) == sum(
+        alg.dim ** len(c) for c in comps.values())
+    for (p, h), keys in ct._blocks.items():
+        assert len(set(keys)) == len(keys)
+        for i, (tens, mu) in enumerate(keys):
+            assert len(mu) == p
+            assert sum(alg.degrees[a] for a in tens) == h
+            assert all(tens[v - 1] == alg.unit for comp in comps[mu]
+                       for v in comp[1:]), (tens, mu)
+            factors = tuple(tens[comp[0] - 1] for comp in comps[mu])
+            assert ct._coord[(p, h)][(mu, factors)] == i
 
 
 def count_rank_calls(monkeypatch):
@@ -249,14 +287,14 @@ def d1_well_defined(ct, p, h):
     """Every relation vector of block (p, h) maps into the target relation
     span."""
     _, project_tgt = ct.quotient(p - 1, h + ct.m)
-    return not any(any(project_tgt(ct._d1_image(v, p, h)))
+    return not any(project_tgt(apply_map(ct.d1_key, v))
                    for v in ct.relation_vectors(p, h))
 
 
 @pytest.mark.parametrize("nm,n", [("s2", 3), ("t2", 2), ("cp2", 2), ("s3", 3)])
 def test_d1_well_defined_on_quotients(nm, n):
     ct = CTComplex(catalog.load(nm), n)
-    for (p, h) in ct.blocks():
+    for (p, h) in ambient_blocks(ct):
         if p >= 1:
             assert d1_well_defined(ct, p, h)
 

@@ -94,11 +94,12 @@ def test_dual_block_arithmetic():
 def test_pair_keys_matches_reference(nm, n, p):
     _, pr = make_pairing(nm, n, Field(p))
     pairs = []
-    for (b, h) in pr.ct.blocks():
+    # every ambient key, not only the stored quotient basis keys
+    for (b, h) in product(range(n), pr.ct._tensors):
         by_edges = {}
         for bkey in pr.bar.blocks.get(pr.dual_block(b, h), []):
             by_edges.setdefault(bkey[0].edges, []).append(bkey)
-        for key in pr.ct._blocks[(b, h)]:
+        for key in pr.ct.ambient_keys(b, h):
             pairs += [(key, bkey) for bkey in by_edges.get(key[1], ())]
     nonzero = 0
     for key, bkey in pairs:
@@ -155,7 +156,7 @@ def test_pairing_merges_each_key_once(monkeypatch):
     monkeypatch.setattr(Algebra, "multiply", counted)
     a = catalog.load("t2")
     ct = CTComplex(a, 3)
-    keys = sum(ct.ambient_dim(*b) for b in ct.blocks())
+    keys = sum(ct.ambient_dim(p, h) for p in range(3) for h in ct._tensors)
     assert keys == 384
     assert theorem1_check(a, 3, ct=ct)["e2_pairs"]
     # n merging products per tensor key at most, however many graph keys
@@ -205,14 +206,16 @@ def test_duality_verified(nm, n):
 
 
 def test_relations_orthogonal_everywhere():
+    # every ambient block, the ones of quotient dimension 0 too; relations
+    # are elements over keys
     a, pr = make_pairing("t2", 3)
-    for (p, h) in pr.ct.blocks():
-        keys = pr.ct._blocks[(p, h)]
-        bar_keys = pr.bar.blocks.get(pr.dual_block(p, h), [])
-        for v in pr.ct.relation_vectors(p, h):
-            for bkey in bar_keys:
-                assert not sum((c * pr.pair_keys(keys[i], bkey)
-                                for i, c in v.items()), QQ.zero)
+    for p in range(3):
+        for h in pr.ct._tensors:
+            bar_keys = pr.bar.blocks.get(pr.dual_block(p, h), [])
+            for v in pr.ct.relation_vectors(p, h):
+                for bkey in bar_keys:
+                    assert not sum((c * pr.pair_keys(key, bkey)
+                                    for key, c in v.items()), QQ.zero)
 
 
 def test_pairing_matrix_square_and_full_rank():

@@ -5,7 +5,9 @@ such a refactor fails in this suite and not only in the benchmark's own."""
 import importlib.util
 import os
 
-from confspace import algebra
+from confspace import algebra, catalog
+from confspace.ctcomplex import CTComplex
+from confspace.duality import Pairing, theorem1_check
 from confspace.exactlinalg import QQ
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -33,3 +35,25 @@ def test_tracer_installs_and_restores():
     assert t.counts["algebra.d_basis.calls"] > 0
     assert (cls.__dict__["multiply"], cls.__dict__["d_basis"],
             algebra.cohomology) == before
+
+
+def test_tracer_reaches_the_tensor_side():
+    # the hooks read CTComplex._quot, ambient_dim and _blocks, and wrap
+    # _build_ambient, quotient, r_quotient, relation_vectors, d1_key and
+    # Pairing.matrix: each must exist and be reached
+    tracer = _load_tracer()
+    wrapped = [(CTComplex, name) for name in (
+        "_build_ambient", "quotient", "r_quotient", "relation_vectors",
+        "d1_key")] + [(Pairing, "matrix")]
+    before = [owner.__dict__[name] for owner, name in wrapped]
+    with tracer.Tracer().installed() as t:
+        theorem1_check(catalog.load("t2"), 3)
+        CTComplex(catalog.load("s2"), 4).e2_dims()
+    for name in ("ctcomplex.ambient.calls", "ctcomplex.quotient.calls",
+                 "ctcomplex.r_quotient.calls",
+                 "ctcomplex.relation_vectors.calls",
+                 "ctcomplex.d1_key.calls", "duality.matrix.calls",
+                 "ctcomplex.ambient_keys", "ctcomplex.relations",
+                 "ctcomplex.relations_independent"):
+        assert t.counts[name] > 0, name
+    assert [owner.__dict__[name] for owner, name in wrapped] == before

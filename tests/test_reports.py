@@ -92,8 +92,8 @@ def sphere_poincare(m, n):
     return poly
 
 
-@pytest.mark.parametrize("nm,n", [("s2", 3), ("s2", 4), ("s2", 5),
-                                  ("s3", 3), ("s3", 4), ("s3", 5),
+@pytest.mark.parametrize("nm,n", [("s2", 3), ("s2", 4), ("s2", 5), ("s2", 6),
+                                  ("s3", 3), ("s3", 4), ("s3", 5), ("s3", 6),
                                   ("s4", 3), ("s4", 4)])
 def test_config_space_dims_closed_form(nm, n):
     m = int(nm[1:])
