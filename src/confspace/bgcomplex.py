@@ -130,10 +130,8 @@ class Bicomplex:
         """A carrier element as (index, exact constant) pairs: residues over
         F_p; over Q an int where the constant is integral, else the
         Fraction."""
-        if self.field.p is not None:
-            return tuple((k, c.v) for k, c in el.items())
-        return tuple((k, c.numerator if c.denominator == 1 else c)
-                     for k, c in el.items())
+        lift = self.field.lift
+        return tuple((k, lift(c)) for k, c in el.items())
 
     def _product(self, a, b):
         """carrier.mul_basis(a, b), lifted; kept per pair on first use, so a

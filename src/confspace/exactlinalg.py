@@ -168,6 +168,14 @@ class Field:
             return FpElement(self.p, n.numerator) / FpElement(self.p, n.denominator)
         return FpElement(self.p, n)
 
+    def lift(self, c):
+        """The exact constant of a scalar of this field, which ``of`` turns
+        back into it: the residue over F_p; over Q an int where the scalar
+        is integral, else the Fraction."""
+        if self.p is not None:
+            return c.v
+        return c.numerator if c.denominator == 1 else c
+
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
 

@@ -13,7 +13,7 @@ Edge monomials e_{ij} behave like exterior generators in lexicographic
 normal order; ``add_edge`` returns the sign of inserting a new generator.
 """
 
-from itertools import combinations
+from itertools import combinations, product
 
 
 FULL = "full"
@@ -110,9 +110,21 @@ def in_family(g, family):
 
 
 def enumerate_graphs(n, family):
-    """All graphs of the family, ordered by edge count then lexicographically."""
+    """All graphs of the family, ordered by edge count then lexicographically.
+
+    The distinct-target families are built directly: each vertex t takes
+    at most one source s < t, and none from vertex 1 when it is to stay
+    isolated.  The others filter every edge subset."""
     if not (1 <= n <= MAX_VERTICES):
         raise ValueError("n=%d outside the combinatorial guard 1..%d" % (n, MAX_VERTICES))
+    if family in (NODUPTARGET, HFAMILY):
+        first = 2 if family == HFAMILY else 1
+        sources = [[()] + [((s, t),) for s in range(first, t)]
+                   for t in range(2, n + 1)]
+        edge_sets = [tuple(sorted(sum(choice, ())))
+                     for choice in product(*sources)]
+        edge_sets.sort(key=lambda es: (len(es), es))
+        return [Graph(n, es) for es in edge_sets]
     all_edges = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
     out = []
     for k in range(len(all_edges) + 1):

@@ -21,8 +21,9 @@ class AmbientOracle:
     Keys are every tensor times every squarefree monomial in the x_{st};
     the quotient is by the symbol relations and by the three-term relations
     x_{st} x_{tu} + (-1)^m x_{tu} x_{su} + (-1)^m x_{su} x_{st} times
-    anything.  Only the key-level operations (slot insertion and d1 of a
-    key) come from CTComplex."""
+    anything.  Only slot insertion comes from CTComplex: d1 of a key
+    inserts the diagonal class into the two slots of each edge, apart from
+    the closed form CTComplex computes."""
 
     def __init__(self, ct):
         self.ct = ct
@@ -99,6 +100,26 @@ class AmbientOracle:
     def dim(self, p, h):
         return len(self.quotient(p, h)[0])
 
+    def d1_key(self, key):
+        """d1 of an ambient key, as a dict over ambient keys of
+        (p - 1, h + m): each edge replaced by the diagonal class inserted
+        into its two slots."""
+        ct, f = self.ct, self.field
+        tens, mu = key
+        out = {}
+        for i, (s, t) in enumerate(mu):
+            pref = f.of(1 if (self.m - 1) % 2 == 0 else sign(i))
+            mu2 = mu[:i] + mu[i + 1:]
+            for (u, v, c) in ct.pd.diagonal:
+                # insert at the later slot first so the Koszul prefix of the
+                # earlier insertion is unaffected
+                el1 = ct.insert_slot(tens, t, {v: f.one})
+                for t1, c1 in el1.items():
+                    el2 = ct.insert_slot(t1, s, {u: f.one})
+                    for t2, c2 in el2.items():
+                        vec_iadd(out, {(t2, mu2): pref * c * c1 * c2})
+        return out
+
     def d1_matrix(self, p, h):
         reps, _ = self.quotient(p, h)
         _, project = self.quotient(p - 1, h + self.m)
@@ -106,7 +127,7 @@ class AmbientOracle:
         for v in reps:
             img = {}
             for idx, c in v.items():
-                for key2, c2 in self.ct.d1_key(self.keys[(p, h)][idx]).items():
+                for key2, c2 in self.d1_key(self.keys[(p, h)][idx]).items():
                     vec_iadd(img, {self.pos[key2]: c * c2})
             cols.append({i: c for i, c in enumerate(project(img)) if c})
         return cols
@@ -284,10 +305,11 @@ def test_d1_inserts_diagonal_odd_sphere():
 
 
 def d1_well_defined(ct, p, h):
-    """Every relation vector of block (p, h) maps into the target relation
-    span."""
+    """Slot-insertion d1 maps every relation vector of block (p, h) into
+    the target relation span."""
     _, project_tgt = ct.quotient(p - 1, h + ct.m)
-    return not any(project_tgt(apply_map(ct.d1_key, v))
+    d1_key = AmbientOracle(ct).d1_key
+    return not any(project_tgt(apply_map(d1_key, v))
                    for v in ct.relation_vectors(p, h))
 
 
@@ -297,6 +319,43 @@ def test_d1_well_defined_on_quotients(nm, n):
     for (p, h) in ambient_blocks(ct):
         if p >= 1:
             assert d1_well_defined(ct, p, h)
+
+
+@pytest.mark.parametrize("nm,n,field", [
+    pytest.param(nm, n, field, id="%s-n%d-%s" % (nm, n, field.name))
+    for nm in ("s1", "s2", "s3", "s4", "t2", "cp2", "s2xs2")
+    for n in (2, 3, 4) for field in (QQ, Field(3), Field(101))])
+def test_closed_form_d1_matches_slot_insertion(nm, n, field):
+    # odd and even m take both suspension signs; the reference inserts the
+    # diagonal into the ambient slots and projects by merging
+    ct = CTComplex(catalog.load(nm, field=field), n)
+    d1_key = AmbientOracle(ct).d1_key
+    for (p, h) in ct.blocks():
+        if p < 1:
+            continue
+        _, project = ct.quotient(p - 1, h + ct.m)
+        assert ct.d1_matrix(p, h) == [project(d1_key(key))
+                                      for key in ct._blocks[(p, h)]], (p, h)
+
+
+@pytest.mark.parametrize("nm,n", [("s3", 3), ("t2", 3), ("cp2", 3),
+                                  ("s2xs2", 3), ("t2", 4)])
+def test_d1_of_ambient_keys_matches_slot_insertion(nm, n):
+    # a key with factors off its components' least vertices is merged
+    # before the closed form; it must give the class slot insertion gives
+    ct = CTComplex(catalog.load(nm), n)
+    d1_key = AmbientOracle(ct).d1_key
+    seen = 0
+    for (p, h) in ambient_blocks(ct):
+        if p < 1:
+            continue
+        stored = set(ct._blocks.get((p, h), ()))
+        _, project = ct.quotient(p - 1, h + ct.m)
+        for key in ct.ambient_keys(p, h):
+            if key not in stored:
+                seen += 1
+                assert project(ct.d1_key(key)) == project(d1_key(key)), key
+    assert seen
 
 
 def test_d1_squares_to_zero():

@@ -1,5 +1,6 @@
 """Graph families, component bookkeeping, edge-insertion signs."""
 
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -33,6 +34,24 @@ def test_reduced_family_counts():
 def test_ideal_family_is_complement():
     for n in range(2, 5):
         assert count(n, gr.JFAMILY) == count(n, gr.FULL) - count(n, gr.NODUPTARGET)
+
+
+@pytest.mark.parametrize("family", [gr.FULL, gr.NODUPTARGET, gr.JFAMILY,
+                                    gr.HFAMILY])
+def test_enumeration_matches_filtering_every_subset(family):
+    # the distinct-target families are built directly; the reference keeps
+    # every edge subset the family test accepts, in the same order
+    for n in range(1, 7):
+        all_edges = [(i, j) for i in range(1, n + 1)
+                     for j in range(i + 1, n + 1)]
+        want = []
+        for k in range(len(all_edges) + 1):
+            for sub in combinations(all_edges, k):
+                g = gr.Graph(n, sub)
+                if gr.in_family(g, family):
+                    want.append(g)
+        got = gr.enumerate_graphs(n, family)
+        assert [g.edges for g in got] == [g.edges for g in want], n
 
 
 def test_no_dup_graphs_are_forests():

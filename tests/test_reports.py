@@ -94,13 +94,13 @@ def sphere_poincare(m, n):
 
 @pytest.mark.parametrize("nm,n", [("s2", 3), ("s2", 4), ("s2", 5), ("s2", 6),
                                   ("s3", 3), ("s3", 4), ("s3", 5), ("s3", 6),
-                                  ("s4", 3), ("s4", 4)])
+                                  ("s4", 3), ("s4", 4), ("s4", 5)])
 def test_config_space_dims_closed_form(nm, n):
     m = int(nm[1:])
     assert rp.config_space_dims(catalog.load(nm), n) == sphere_poincare(m, n)
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 @pytest.mark.parametrize("nm", ["point", "s1", "s2", "s3", "s4", "t2", "cp2",
                                 "s2xs2", "cs_s5", "stb_s2xs2_h"])
 def test_config_space_euler_characteristic(nm, n):
@@ -135,6 +135,16 @@ def test_dimensions_agree_over_q_and_large_prime(nm, n):
     fp = _dimension_invariants(catalog.load(nm, field=Field(32003)), n)
     assert q == fp
     assert any(q[0].values()) and q[2]
+
+
+@pytest.mark.parametrize("nm", ["t2", "cp2", "s2xs2"])
+@pytest.mark.parametrize("p", [5, 101])
+def test_five_point_dims_agree_over_q_and_small_primes(nm, p):
+    # F3 is left out: d1 carries chi(CP^2) = 3, so over F3 cp2 already
+    # differs from Q at three points
+    q = rp.config_space_dims(catalog.load(nm), 5)
+    assert rp.config_space_dims(catalog.load(nm, field=Field(p)), 5) == q
+    assert q[0] == 1
 
 
 # heis3 and heis3_s2 carry a differential, so d'' pairs within a column
