@@ -19,12 +19,13 @@ relation on any other monomial straightens into the span of these.
 Modulo the symbol relations on mu, H tensored n times is H tensored once per
 connected component of mu (Kriz, Totaro): merging the slots of each
 component into their product, with the Koszul sign of grouping the slots by
-component, is onto and kills exactly the symbol relations.  So the stored
-blocks are the quotient basis itself: mu times one factor per component,
-keyed by the tensor that has each factor on its component's least vertex
-and the unit elsewhere, and an element over any keys projects to it by
-merging each key.  The ambient keys and the symbol relations are built on
-demand, only where they are asked for.
+component, is onto and kills exactly the symbol relations.  That quotient
+basis is the graph side's: one key (G, factors) per no-duplicate-target
+forest G and factor per component, components ordered by least vertex, as
+``build_AG(H, n, NODUPTARGET)`` keys it.  So the blocks are that basis's
+blocks, and ``merge`` sends an ambient key (T, mu) to graph keys.  The
+ambient keys and the symbol relations are built on demand, only where they
+are asked for: the pairing checks the merge against them.
 
 Blocks are keyed (p, h): p the number of x factors and h the internal
 degree.  The differential d1 replaces one x factor x_{st} by the diagonal
@@ -37,15 +38,14 @@ f u on the first and v on the second; every other component keeps its
 factor.  Each vertex has at most one edge from a smaller vertex, so C is a
 tree rooted at its least vertex, and removing (s, t) cuts off the subtree
 of t, whose least vertex is t: C's least vertex, and with it f, stays on
-the side of s, and v goes to slot t.  The sign is the suspension sign of
-the edge times the Koszul sign of moving u and v to their components, read
-off the degree prefixes of the factors.
+the side of s, and v becomes the factor of t's part.  The sign is the
+suspension sign of the edge times the Koszul sign of moving u and v to
+their components, read off the degree prefixes of the factors.
 """
-
-from itertools import product
 
 from .exactlinalg import homology_dims, vec_iadd
 from .algebra import sign, poincare_data
+from .bgcomplex import build_AG
 from . import graphs as gr
 
 
@@ -58,16 +58,13 @@ class CTComplex:
         self.n = n
         self.pd = poincare_data(alg)
         self.m = self.pd.m
-        self._blocks = {}      # (p, h) -> quotient basis keys (tensor, edges)
-        self._coord = {}       # (p, h) -> {(edges, component factors): index}
-        self._forest = {}      # edges -> (components, slot inversions, heads)
+        self._forest = {}      # edges -> (graph, slot inversions)
         self._tensors = {}     # h -> tensors of internal degree h
         self._build_ambient()
         self._quot = {}        # (p, h) -> (reps, project)
-        self._merged = {}      # key -> merge(key)
+        self._merged = {}      # ambient key -> merge(key)
         self._d1 = {}
-        self._removal = {}     # edges -> d1 table, per edge
-        self._mul = {}         # (a, b) -> lifted product
+        self._removal = {}     # graph -> d1 table, per edge
         # the diagonal class as (u, v, |u|, |v|, lifted coefficient)
         degs, lift = self.alg.degrees, self.field.lift
         self._diagonal = [(u, v, degs[u], degs[v], lift(c))
@@ -76,39 +73,26 @@ class CTComplex:
     # -- basis -----------------------------------------------------------------
     # perfbench/tracer.py wraps this name; it builds the quotient basis.
     def _build_ambient(self):
-        """Keys (T, mu) of the quotient basis: mu a distinct-target edge set
-        and T one factor per component of mu, on its least vertex, with the
-        unit elsewhere; ordered by edge count, then edge set, then tensor.
-        Also every tensor by internal degree, for the ambient keys."""
-        degs, unit = self.alg.degrees, self.alg.unit
+        """The quotient basis: ``basis``, the no-duplicate-target graph
+        basis on the same algebra and n, whose blocks are the blocks here.
+        Also each forest by edge set, and every tensor by internal degree,
+        for the ambient keys."""
+        degs = self.alg.degrees
         tensors = [((), 0)]
         for _ in range(self.n):
             tensors = [(t + (i,), h + degs[i]) for t, h in tensors
                        for i in range(self.alg.dim)]
         for t, h in tensors:
             self._tensors.setdefault(h, []).append(t)
-        for g in gr.enumerate_graphs(self.n, gr.NODUPTARGET):
+        self.basis = build_AG(self.alg, self.n, gr.NODUPTARGET)
+        self._blocks = self.basis.blocks
+        # the basis holds each graph's keys together, in enumeration order
+        for g in dict.fromkeys(g for g, _ in self.basis.block_of):
             # slot pairs (0-based) that grouping the slots by component
             # puts out of order
-            comps = gr.components(g)
-            order = [v - 1 for comp in comps for v in comp]
-            inversions = [(a, b) for i, a in enumerate(order)
-                          for b in order[i + 1:] if a > b]
-            # each component's least vertex (0-based), its factor's slot
-            heads = tuple(comp[0] - 1 for comp in comps)
-            self._forest[g.edges] = (comps, inversions, heads)
-            p = g.edge_count
-            # components are ordered by least vertex, so factor tuples in
-            # increasing order give their keys in increasing tensor order
-            for factors in product(range(self.alg.dim), repeat=len(comps)):
-                tens = [unit] * self.n
-                for v, i in zip(heads, factors):
-                    tens[v] = i
-                h = sum(degs[i] for i in factors)
-                blk = self._blocks.setdefault((p, h), [])
-                self._coord.setdefault((p, h), {})[(g.edges, factors)] = \
-                    len(blk)
-                blk.append((tuple(tens), g.edges))
+            order = [v - 1 for comp in gr.components(g) for v in comp]
+            self._forest[g.edges] = g, [(a, b) for i, a in enumerate(order)
+                                        for b in order[i + 1:] if a > b]
 
     def blocks(self):
         return sorted(self._blocks)
@@ -140,8 +124,9 @@ class CTComplex:
 
     def relation_vectors(self, p, h):
         """Symbol relations (a in slot s - a in slot t) T (x) mu, (s, t) an
-        edge of mu, in block (p, h), as elements over keys: one pass over the
-        ambient keys of block (p, h - |a|) per positive basis element a."""
+        edge of mu, in block (p, h), as elements over ambient keys: one pass
+        over the ambient keys of block (p, h - |a|) per positive basis
+        element a."""
         degs = self.alg.degrees
         minus = -self.field.one
         out = []
@@ -156,43 +141,44 @@ class CTComplex:
         return out
 
     def merge(self, key):
-        """The image of a key (T, mu) in H tensored once per component of
-        mu, as {component factors: coefficient}: the Koszul sign of grouping
-        the slots of T by component, times the product of each component's
-        slots.  Computed once per key."""
+        """The image of an ambient key (T, mu) in H tensored once per
+        component of mu, as {graph key (G, factors): coefficient}, G the
+        graph of mu: the Koszul sign of grouping the slots of T by
+        component, times the product of each component's slots.  Computed
+        once per key."""
         out = self._merged.get(key)
         if out is None:
             tens, mu = key
-            comps, inversions, _ = self._forest[mu]
+            g, inversions = self._forest[mu]
             degs = self.alg.degrees
             one = self.field.one
             out = {(): self.field.of(sign(sum(
                 degs[tens[a]] * degs[tens[b]] for a, b in inversions)))}
-            for comp in comps:
+            for comp in gr.components(g):
                 el = {tens[comp[0] - 1]: one}
                 for v in comp[1:]:
                     el = self.alg.multiply(el, {tens[v - 1]: one})
                 out = {fs + (i,): c * x for fs, c in out.items()
                        for i, x in el.items()}
-            self._merged[key] = out
+            out = self._merged[key] = {(g, fs): c for fs, c in out.items()}
         return out
 
     def quotient(self, p, h):
         """(reps, project) for the block quotient: reps are the unit
         coordinate vectors of the block keys, and project maps an element
-        over keys of (p, h), with any tensors, to its sparse quotient
-        coordinates by merging each key."""
+        over ambient keys of (p, h) to its sparse quotient coordinates by
+        merging each key."""
         if (p, h) not in self._quot:
-            coord = self._coord.get((p, h), {})
+            pos = self.basis.pos.get((p, h), {})
 
             def project(el):
                 out = {}
                 for key, c in el.items():
-                    vec_iadd(out, {coord[(key[1], fs)]: x
-                                   for fs, x in self.merge(key).items()}, c)
+                    vec_iadd(out, {pos[k]: x
+                                   for k, x in self.merge(key).items()}, c)
                 return out
 
-            reps = [{i: self.field.one} for i in range(len(coord))]
+            reps = [{i: self.field.one} for i in range(len(pos))]
             self._quot[(p, h)] = reps, project
         return self._quot[(p, h)]
 
@@ -205,99 +191,62 @@ class CTComplex:
         return len(self._blocks.get((p, h), ()))
 
     # -- differential ----------------------------------------------------------
-    def _removals(self, mu):
-        """The d1 table of forest mu, built once per forest: per edge (s, t)
-        of mu, in order, (mu2, ci, bi, esign), mu2 being mu without the
-        edge.  The component C of mu holding the edge is the ci-th; it
-        splits into the part holding s (and C's least vertex), again the
-        ci-th component of mu2, and the subtree of t, the bi-th: t is its
-        least vertex, and bi components of mu have a smaller one.  esign is
-        the suspension sign of the edge: (-1)^i for the i-th edge when m is
+    def _removals(self, g):
+        """The d1 table of forest g, built once per forest: per edge (s, t)
+        of g, in order, (g2, ci, bi, esign), g2 being g without the edge.
+        The component C of g holding the edge is the ci-th; it splits into
+        the part holding s (and C's least vertex), again the ci-th
+        component of g2, and the subtree of t, the bi-th: t is its least
+        vertex, and bi components of g have a smaller one.  esign is the
+        suspension sign of the edge: (-1)^i for the i-th edge when m is
         even."""
-        table = self._removal.get(mu)
+        table = self._removal.get(g)
         if table is None:
-            comps = self._forest[mu][0]
+            comps, mu = gr.components(g), g.edges
             ci_of = {v: j for j, comp in enumerate(comps) for v in comp}
-            table = self._removal[mu] = [
-                (mu[:i] + mu[i + 1:], ci_of[s],
+            table = self._removal[g] = [
+                (self._forest[mu[:i] + mu[i + 1:]][0], ci_of[s],
                  sum(comp[0] < t for comp in comps),
                  sign(i) if (self.m - 1) % 2 else 1)
                 for i, (s, t) in enumerate(mu)]
         return table
 
-    def _product(self, a, b):
-        """alg.mul_basis(a, b) as (index, exact constant) pairs, kept per
-        pair on first use."""
-        prod = self._mul.get((a, b))
-        if prod is None:
-            lift = self.field.lift
-            prod = self._mul[(a, b)] = tuple(
-                (k, lift(c)) for k, c in self.alg.mul_basis(a, b).items())
-        return prod
-
-    def _d1_ints(self, mu, fs, scale, acc):
-        """Add scale times d1 of the quotient basis element (mu, fs) to acc,
-        over exact constants, keyed (mu2, factors).  The term u (x) v of the
-        diagonal at edge (s, t) moves u past the factors up to and
-        including C's factor f, and v past the first bi factors: the sign is
-        (-1)^(|u| pre[ci + 1] + |v| pre[bi]), pre the degree prefixes of
-        fs."""
+    def d1_key(self, key):
+        """d1 of a basis key (G, factors), over the basis keys of (p - 1,
+        h + m), in the closed form of the module docstring, summed over
+        exact constants with the basis's lifted products.  The term
+        u (x) v of the diagonal at edge (s, t) moves u past the factors up
+        to and including C's factor f, and v past the first bi factors: the
+        sign is (-1)^(|u| pre[ci + 1] + |v| pre[bi]), pre the degree
+        prefixes of the factors."""
+        fs = key[1]
         degs = self.alg.degrees
+        product = self.basis._product
         pre = [0]
         for i in fs:
             pre.append(pre[-1] + degs[i])
-        for mu2, ci, bi, esign in self._removals(mu):
+        acc = {}
+        for g2, ci, bi, esign in self._removals(key[0]):
             f = fs[ci]
             head, mid, tail = fs[:ci], fs[ci + 1:bi], fs[bi:]
             pu, pv = pre[ci + 1], pre[bi]
             for u, v, du, dv, c in self._diagonal:
-                x = esign * scale * c
+                x = esign * c
                 if (du * pu + dv * pv) % 2:
                     x = -x
-                for k, y in self._product(f, u):
-                    key = (mu2, head + (k,) + mid + (v,) + tail)
-                    acc[key] = acc.get(key, 0) + x * y
-
-    def d1_key(self, key):
-        """d1 of a key, as a dict over quotient basis keys of (p - 1,
-        h + m), in the closed form of the module docstring.  A key that is
-        not a quotient basis key is merged first: d1 is well defined on the
-        quotient, so this gives the same class as inserting the diagonal
-        into its slots."""
-        tens, mu = key
-        comps, _, heads = self._forest[mu]
-        unit = self.alg.unit
-        acc = {}
-        if all(tens[v - 1] == unit for comp in comps for v in comp[1:]):
-            self._d1_ints(mu, tuple(tens[v] for v in heads), 1, acc)
-        else:
-            lift = self.field.lift
-            for fs, c in self.merge(key).items():
-                self._d1_ints(mu, fs, lift(c), acc)
-        of = self.field.of
-        out = {}
-        for (mu2, fs), x in acc.items():
-            c = of(x)
-            if c:
-                tens2 = [unit] * self.n
-                for v, i in zip(self._forest[mu2][2], fs):
-                    tens2[v] = i
-                out[(tuple(tens2), mu2)] = c
-        return out
+                for k, y in product(f, u):
+                    k2 = (g2, head + (k,) + mid + (v,) + tail)
+                    acc[k2] = acc.get(k2, 0) + x * y
+        return self.basis._scalars(acc)
 
     def d1_matrix(self, p, h):
-        """Columns of d1 on quotient blocks: (p, h) -> (p - 1, h + m).  d1
-        of a block key is over quotient basis keys, so each image key is
-        read off the target coordinates by the factors at its heads."""
+        """Columns of d1 on quotient blocks: (p, h) -> (p - 1, h + m)."""
         if (p, h) not in self._d1:
             # perfbench/tracer.py counts block quotients through this call
             # only; the next benchmark change can drop it with that hook
             self.quotient(p - 1, h + self.m)
-            coord = self._coord.get((p - 1, h + self.m), {})
-            forest = self._forest
             self._d1[(p, h)] = [
-                {coord[(mu2, tuple(tens[v] for v in forest[mu2][2]))]: c
-                 for (tens, mu2), c in self.d1_key(key).items()}
+                self.basis._as_block(self.d1_key(key), p - 1, h + self.m)
                 for key in self._blocks.get((p, h), ())]
         return self._d1[(p, h)]
 

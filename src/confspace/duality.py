@@ -2,23 +2,24 @@
 
 For a Poincare duality algebra H with top degree m, the block (p, h) of the
 tensor-power complex pairs with the block (p, (n - p) m - h) of the
-no-duplicate-target graph quotient.  Both sides are indexed by the same
-graphs: a tensor-power key T (x) mu has a distinct-target edge set mu, and
+no-duplicate-target graph quotient.  Both sides have the same basis, keys
+(G, factors) with one factor per component of the forest G (the
+tensor-power complex takes it from the graph side), and
 
-    < T (x) mu ; (b_1, ..., b_l) e_G > = 0 unless mu and G have the same
-    edge set; otherwise merge the n tensor slots of T along the components
-    of G (with the Koszul sign of the reordering), then pair factor by
-    factor against b_1, ..., b_l with the interleaving sign.
+    < (c_1, ..., c_l) e_G ; (b_1, ..., b_l) e_G' > = 0 unless G = G';
+    otherwise it pairs factor by factor, c_i against b_i, with the
+    interleaving sign and the suspension sign of the edge monomial.
 
-The pairing kills every block relation, is perfect on the quotients, and
-intertwines the two differentials up to a sign that is constant on each
-block; ``theorem1_check`` verifies all of this and reports the discovered
-signs and the resulting second-page duality of dimensions."""
+An ambient tensor-power key T (x) mu pairs as its merge along the
+components of mu.  The pairing kills every block relation, is perfect on
+the quotients, and intertwines the two differentials up to a sign that is
+constant on each block; ``theorem1_check`` verifies all of this and reports
+the discovered signs and the resulting second-page duality of dimensions."""
 
 from itertools import product
 from math import prod
 
-from .exactlinalg import apply_map, homology_dims, rank, transpose, vec_iadd
+from .exactlinalg import apply_map, homology_dims, rank, transpose
 from .algebra import sign
 from . import graphs as gr
 
@@ -54,50 +55,48 @@ class Pairing:
         return (p, (self.n - p) * self.m - h)
 
     def pair_keys(self, ct_key, bar_key):
-        """Scalar pairing of one tensor-power key with one graph key."""
+        """Scalar pairing of one ambient tensor-power key with one graph
+        key: the pairing of its merge."""
         g, factors = bar_key
-        if tuple(sorted(ct_key[1])) != g.edges:
-            return self.alg.field.zero
-        return self._dual(ct_key).get(factors, self.alg.field.zero)
+        zero = self.alg.field.zero
+        if ct_key[1] != g.edges:
+            return zero
+        return sum((c * self._dual(key).get(factors, zero)
+                    for key, c in self.ct.merge(ct_key).items()), zero)
 
-    def _dual(self, ct_key):
-        """{factors: < ct_key ; factors e_g >} over the factor tuples that
-        pair nonzero with ct_key, g the graph on the edge set of ct_key."""
-        mu = ct_key[1]
+    def _dual(self, key):
+        """{factors: < key ; factors e_g >} over the factor tuples that pair
+        nonzero with the basis key (g, combo)."""
+        g, combo = key
         degs = self.alg.degrees
         f = self.alg.field
         # suspension sign of the edge monomial: trivial for even m, needed
         # for the adjointness sign to be constant on blocks when m is odd;
-        # from four points on the targets of mu can be out of order, and
+        # from four points on the targets of g can be out of order, and
         # each inversion among them costs another (-1)^m
-        targets = [t for (_, t) in mu]
+        targets = g.targets()
         total = f.of(sign(self.m * (sum(targets) + sum(
             1 for a in range(len(targets)) for b in range(a + 1, len(targets))
             if targets[a] > targets[b]))))
-        # pair the slots merged along the components factor by factor, with
-        # the interleaving sign; a partner b_i of c_i has degree m - |c_i|,
-        # so the sign depends on the combo only
-        out = {}
-        for combo, c0 in self.ct.merge(ct_key).items():
-            l = len(combo)
-            e2 = 0
-            for i in range(l):
-                for j in range(i + 1, l):
-                    e2 += (self.m - degs[combo[i]]) * degs[combo[j]]
-            s = total * f.of(sign(e2)) * c0
-            for terms in product(*(self._partners[ci] for ci in combo)):
-                vec_iadd(out, {tuple(b for b, _ in terms):
-                               prod((x for _, x in terms), start=s)})
-        return out
+        # pair factor by factor with the interleaving sign; a partner b_i of
+        # c_i has degree m - |c_i|, so the sign depends on the combo only
+        l = len(combo)
+        e2 = 0
+        for i in range(l):
+            for j in range(i + 1, l):
+                e2 += (self.m - degs[combo[i]]) * degs[combo[j]]
+        s = total * f.of(sign(e2))
+        return {tuple(b for b, _ in terms): prod((x for _, x in terms), start=s)
+                for terms in product(*(self._partners[ci] for ci in combo))}
 
     def matrix(self, p, h):
-        """Rows of the pairing matrix, one per block quotient basis key,
-        each over the basis of the dual graph block: the pairing of the key,
-        nonzero only on graph keys with its edge set.  The pairing of any key
-        is the tensor power of the Poincare pairing (invertible, with signs)
-        applied to its merge, so a symbol relation pairs nontrivially exactly
-        when it projects to a nonzero quotient vector; DualityError is raised
-        then, since the pairing is not defined on the quotient."""
+        """Rows of the pairing matrix, one per block basis key, each over the
+        basis of the dual graph block: nonzero only on graph keys with the
+        same graph.  The pairing of an ambient key is the tensor power of the
+        Poincare pairing (invertible, with signs) applied to its merge, so a
+        symbol relation pairs nontrivially exactly when it projects to a
+        nonzero quotient vector; DualityError is raised then, since the
+        pairing is not defined on the quotient."""
         if (p, h) not in self._mat:
             _, project = self.ct.r_quotient(p, h)
             for v in self.ct.relation_vectors(p, h):
@@ -105,11 +104,10 @@ class Pairing:
                     raise DualityError(
                         "relation pairs nontrivially at (%d, %d)" % (p, h))
             pos = self.bar.pos.get(self.dual_block(p, h), {})
-            rows = self._mat[(p, h)] = []
-            for key in self.ct._blocks.get((p, h), ()):
-                g = gr.Graph(self.n, key[1])
-                rows.append(dict(sorted((pos[(g, fs)], x)
-                                        for fs, x in self._dual(key).items())))
+            self._mat[(p, h)] = [
+                dict(sorted((pos[(key[0], bs)], x)
+                            for bs, x in self._dual(key).items()))
+                for key in self.ct._blocks.get((p, h), ())]
         return self._mat[(p, h)]
 
 
@@ -118,13 +116,13 @@ def theorem1_check(alg, n, ct=None, bar=None):
 
     Checks, per block: relations pair to zero, the induced pairing on the
     quotient is perfect, and the two differentials are adjoint up to a sign
-    constant on the block.  Returns a dict with the discovered signs and the
-    matching second-page dimensions on both sides."""
+    constant on the block.  The graph side is ct's own basis unless bar is
+    given.  Returns a dict with the discovered signs and the matching
+    second-page dimensions on both sides."""
     from .ctcomplex import CTComplex
-    from .bgcomplex import build_AG
 
     ct = ct or CTComplex(alg, n)
-    bar = bar or build_AG(alg, n, gr.NODUPTARGET)
+    bar = bar or ct.basis
     pr = Pairing(ct, bar)
     f = alg.field
     signs = {}

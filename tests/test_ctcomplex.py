@@ -12,6 +12,7 @@ from confspace import catalog, exactlinalg
 from confspace import graphs as gr
 from confspace.cli import main
 from confspace.algebra import sign
+from confspace.bgcomplex import build_AG
 from confspace.ctcomplex import CTComplex
 
 
@@ -144,6 +145,16 @@ class AmbientOracle:
         return out
 
 
+def ambient_form(ct, key):
+    """The ambient key (T, mu) of a basis key (G, factors): each factor on
+    its component's least vertex, the unit in every other slot."""
+    g, factors = key
+    tens = [ct.alg.unit] * ct.n
+    for comp, i in zip(gr.components(g), factors):
+        tens[comp[0] - 1] = i
+    return tuple(tens), g.edges
+
+
 def e2_by_degree(nm, n):
     ct = CTComplex(catalog.load(nm), n)
     shift = ct.m - 1
@@ -212,38 +223,39 @@ def test_merge_quotient_matches_relation_elimination(nm, n, field):
             assert not project(v), (p, h, v)
         assert len(reps) == len(keys) == ct.dim(p, h)
         for j, v in enumerate(reps):
-            assert project({keys[i]: c for i, c in v.items()}) == \
-                {j: field.one}
+            assert project({ambient_form(ct, keys[i]): c
+                            for i, c in v.items()}) == {j: field.one}
         # relations are elements over keys; index them by ambient position
         amb = ct.ambient_keys(p, h)
         assert len(amb) == ct.ambient_dim(p, h)
         pos = {key: i for i, key in enumerate(amb)}
-        assert set(keys) <= set(pos)
+        assert {ambient_form(ct, key) for key in keys} <= set(pos)
         assert ct.dim(p, h) == len(quotient_basis(
             field, len(amb),
             [{pos[key]: c for key, c in v.items()} for v in rels])[0]), (p, h)
 
 
-@pytest.mark.parametrize("nm,n", [(nm, n) for nm in ("s2", "t2", "cp2")
-                                  for n in (3, 4)])
+@pytest.mark.parametrize("nm,n", [
+    (nm, n) for nm in ("s1", "s2", "s3", "s4", "t2", "cp2", "s2xs2")
+    for n in (1, 2, 3, 4)])
 def test_stored_keys_are_the_quotient_basis(nm, n):
-    # one key per forest and factor per component, none for the rest of
-    # H tensored n times
+    # the quotient basis is the no-duplicate-target graph basis, key for key
+    # and in order, one factor per component: the merge sends each key's
+    # ambient form, its factors on the components' least vertices, to the
+    # key's own coordinate
     alg = catalog.load(nm)
     ct = CTComplex(alg, n)
-    comps = {g.edges: gr.components(g)
-             for g in gr.enumerate_graphs(n, gr.NODUPTARGET)}
+    bar = build_AG(alg, n, gr.NODUPTARGET)
+    assert list(ct._blocks.items()) == list(bar.blocks.items())
     assert sum(len(b) for b in ct._blocks.values()) == sum(
-        alg.dim ** len(c) for c in comps.values())
+        alg.dim ** len(gr.components(g))
+        for g in gr.enumerate_graphs(n, gr.NODUPTARGET))
     for (p, h), keys in ct._blocks.items():
-        assert len(set(keys)) == len(keys)
-        for i, (tens, mu) in enumerate(keys):
-            assert len(mu) == p
-            assert sum(alg.degrees[a] for a in tens) == h
-            assert all(tens[v - 1] == alg.unit for comp in comps[mu]
-                       for v in comp[1:]), (tens, mu)
-            factors = tuple(tens[comp[0] - 1] for comp in comps[mu])
-            assert ct._coord[(p, h)][(mu, factors)] == i
+        _, project = ct.quotient(p, h)
+        for i, key in enumerate(keys):
+            assert ct.merge(ambient_form(ct, key)) == {key: alg.field.one}
+            assert project({ambient_form(ct, key): alg.field.one}) == \
+                {i: alg.field.one}, key
 
 
 def count_rank_calls(monkeypatch):
@@ -279,7 +291,7 @@ def test_ct_e2_command_ranks_each_d1_once(monkeypatch, capsys):
 
 def test_basis_is_distinct_target_monomials():
     ct = CTComplex(catalog.load("s2"), 4)
-    monomials = {mu for blk in ct._blocks.values() for _, mu in blk}
+    monomials = {g.edges for blk in ct._blocks.values() for g, _ in blk}
     assert len(monomials) == factorial(4)
     assert ((1, 4), (2, 3)) in monomials
     assert all(len({t for _, t in mu}) == len(mu) for mu in monomials)
@@ -291,17 +303,19 @@ def test_d1_inserts_diagonal_two_points():
     a = catalog.load("s2")
     ct = CTComplex(a, 2)
     w = a.labels.index("w2")
-    out = ct.d1_key(((0, 0), ((1, 2),)))
+    out = ct.d1_key((gr.Graph(2, [(1, 2)]), (0,)))
     # diagonal of the even sphere: w (x) 1 + 1 (x) w
-    assert out == {((w, 0), ()): QQ.one, ((0, w), ()): QQ.one}
+    g0 = gr.Graph(2)
+    assert out == {(g0, (w, 0)): QQ.one, (g0, (0, w)): QQ.one}
 
 
 def test_d1_inserts_diagonal_odd_sphere():
     a = catalog.load("s3")
     ct = CTComplex(a, 2)
     w = a.labels.index("w3")
-    out = ct.d1_key(((0, 0), ((1, 2),)))
-    assert out == {((w, 0), ()): QQ.one, ((0, w), ()): QQ.of(-1)}
+    out = ct.d1_key((gr.Graph(2, [(1, 2)]), (0,)))
+    g0 = gr.Graph(2)
+    assert out == {(g0, (w, 0)): QQ.one, (g0, (0, w)): QQ.of(-1)}
 
 
 def d1_well_defined(ct, p, h):
@@ -327,34 +341,38 @@ def test_d1_well_defined_on_quotients(nm, n):
     for n in (2, 3, 4) for field in (QQ, Field(3), Field(101))])
 def test_closed_form_d1_matches_slot_insertion(nm, n, field):
     # odd and even m take both suspension signs; the reference inserts the
-    # diagonal into the ambient slots and projects by merging
+    # diagonal into the ambient slots of each key's ambient form and
+    # projects by merging
     ct = CTComplex(catalog.load(nm, field=field), n)
     d1_key = AmbientOracle(ct).d1_key
     for (p, h) in ct.blocks():
         if p < 1:
             continue
         _, project = ct.quotient(p - 1, h + ct.m)
-        assert ct.d1_matrix(p, h) == [project(d1_key(key))
+        assert ct.d1_matrix(p, h) == [project(d1_key(ambient_form(ct, key)))
                                       for key in ct._blocks[(p, h)]], (p, h)
 
 
 @pytest.mark.parametrize("nm,n", [("s3", 3), ("t2", 3), ("cp2", 3),
                                   ("s2xs2", 3), ("t2", 4)])
 def test_d1_of_ambient_keys_matches_slot_insertion(nm, n):
-    # a key with factors off its components' least vertices is merged
-    # before the closed form; it must give the class slot insertion gives
+    # a key with factors off its components' least vertices: the closed
+    # form on its merge, the sum of merge coefficient times d1 of each
+    # merged basis key, must give the class slot insertion gives
     ct = CTComplex(catalog.load(nm), n)
     d1_key = AmbientOracle(ct).d1_key
     seen = 0
     for (p, h) in ambient_blocks(ct):
         if p < 1:
             continue
-        stored = set(ct._blocks.get((p, h), ()))
+        stored = {ambient_form(ct, key) for key in ct._blocks.get((p, h), ())}
         _, project = ct.quotient(p - 1, h + ct.m)
         for key in ct.ambient_keys(p, h):
             if key not in stored:
                 seen += 1
-                assert project(ct.d1_key(key)) == project(d1_key(key)), key
+                closed = ct.basis._as_block(
+                    apply_map(ct.d1_key, ct.merge(key)), p - 1, h + ct.m)
+                assert closed == project(d1_key(key)), key
     assert seen
 
 

@@ -18,6 +18,16 @@ def make_pairing(nm, n, field=QQ):
     return a, Pairing(CTComplex(a, n), build_AG(a, n, gr.NODUPTARGET))
 
 
+def ambient_form(ct, key):
+    """The ambient key (T, mu) of a basis key (G, factors): each factor on
+    its component's least vertex, the unit in every other slot."""
+    g, factors = key
+    tens = [ct.alg.unit] * ct.n
+    for comp, i in zip(gr.components(g), factors):
+        tens[comp[0] - 1] = i
+    return tuple(tens), g.edges
+
+
 def _reference_pair_keys(pr, ct_key, bar_key):
     """The pairing of one tensor key with one graph key, evaluated from
     scratch: merge the slots of ct_key along the components of the graph
@@ -122,8 +132,11 @@ def test_matrix_rows_pair_the_quotient_representatives(nm, n, p):
         assert len(rows) == len(reps)
         for v, row in zip(reps, rows):
             (i,) = v
+            amb = ambient_form(pr.ct, keys[i])
             assert row == {j: x for j, bkey in enumerate(bar_keys)
-                           if (x := pr.pair_keys(keys[i], bkey))}
+                           if (x := pr.pair_keys(amb, bkey))}
+            assert row == {j: x for j, bkey in enumerate(bar_keys)
+                           if (x := _reference_pair_keys(pr, amb, bkey))}
 
 
 @pytest.mark.parametrize("nm, block", [("t2", (1, 2)), ("s3", (1, 6))])
@@ -137,7 +150,7 @@ def test_unsigned_merge_breaks_the_relation_check(monkeypatch, nm, block):
         degs = self.alg.degrees
         s = self.field.of(sign(sum(degs[tens[a]] * degs[tens[b]]
                                    for a, b in self._forest[mu][1])))
-        return {fs: s * c for fs, c in merge(self, key).items()}
+        return {gkey: s * c for gkey, c in merge(self, key).items()}
 
     monkeypatch.setattr(CTComplex, "merge", unsigned)
     with pytest.raises(DualityError) as e:
@@ -189,9 +202,12 @@ def test_degenerate_blocks_rejected():
 
 # -- full verification ------------------------------------------------------------
 
-@pytest.mark.parametrize("nm", ["s2", "s3", "t2", "cp2"])
-@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("nm, n", [
+    pytest.param(nm, n, id="%d-%s" % (n, nm)) for n in (2, 3, 4)
+    for nm in ("s2", "s3", "t2", "cp2", "s2xs2", "cs_s5")]
+    + [pytest.param(nm, 5, id="5-%s" % nm) for nm in ("s2", "s3")])
 def test_duality_verified(nm, n):
+    # cs_s5 has odd m and classes of both parities
     a = catalog.load(nm)
     out = theorem1_check(a, n)
     # adjointness sign depends only on the column: (-1)^(p-1) for p edges
