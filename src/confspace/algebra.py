@@ -20,7 +20,7 @@ whose result escapes the bound; no such result is ever kept.
 """
 
 from .exactlinalg import (
-    SpanReducer, apply_map, kernel_basis, quotient_basis, solve, NO_SOLUTION,
+    apply_map, kernel_basis, quotient_basis, subquotient, NO_SOLUTION,
     vec_add, vec_iadd, vec_scale,
 )
 
@@ -267,8 +267,9 @@ def poincare_data(alg):
                 if val:
                     col[r] = val
             cols.append(col)
+        _, coords = subquotient(f, len(rows_idx), (), cols)
         for r, i in enumerate(rows_idx):
-            x = solve(f, cols, {r: f.one})
+            x = coords({r: f.one})
             if x is NO_SOLUTION:
                 raise DegeneratePairing(p)
             dual[i] = {cols_idx[c]: v for c, v in x.items()}
@@ -476,9 +477,10 @@ class TruncatedFreeCDGA(_GradedBasis):
 class CochainView:
     """Degreewise view of a carrier's underlying cochain complex.
 
-    Each degree's slice positions and the columns of d out of it are built
-    on first use and kept, in every degree the carrier has: ``max_degree``
-    bounds the cohomology computed, not the degrees ``solve_d`` reaches.
+    Each degree's slice positions, the columns of d out of it and their
+    reduction for ``solve_d`` are built on first use and kept, in every
+    degree the carrier has: ``max_degree`` bounds the cohomology computed,
+    not the degrees ``solve_d`` reaches.
     A truncated carrier needs max_degree + 1 within its bound so cocycles
     in the top requested degree are detected correctly."""
 
@@ -489,6 +491,7 @@ class CochainView:
         self.max_degree = max_degree
         self._pos = {}     # degree -> {basis index: position in the slice}
         self._dcols = {}   # degree k -> columns of d: k -> k+1
+        self._dsolve = {}  # degree k -> subquotient coords over _dcols[k]
 
     def _slice_pos(self, k):
         if k not in self._pos:
@@ -516,8 +519,11 @@ class CochainView:
         if not target:
             return {}
         k = el_degree(self.carrier, target) - 1
-        x = solve(self.carrier.field, self.d_columns(k),
-                  self.local(target, k + 1))
+        if k not in self._dsolve:
+            self._dsolve[k] = subquotient(
+                self.carrier.field, len(self._slice_pos(k + 1)), (),
+                self.d_columns(k))[1]
+        x = self._dsolve[k](self.local(target, k + 1))
         if x is NO_SOLUTION:
             return NO_SOLUTION
         return self.unlocal(x, k)
@@ -528,10 +534,12 @@ class CohomologyAlgebra(Algebra):
     of every class kept for secondary-operation (Massey) computations."""
 
     def __init__(self, name, field, basis, unit, products, top,
-                 representatives, view):
+                 representatives, view, class_coords):
         super().__init__(name, field, basis, unit, products, top=top)
         self.representatives = representatives  # index -> cochain in carrier
         self.view = view
+        # (cocycle w, its degree k) -> {class: c}; k at most max_degree
+        self.class_coords = class_coords
 
     @property
     def ambient(self):
@@ -545,25 +553,10 @@ class CohomologyAlgebra(Algebra):
         if k > self.view.max_degree:
             raise ValueError("degree %d is above the computed range (%d)"
                              % (k, self.view.max_degree))
-        x = _class_coords(self.view, self.representatives, self.degrees,
-                          cocycle, k)
+        x = self.class_coords(cocycle, k)
         if x is NO_SOLUTION:
             raise ValueError("not a cocycle (or representative set incomplete)")
         return x
-
-
-def _class_coords(view, reps, degrees, w, k):
-    """Coordinates of a degree-k cocycle w over the classes of degree k,
-    where reps[i] represents class i of degree degrees[i]; NO_SOLUTION when
-    w is not a cocycle or the representatives do not span."""
-    classes = [i for i, d in enumerate(degrees) if d == k]
-    cols = [view.local(reps[i], k) for i in classes]
-    if k > 0:
-        cols += view.d_columns(k - 1)
-    x = solve(view.carrier.field, cols, view.local(w, k))
-    if x is NO_SOLUTION:
-        return x
-    return {classes[p]: c for p, c in x.items() if p < len(classes) and c}
 
 
 def cohomology(carrier, max_degree):
@@ -575,14 +568,23 @@ def cohomology(carrier, max_degree):
     f = carrier.field
     reps = []
     degrees = []
+    # degree k -> (coords over the cocycle basis, class of each picked one):
+    # the classes are the cocycles independent modulo the boundaries
+    classes = {}
     for k in range(max_degree + 1):
-        red = SpanReducer(f)
-        if k > 0:
-            red.extend(view.d_columns(k - 1))
-        for v in kernel_basis(f, view.d_columns(k)):
-            if red.insert(v):
-                reps.append(view.unlocal(v, k))
-                degrees.append(k)
+        cocycles = kernel_basis(f, view.d_columns(k))
+        picked, coords = subquotient(
+            f, len(carrier.basis_of_degree(k)),
+            view.d_columns(k - 1) if k > 0 else (), cocycles)
+        classes[k] = coords, {j: len(reps) + t for t, j in enumerate(picked)}
+        reps += [view.unlocal(cocycles[j], k) for j in picked]
+        degrees += [k] * len(picked)
+
+    def class_coords(w, k):
+        coords, cls = classes[k]
+        x = coords(view.local(w, k))
+        return x if x is NO_SOLUTION else {cls[j]: c for j, c in x.items()}
+
     # labels from the representatives, the carrier label for single monomials
     labels = []
     for rep, k in zip(reps, degrees):
@@ -597,11 +599,8 @@ def cohomology(carrier, max_degree):
         if lab in seen:
             labels[idx] = lab + "_%d" % idx
         seen.add(labels[idx])
+    # degree 0 is spanned by the carrier unit, so it is the one class there
     unit = degrees.index(0)
-
-    # normalize the unit representative to the carrier unit
-    reps[unit] = {carrier.unit: f.one}
-
     products = {}
     for i, ki in enumerate(degrees):
         for j, kj in enumerate(degrees):
@@ -610,7 +609,7 @@ def cohomology(carrier, max_degree):
             if not w:
                 products[(i, j)] = {}
             elif k <= max_degree:
-                products[(i, j)] = _class_coords(view, reps, degrees, w, k)
+                products[(i, j)] = class_coords(w, k)
                 assert products[(i, j)] is not NO_SOLUTION
             else:
                 # above the computed range the product must be exact
@@ -626,7 +625,7 @@ def cohomology(carrier, max_degree):
             top = top_classes[0]
     return CohomologyAlgebra("H(%s)" % carrier.name, f,
                              list(zip(labels, degrees)), unit, products, top,
-                             reps, view)
+                             reps, view, class_coords)
 
 
 # ---------------------------------------------------------------------------
@@ -647,25 +646,13 @@ def connected_sum_model(alg, m):
     f = alg.field
     n = alg.dim
     basis = list(zip(alg.labels, alg.degrees)) + [("sx", 2), ("sy", m - 2)]
-    ix, iy = n, n + 1
-    products = {}
-    for (i, j), el in alg.products.items():
-        products[(i, j)] = dict(el)
-    products[(ix, ix)] = {}
-    products[(iy, iy)] = {}
-    products[(ix, iy)] = {alg.top: f.one}
-    for i in range(n):
-        if i == alg.unit:
-            continue
-        products[(i, ix)] = {}
-        products[(ix, i)] = {}
-        products[(i, iy)] = {}
-        products[(iy, i)] = {}
-    differential = None
-    if alg.differential is not None:
-        differential = {i: dict(el) for i, el in alg.differential.items()}
+    # every other product with sx or sy is zero or follows by graded
+    # commutativity and unitality, which Algebra fills in (copying each
+    # element, and the differential, so alg is left as it is)
+    products = dict(alg.products)
+    products[(n, n + 1)] = {alg.top: f.one}
     return Algebra("%s#(S2xS%d)" % (alg.name, m - 2), f, basis, alg.unit,
-                   products, differential=differential, top=alg.top)
+                   products, differential=alg.differential, top=alg.top)
 
 
 def tensor_algebra(a, b, name=None):

@@ -73,6 +73,9 @@ def _parse_scalar(field, tok, line_no):
         raise ParseError(line_no, "bad coefficient %r" % tok)
 
 
+# a comment: '#' at line start or after any whitespace
+_COMMENT = re.compile(r"(?:^|\s)#")
+
 # an integer or fraction literal: a coefficient, never part of a label
 _NUMBER = re.compile(r"[+-]?\d+(/[+-]?\d+)?")
 
@@ -110,8 +113,11 @@ def _parse_field(tok):
     raise InputError("field must be Q or Fp, got %r" % tok)
 
 
-def parse_algebra_text(text):
-    """Parse an algebra file into an Algebra or TruncatedFreeCDGA."""
+def parse_algebra_text(text, bound=None):
+    """Parse an algebra file into an Algebra or TruncatedFreeCDGA.
+
+    A bound given here replaces the one on the file's truncate line (which
+    the free form still requires); the algebra form ignores it."""
     lines = text.splitlines()
     kind = name = None
     field = QQ
@@ -124,12 +130,7 @@ def parse_algebra_text(text):
     for ln, raw in enumerate(lines, 1):
         # '#' starts a comment only at line start or after whitespace
         # (names like A#B keep their hash)
-        line = raw
-        if line.lstrip().startswith("#"):
-            line = ""
-        elif " #" in line:
-            line = line.split(" #", 1)[0]
-        line = line.strip()
+        line = _COMMENT.split(raw, 1)[0].strip()
         if not line:
             continue
         if ended:
@@ -191,7 +192,10 @@ def parse_algebra_text(text):
     if not ended:
         raise ParseError(len(lines), "missing end")
     if kind == "cdga-free":
-        return _build_free(name, field, basis, d_lines, truncate)
+        if truncate is None:
+            raise ParseError(0, "free form requires truncate N")
+        return _build_free(name, field, basis, d_lines,
+                           truncate if bound is None else bound)
     return _build_algebra(name, field, basis, unit_label, top_label,
                           product_lines, d_lines)
 
@@ -230,8 +234,6 @@ def _build_algebra(name, field, basis, unit_label, top_label,
 
 
 def _build_free(name, field, gens, d_lines, truncate):
-    if truncate is None:
-        raise ParseError(0, "free form requires truncate N")
     gen_names = {lab for lab, _ in gens}
 
     def mono_of(lab, ln):
@@ -298,27 +300,15 @@ def _load(args):
                          "the file names its field")
     if args.input:
         with open(args.input) as fh:
-            obj = parse_algebra_text(fh.read())
-        if args.truncate is not None:
-            if not isinstance(obj, TruncatedFreeCDGA):
-                raise InputError("--truncate applies only to a free CDGA "
-                                 "file (cdga-free)")
-            obj = TruncatedFreeCDGA(obj.name, obj.field,
-                                    list(zip(obj.gen_labels, obj.gen_degrees)),
-                                    _dgens_as_input(obj), args.truncate)
+            obj = parse_algebra_text(fh.read(), args.truncate)
+        if args.truncate is not None and not isinstance(obj, TruncatedFreeCDGA):
+            raise InputError("--truncate applies only to a free CDGA "
+                             "file (cdga-free)")
         return obj
     if args.catalog:
         field = _parse_field(args.field) if args.field else QQ
         return cat.load(args.catalog, field=field, truncate=args.truncate)
     raise InputError("an algebra is required (--input FILE or --catalog NAME)")
-
-
-def _dgens_as_input(obj):
-    out = {}
-    for g, el in obj.d_on_gens.items():
-        out[obj.gen_labels[g]] = [(tuple(obj.gen_labels[t] for t in m), c)
-                                  for m, c in sorted(el.items())]
-    return out
 
 
 def _check_n(n):

@@ -149,23 +149,18 @@ def theorem1_check(alg, n, ct=None, bar=None):
             continue
         lhs = _compose_pair_d1(pr, p, h)
         rhs = _compose_dprime_pair(pr, p, h)
+        # both sides' rows are sparse: no entry is stored as zero
         sigma = None
-        for i, row in enumerate(lhs):
+        for row, partner in zip(lhs, rhs):
+            if row.keys() != partner.keys():
+                raise DualityError("adjointness support mismatch at (%d, %d)"
+                                   % (p, h))
             for j, x in row.items():
-                y = rhs[i].get(j)
-                if not y:
-                    raise DualityError("adjointness support mismatch at (%d, %d)"
-                                       % (p, h))
-                r = x / y
+                r = x / partner[j]
                 if sigma is None:
                     sigma = r
                 elif sigma != r:
                     raise DualityError("adjointness sign not constant at (%d, %d)"
-                                       % (p, h))
-        for i, row in enumerate(rhs):
-            for j in row:
-                if not lhs[i].get(j):
-                    raise DualityError("adjointness support mismatch at (%d, %d)"
                                        % (p, h))
         if sigma is not None and sigma * sigma != f.one:
             raise DualityError("adjointness ratio %r is not a sign" % (sigma,))

@@ -12,11 +12,14 @@ reduced row echelon form whose rows are kept as ``{col: int}`` dicts,
 fraction-free and primitive over Q and residues mod p over F_p, so
 elimination does no scalar-object arithmetic; field scalars are formed only
 where its rows or reductions are read.  ``rank`` and ``kernel_basis``
-reduce the rows of a map, ``quotient_basis`` reduces the spanning vectors of
-a subspace, and ``solve`` reduces the columns of a map, each extended by its
-own index past every row index, so that every reduced row records the
-combination of columns it is.  ``homology_dims`` reads the cohomology of a
-complex of blocks off the ranks of its differentials, each ranked once.
+reduce the rows of a map and ``quotient_basis`` reduces the spanning vectors
+of a subspace.  ``subquotient`` reduces a list of relations and then a list
+of candidates, each candidate extended by its own index past every row
+index, so that every reduced row records the combination of candidates it
+is; the classes, class coordinates and preimages that callers ask for are
+then one ``reduce`` each, and ``solve`` is its one-shot form.
+``homology_dims`` reads the cohomology of a complex of blocks off the ranks
+of its differentials, each ranked once.
 """
 
 from fractions import Fraction
@@ -459,7 +462,46 @@ def kernel_basis(field, cols):
     return list(basis.values())
 
 
-NO_SOLUTION = None  # what solve returns when rhs is not in the image
+NO_SOLUTION = None  # what coords and solve return off the span
+
+
+def subquotient(field, dim, relations, candidates):
+    """(picked, coords) for the classes of candidates modulo relations.
+
+    All vectors are sparse dicts over indices below dim.  picked lists, in
+    increasing order, the indices of the candidates independent of the
+    relations and of the candidates before them: the greedy choice of
+    representatives.  coords(v) is {candidate index: c}, supported on
+    picked, with v - sum c candidates[j] in span(relations), or NO_SOLUTION
+    when v is not in span(relations + candidates); it is one reduction.
+    relations and candidates are only read: callers hand in shared caches.
+    """
+    # Candidate j is copied in increasing index order (so neither the
+    # reduction nor the answer depends on the order its producer built it
+    # in) and extended by its own index as the extra coordinate dim + j, so
+    # every reduced row records the combination of candidates it came from.
+    # Inserting only candidates independent of the span so far keeps every
+    # pivot below dim and the other candidates' coordinates at zero.
+    red = SpanReducer(field).extend(relations)
+    one = field.one
+    picked = []
+    for j, cand in enumerate(candidates):
+        v = {i: cand[i] for i in sorted(cand)}
+        v[dim + j] = one
+        v = red.reduce(v)
+        if min(v) < dim:
+            red.insert(v)
+            picked.append(j)
+
+    def coords(vec):
+        # reducing vec = sum c_j cand_j + relations clears every index
+        # below dim and leaves -c_j at dim + j
+        v = red.reduce(vec)
+        if any(i < dim for i in v):
+            return NO_SOLUTION
+        return {i - dim: -x for i, x in v.items()}
+
+    return picked, coords
 
 
 def solve(field, cols, rhs):
@@ -467,29 +509,12 @@ def solve(field, cols, rhs):
 
     cols are the columns of a map and rhs is a sparse dict over its rows.
     x is supported on the columns independent of the columns before them,
-    so free variables are zero and the answer is deterministic.  cols is
-    only read: callers hand in shared caches.
+    so free variables are zero and the answer is deterministic.  The
+    one-shot form of ``subquotient``: callers that solve against the same
+    columns again keep its coords instead.
     """
-    # Column j is copied in increasing row order (so neither the reduction
-    # nor the answer depends on the order its producer built it in) and
-    # extended by its own index as the extra coordinate off + j, past every
-    # row index, so every reduced row records the combination of columns it
-    # came from.  Inserting only columns independent of the earlier ones
-    # keeps the free variables at zero.
-    off = 1 + max((i for v in (*cols, rhs) for i in v), default=-1)
-    red = SpanReducer(field)
-    one = field.one
-    for j, col in enumerate(cols):
-        v = {i: col[i] for i in sorted(col)}
-        v[off + j] = one
-        v = red.reduce(v)
-        if min(v) < off:
-            red.insert(v)
-    # rhs - sum x_j col_j reduces to zero over the rows, leaving -x behind
-    v = red.reduce(rhs)
-    if any(i < off for i in v):
-        return NO_SOLUTION
-    return {i - off: -x for i, x in v.items()}
+    dim = 1 + max((i for v in (*cols, rhs) for i in v), default=-1)
+    return subquotient(field, dim, (), cols)[1](rhs)
 
 
 def quotient_basis(field, ambient_dim, vectors):

@@ -95,29 +95,24 @@ def matrix_massey(H, L, B, C):
     deg = la[0] + el_degree(H, B[0][0]) + el_degree(H, C[0]) - 1
     if deg > view.max_degree:
         raise NotDefined("total degree %d exceeds the computed range" % deg)
-    # defining system
-    xs = []
-    for j in range(s):
+
+    def preimage(pairs, which, where):
+        # x with d(x) = sum u v over representatives, each [u][v] = 0
         w = {}
-        for i in range(r):
-            if any(H.multiply(L[i], B[i][j]).values()):
-                raise NotDefined("an entry of the first product is nonzero")
-            vec_iadd(w, carrier.multiply(_rep(H, L[i]), _rep(H, B[i][j])))
+        for u, v in pairs:
+            if any(H.multiply(u, v).values()):
+                raise NotDefined("an entry of the %s product is nonzero" % which)
+            vec_iadd(w, carrier.multiply(_rep(H, u), _rep(H, v)))
         x = view.solve_d(w)
         if x is NO_SOLUTION:
-            raise NotDefined("first product not exact at column %d" % j)
-        xs.append(x)
-    ys = []
-    for i in range(r):
-        w = {}
-        for j in range(s):
-            if any(H.multiply(B[i][j], C[j]).values()):
-                raise NotDefined("an entry of the second product is nonzero")
-            vec_iadd(w, carrier.multiply(_rep(H, B[i][j]), _rep(H, C[j])))
-        y = view.solve_d(w)
-        if y is NO_SOLUTION:
-            raise NotDefined("second product not exact at row %d" % i)
-        ys.append(y)
+            raise NotDefined("%s product not exact at %s" % (which, where))
+        return x
+
+    # defining system
+    xs = [preimage([(L[i], B[i][j]) for i in range(r)], "first",
+                   "column %d" % j) for j in range(s)]
+    ys = [preimage([(B[i][j], C[j]) for j in range(s)], "second",
+                   "row %d" % i) for i in range(r)]
     rep = {}
     for j in range(s):
         vec_iadd(rep, carrier.multiply(xs[j], _rep(H, C[j])))
@@ -130,15 +125,12 @@ def matrix_massey(H, L, B, C):
     # indeterminacy: L . H^{|y|} + H^{|x|} . C, degreewise
     ind = []
     for i in range(r):
-        dy = deg - la[i]
-        for k in [t for t in range(H.dim) if H.degrees[t] == dy]:
+        for k in H.basis_of_degree(deg - la[i]):
             v = H.multiply(L[i], {k: f.one})
             if v:
                 ind.append(v)
     for j in range(s):
-        dc = el_degree(H, C[j])
-        dx = deg - dc
-        for k in [t for t in range(H.dim) if H.degrees[t] == dx]:
+        for k in H.basis_of_degree(deg - el_degree(H, C[j])):
             v = H.multiply({k: f.one}, C[j])
             if v:
                 ind.append(v)

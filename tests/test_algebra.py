@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confspace.exactlinalg import QQ, Field
+from confspace.exactlinalg import QQ, Field, NO_SOLUTION, solve, vec_add
 from confspace.algebra import (
     Algebra, TruncatedFreeCDGA, AxiomViolation, DegeneratePairing, Overflow,
-    poincare_data, indecomposables, cohomology, connected_sum_model,
-    tensor_algebra, el_degree, format_element,
+    CochainView, poincare_data, indecomposables, cohomology,
+    connected_sum_model, tensor_algebra, el_degree, format_element,
 )
-from confspace import catalog
+from confspace import algebra, catalog
 
 ALGS = ["s2", "s3", "t2", "cp2", "s2xs2", "cs_s5"]
 
@@ -280,7 +280,7 @@ def test_class_of_roundtrip():
 
 
 def test_solve_d_twice_reads_unchanged_caches():
-    # solve_d and class_of both solve over the cached columns of d, at
+    # solve_d and class_of both reduce the cached columns of d, at
     # different positions; neither may leave a mark on them
     H = catalog.load("stb_s2xs2_h")
     c, view = H.ambient, H.view
@@ -292,6 +292,86 @@ def test_solve_d_twice_reads_unchanged_caches():
     assert H.class_of(w) == {}
     assert view.solve_d(w) == first
     assert view.d_columns(k) == before
+
+
+def test_solve_d_reduces_each_degree_once(monkeypatch):
+    # targets of one degree share one reduction of the columns of d, which
+    # it only reads, and each gets the answer solve gives
+    H = catalog.load("stb_s2xs2_h")
+    carrier = H.ambient
+    view = CochainView(carrier, 7)
+    built = []
+    real = algebra.subquotient
+
+    def counted(*args):
+        built.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(algebra, "subquotient", counted)
+    targets = [carrier.d_basis(i) for i in carrier.basis_of_degree(6)]
+    targets = [w for w in targets if w][:2]
+    assert len(targets) == 2 and targets[0] != targets[1]
+    k = 6
+    before = copy.deepcopy(view.d_columns(k))
+    for w in targets + [vec_add(*targets)]:
+        x = view.solve_d(w)
+        assert carrier.differentiate(x) == w
+        ref = solve(carrier.field, view.d_columns(k), view.local(w, k + 1))
+        assert x == view.unlocal(ref, k)
+    # off the image: the top class is a cocycle with no preimage
+    assert view.solve_d(H.representatives[H.top]) is NO_SOLUTION
+    assert built == [len(carrier.basis_of_degree(k + 1))]
+    assert view.d_columns(k) == before
+
+
+def _reference_class_coords(view, reps, degrees, w, k):
+    """Coordinates of a degree-k cocycle w over the classes of degree k by
+    one solve over their representatives and the columns of d into degree
+    k: how cohomology read classes before it kept its reductions, kept as
+    the reference."""
+    classes = [i for i, d in enumerate(degrees) if d == k]
+    cols = [view.local(reps[i], k) for i in classes]
+    if k > 0:
+        cols += view.d_columns(k - 1)
+    x = solve(view.carrier.field, cols, view.local(w, k))
+    if x is NO_SOLUTION:
+        return x
+    return {classes[p]: c for p, c in x.items() if p < len(classes) and c}
+
+
+@pytest.mark.parametrize("nm", ["stb_s2xs2_h", "heis3", "heis3_s2",
+                                "cs_heis3_s2"])
+def test_class_coords_match_reference(nm):
+    a = catalog.load(nm)
+    H = a if nm == "stb_s2xs2_h" else cohomology(a, a.max_degree)
+    view, reps, carrier = H.view, H.representatives, H.ambient
+    checked = 0
+    for i, rep in enumerate(reps):
+        ref = _reference_class_coords(view, reps, H.degrees, rep, H.degrees[i])
+        assert H.class_of(rep) == ref == {i: H.field.one}
+        for j, other in enumerate(reps):
+            w = carrier.multiply(rep, other)
+            k = H.degrees[i] + H.degrees[j]
+            if not w or k > view.max_degree:
+                continue
+            ref = _reference_class_coords(view, reps, H.degrees, w, k)
+            assert H.products[(i, j)] == H.class_coords(w, k) == ref
+            # a boundary added changes the cocycle, not its class
+            bd = [b for b in view.d_columns(k - 1) if b]
+            if bd:
+                w = vec_add(w, view.unlocal(bd[0], k))
+                assert H.class_of(w) == ref
+            checked += 1
+    assert checked
+    # a cochain that is not a cocycle has no class
+    for k in range(view.max_degree):
+        for i in carrier.basis_of_degree(k):
+            if carrier.d_basis(i):
+                u = {i: H.field.one}
+                assert H.class_coords(u, k) is NO_SOLUTION
+                assert _reference_class_coords(
+                    view, reps, H.degrees, u, k) is NO_SOLUTION
+                break
 
 
 def test_class_of_refuses_cocycle_above_range():
@@ -320,6 +400,26 @@ def test_connected_sum_top_is_product_of_new_classes():
     # old positive part annihilates the new classes
     w = cs.element("w5")
     assert cs.multiply(w, sx) == {}
+
+
+@pytest.mark.parametrize("nm", ["s5", "heis3_s2"])
+def test_connected_sum_fills_the_zero_products(nm):
+    # the same algebra as with every product of sx or sy listed explicitly
+    alg = catalog.load(nm)
+    cs = connected_sum_model(alg, 5)
+    n, f = alg.dim, alg.field
+    products = {ij: dict(el) for ij, el in alg.products.items()}
+    products[(n, n)] = products[(n + 1, n + 1)] = {}
+    products[(n, n + 1)] = {alg.top: f.one}
+    for i in range(n):
+        if i != alg.unit:
+            for x in (n, n + 1):
+                products[(i, x)] = products[(x, i)] = {}
+    explicit = Algebra(cs.name, f, list(zip(cs.labels, cs.degrees)), alg.unit,
+                       products, differential=alg.differential, top=alg.top)
+    assert cs.products == explicit.products
+    assert cs.differential == explicit.differential
+    assert cs.top == explicit.top and cs.degrees == explicit.degrees
 
 
 def test_connected_sum_guard():

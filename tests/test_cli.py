@@ -165,6 +165,16 @@ end
     assert a.mul_basis(1, 1) == {2: a.field.one}
 
 
+@pytest.mark.parametrize("gap", ["\t", " ", " \t", "\t\t"])
+def test_comment_after_any_whitespace(gap):
+    # a comment after a tab is stripped like one after a space
+    a = parse_algebra_text("algebra s\nfield Q\nbasis 1 degree 0\n"
+                           "basis w degree 2%s# the class\nunit 1\n"
+                           "\t# indented comment\ntop w\nend\n" % gap)
+    assert a.labels == ["1", "w"]
+    assert a.degrees == [0, 2]
+
+
 def test_parse_error_carries_line_number():
     with pytest.raises(ParseError) as e:
         parse_algebra_text("algebra x\nfield Q\nbogus line\nend\n")
@@ -423,6 +433,17 @@ def test_truncate_applies_to_free_model_file(tmp_path):
     # 0 is a bound below the generator degrees, not an absent option
     with pytest.raises(ValueError, match="bound"):
         _load(_load_args(input=path, truncate=0))
+
+
+def test_truncate_option_still_needs_the_truncate_line(tmp_path):
+    # the option replaces the file's bound; it does not stand in for it
+    path = tmp_path / "free.alg"
+    path.write_text("cdga-free model\nfield Q\ngenerator x degree 2\nend\n")
+    with pytest.raises(ParseError, match="requires truncate"):
+        _load(_load_args(input=str(path), truncate=8))
+    text = path.read_text().replace("end", "truncate 4\nend")
+    assert parse_algebra_text(text, 8).bound == 8
+    assert parse_algebra_text(text).bound == 4
 
 
 @pytest.mark.parametrize("truncate", ["3", "0"])

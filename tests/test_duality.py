@@ -221,6 +221,40 @@ def test_duality_verified(nm, n):
         assert d == db
 
 
+@pytest.mark.parametrize("case, message", [
+    ("extra entry", "support mismatch"), ("missing entry", "support mismatch"),
+    ("one entry rescaled", "not constant"), ("block doubled", "not a sign")])
+def test_adjointness_check_compares_each_row(monkeypatch, case, message):
+    # the graph side of the first block with a row of two or more entries,
+    # made wrong: the check must say how
+    import confspace.duality as duality
+    real = duality._compose_dprime_pair
+    broke = []
+
+    def broken(pr, p, h):
+        rows = real(pr, p, h)
+        i = next((i for i, r in enumerate(rows) if len(r) > 1), None)
+        if broke or i is None:
+            return rows
+        broke.append((p, h))
+        row = rows[i]
+        j0 = next(iter(row))
+        if case == "extra entry":
+            rows[i] = {**row, max(row) + 1: QQ.one}
+        elif case == "missing entry":
+            rows[i] = {j: x for j, x in row.items() if j != j0}
+        elif case == "one entry rescaled":
+            rows[i] = {**row, j0: 3 * row[j0]}
+        else:
+            rows = [{j: 2 * x for j, x in r.items()} for r in rows]
+        return rows
+
+    monkeypatch.setattr(duality, "_compose_dprime_pair", broken)
+    with pytest.raises(DualityError, match=message):
+        theorem1_check(catalog.load("t2"), 3)
+    assert broke
+
+
 def test_relations_orthogonal_everywhere():
     # every ambient block, the ones of quotient dimension 0 too; relations
     # are elements over keys

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from confspace.exactlinalg import (
     Field, FpElement, QQ, rank, kernel_basis, solve, NO_SOLUTION,
     quotient_basis, SpanReducer, apply_map, transpose, vec_add, vec_scale,
-    homology_dims, pivot_pairs,
+    homology_dims, pivot_pairs, subquotient,
 )
 from confspace import exactlinalg
 
@@ -477,6 +477,37 @@ def test_kernel_solve_quotient_match_reference(case):
         assert coords == ref_project(v)
         kind = Fraction if field.p is None else FpElement
         assert all(type(x) is kind for x in coords)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_and_vectors(families=3))
+def test_subquotient_matches_solve(case):
+    # picked: the candidates that solve cannot reach from the relations and
+    # the candidates picked before them; coords: solve over the picked
+    # candidates, then the relations, read on the candidates (solve here is
+    # the column-elimination reference, which shares no code with it)
+    field, relations, candidates, probes = case
+    before = copy.deepcopy((relations, candidates))
+    picked, coords = subquotient(field, NCOLS, relations, candidates)
+    ref = []
+    for j, cand in enumerate(candidates):
+        chosen = [candidates[i] for i in ref]
+        if _reference_solve(field, relations + chosen, cand) is NO_SOLUTION:
+            ref.append(j)
+    assert picked == ref
+    chosen = [candidates[i] for i in picked]
+    off_span = {j: field.one for j in range(NCOLS)}
+    sums = [vec_add(u, v) for u, v in zip(candidates, relations)]
+    for v in candidates + relations + sums + probes + [off_span, {}]:
+        x = _reference_solve(field, chosen + relations, v)
+        got = coords(v)
+        if x is NO_SOLUTION:
+            assert got is NO_SOLUTION
+        else:
+            assert got == {picked[t]: c for t, c in x.items()
+                           if t < len(picked)}
+            assert _is_field_vector(field, got)
+    assert (relations, candidates) == before
 
 
 @settings(max_examples=150, deadline=None)
