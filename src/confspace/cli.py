@@ -36,7 +36,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .exactlinalg import Field, QQ, SpanReducer, vec_iadd
+from .exactlinalg import Field, QQ, rank, vec_iadd
 from .algebra import (Algebra, TruncatedFreeCDGA, AxiomViolation, Overflow,
                       cohomology, format_element, el_degree)
 from . import graphs as gr
@@ -474,8 +474,7 @@ def cmd_massey(args):
         "class": format_element(H, res.class_el),
         "class_modulo_indeterminacy":
             format_element(H, res.class_modulo_indeterminacy()),
-        "indeterminacy_dim":
-            SpanReducer(H.field).extend(res.indeterminacy).dim,
+        "indeterminacy_dim": rank(H.field, res.indeterminacy),
         "residual": {str(k): str(v) for k, v in sorted(res.residual().items())},
     }
     return payload, 0

@@ -135,8 +135,7 @@ def theorem1_check(alg, n, ct=None, bar=None):
                                % (p, h, dim_t, dim_b))
         if dim_t == 0:
             continue
-        # handed the pairing's columns, rank reduces its rows
-        if rank(f, transpose(pr.matrix(p, h)).values()) != dim_t:
+        if rank(f, pr.matrix(p, h)) != dim_t:
             raise DualityError("pairing degenerate at (%d, %d)" % (p, h))
         signs[(p, h)] = None
     # adjointness: < d1 z ; w > = sigma < z ; d' w > with sigma constant per

@@ -11,15 +11,16 @@ Every elimination runs through one kernel, ``SpanReducer``: an incremental
 reduced row echelon form whose rows are kept as ``{col: int}`` dicts,
 fraction-free and primitive over Q and residues mod p over F_p, so
 elimination does no scalar-object arithmetic; field scalars are formed only
-where its rows or reductions are read.  ``rank`` and ``kernel_basis``
-reduce the rows of a map and ``quotient_basis`` reduces the spanning vectors
-of a subspace.  ``subquotient`` reduces a list of relations and then a list
-of candidates, each candidate extended by its own index past every row
-index, so that every reduced row records the combination of candidates it
-is; the classes, class coordinates and preimages that callers ask for are
-then one ``reduce`` each, and ``solve`` is its one-shot form.
-``homology_dims`` reads the cohomology of a complex of blocks off the ranks
-of its differentials, each ranked once.
+where its rows or reductions are read.  ``pivot_pairs`` reduces the columns
+of a map in the order given, and every rank is its number of pairs, the
+columns inserted last to first; ``kernel_basis`` reduces the rows of a map
+and ``quotient_basis`` the spanning vectors of a subspace.  ``subquotient``
+reduces a list of relations and then a list of candidates, each candidate
+extended by its own index past every row index, so that every reduced row
+records the combination of candidates it is; the classes, class coordinates
+and preimages that callers ask for are then one ``reduce`` each, and
+``solve`` is its one-shot form.  ``homology_dims`` reads the cohomology of a
+complex of blocks off the ranks of its differentials, each ranked once.
 """
 
 from fractions import Fraction
@@ -403,15 +404,6 @@ class SpanReducer:
         return [self._scalars(rows[c], rows[c][c]) for c in sorted(rows)]
 
 
-def _row_span(field, cols):
-    return SpanReducer(field).extend(transpose(cols).values())
-
-
-def rank(field, cols):
-    """Rank of the map with columns cols."""
-    return _row_span(field, cols).dim
-
-
 def pivot_pairs(field, cols):
     """The pivot each column adds to the span of the columns before it.
 
@@ -426,6 +418,14 @@ def pivot_pairs(field, cols):
     # rows only gain keys, so the last key of red.rows is the newest pivot
     return [next(reversed(red.rows)) if red.insert(col) else None
             for col in cols]
+
+
+def rank(field, cols):
+    """Rank of the map with columns cols: its number of pivot pairs."""
+    # last to first, as in SpectralSequence._pairs: the count is the same
+    # either way but the fill-in is not; config_space_dims(t2, 6) took 3.7 s
+    # in this order, 13.6 s first to last (Python 3.11.7, 2 shared vCPUs)
+    return sum(j is not None for j in pivot_pairs(field, list(cols)[::-1]))
 
 
 def homology_dims(field, dims, maps):
@@ -450,7 +450,7 @@ def kernel_basis(field, cols):
     One basis vector per free column, in increasing column order; each has a
     1 at its free column (deterministic for a fixed input).
     """
-    red = _row_span(field, cols)
+    red = SpanReducer(field).extend(transpose(cols).values())
     basis = {f: {f: field.one} for f in range(len(cols))
              if f not in red.rows}
     # each reduced row gives the pivot coordinate of every free column in it

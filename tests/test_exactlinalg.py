@@ -322,6 +322,15 @@ class _ReferenceSpanReducer:
         return [self.rows[c] for c in sorted(self.rows)]
 
 
+def _reference_rank(field, cols):
+    """The row-form rank that the pivot-pair count replaced: the nonzero
+    rows of the map, reduced over field scalars."""
+    red = _ReferenceSpanReducer(field)
+    for row in transpose(cols).values():
+        red.insert(row)
+    return red.dim
+
+
 def _reference_kernel_basis(field, rows, ncols):
     red = _ReferenceSpanReducer(field)
     for row in rows:
@@ -524,7 +533,24 @@ def test_pivot_pairs_count_the_rank_of_every_corner(case):
         for t in range(NCOLS + 1):
             corner = [{i: x for i, x in v.items() if i < t} for v in vecs[:j]]
             inside = sum(i is not None and i < t for i in pivots[:j])
-            assert inside == rank(field, corner)
+            assert inside == _reference_rank(field, corner)
+
+
+@settings(max_examples=150, deadline=None)
+@given(field_and_vectors(), st.data())
+def test_rank_matches_the_row_form_reference(case, data):
+    # dependent columns come from vector_family; empty and all-zero columns
+    # are put in among them, and the columns come once as a generator
+    field, vecs = case
+    cols = list(vecs)
+    for zero in ({}, {0: field.zero}, {j: field.zero for j in range(NCOLS)}):
+        if data.draw(st.booleans()):
+            cols.insert(data.draw(st.integers(0, len(cols))), zero)
+    before = copy.deepcopy(cols)
+    want = _reference_rank(field, cols)
+    assert rank(field, cols) == want
+    assert rank(field, (c for c in cols)) == want
+    assert cols == before
 
 
 _DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from confspace import catalog
+from confspace import graphs as gr
 from confspace import reports as rp
-from confspace.algebra import TruncatedFreeCDGA
-from confspace.bgcomplex import build_C
+from confspace.algebra import TruncatedFreeCDGA, poincare_data
+from confspace.bgcomplex import build_AG, build_C
 from confspace.ctcomplex import CTComplex
 from confspace.exactlinalg import QQ, Field
 from confspace.spectral import SpectralSequence, total_cohomology
@@ -114,6 +115,27 @@ def test_config_space_euler_characteristic(nm, n):
         want *= chi - j
     dims = rp.config_space_dims(alg, n)
     assert sum((-1) ** k * d for k, d in dims.items()) == want
+
+
+def graph_side_dims(alg, n):
+    """Betti numbers of F(M, n) by degree from the graph side: the two
+    second pages are dual, so H^k is the total cohomology of the
+    no-duplicate-target complex in degree n m - k.  Its ranks are pair
+    counts of the spectral sequence, so it never calls ``rank``."""
+    bar = build_AG(alg, n, gr.NODUPTARGET)
+    ks = [p + q for (p, q) in bar.blocks]
+    top = n * poincare_data(alg).m
+    return {top - k: d for k, d in
+            total_cohomology(bar, min(ks), max(ks)).items() if d}
+
+
+@pytest.mark.parametrize("field", [QQ, Field(101)], ids=["Q", "F101"])
+@pytest.mark.parametrize("n", [3, 4, 5])
+@pytest.mark.parametrize("nm", ["s2", "s3", "t2", "cp2", "s2xs2"])
+def test_config_space_dims_match_the_graph_side(nm, n, field):
+    # a cross-side oracle for the tensor-power ranks
+    alg = catalog.load(nm, field=field)
+    assert rp.config_space_dims(alg, n) == graph_side_dims(alg, n)
 
 
 def _dimension_invariants(alg, n):
