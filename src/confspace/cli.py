@@ -36,7 +36,7 @@ import sys
 import time
 from fractions import Fraction
 
-from .exactlinalg import Field, QQ, rank, vec_iadd
+from .exactlinalg import Field, QQ, vec_iadd
 from .algebra import (Algebra, TruncatedFreeCDGA, AxiomViolation, Overflow,
                       cohomology, format_element, el_degree)
 from . import graphs as gr
@@ -474,7 +474,7 @@ def cmd_massey(args):
         "class": format_element(H, res.class_el),
         "class_modulo_indeterminacy":
             format_element(H, res.class_modulo_indeterminacy()),
-        "indeterminacy_dim": rank(H.field, res.indeterminacy),
+        "indeterminacy_dim": res.indeterminacy_dim,
         "residual": {str(k): str(v) for k, v in sorted(res.residual().items())},
     }
     return payload, 0

@@ -25,7 +25,11 @@ forest G and factor per component, components ordered by least vertex, as
 ``build_AG(H, n, NODUPTARGET)`` keys it.  So the blocks are that basis's
 blocks, and ``merge`` sends an ambient key (T, mu) to graph keys.  The
 ambient keys and the symbol relations are built on demand, only where they
-are asked for: the pairing checks the merge against them.
+are asked for: the pairing checks the merge against them.  Both read the
+basis's lifted product table, as d1 does: the relations take its products
+as field scalars made once per product and sign, and the merge and the
+projections onto the quotient sum over exact constants, a projection
+becoming field scalars once per coordinate and only when it is not 0.
 
 Blocks are keyed (p, h): p the number of x factors and h the internal
 degree.  The differential d1 replaces one x factor x_{st} by the diagonal
@@ -43,7 +47,7 @@ suspension sign of the edge times the Koszul sign of moving u and v to
 their components, read off the degree prefixes of the factors.
 """
 
-from .exactlinalg import homology_dims, vec_iadd
+from .exactlinalg import homology_dims
 from .algebra import sign, poincare_data
 from .bgcomplex import build_AG
 from . import graphs as gr
@@ -62,7 +66,7 @@ class CTComplex:
         self._tensors = {}     # h -> tensors of internal degree h
         self._build_ambient()
         self._quot = {}        # (p, h) -> (reps, project)
-        self._merged = {}      # ambient key -> merge(key)
+        self._merged = {}      # ambient key -> merge(key), exact constants
         self._d1 = {}
         self._removal = {}     # graph -> d1 table, per edge
         # the diagonal class as (u, v, |u|, |v|, lifted coefficient)
@@ -109,74 +113,98 @@ class CTComplex:
             len(mu) == p for mu in self._forest)
 
     # -- operations on keys ----------------------------------------------------
-    def insert_slot(self, t, i, a_el):
-        """Multiply an element of H into slot i (1-based) of a tensor key,
-        with the Koszul sign of moving it past the earlier slots."""
-        degs = self.alg.degrees
-        out = {}
-        for a, ca in a_el.items():
-            pre = sum(degs[t[r]] for r in range(i - 1))
-            s = self.field.of(sign(degs[a] * pre))
-            for k, c in self.alg.mul_basis(a, t[i - 1]).items():
-                t2 = t[:i - 1] + (k,) + t[i:]
-                vec_iadd(out, {t2: s * ca * c})
-        return out
+    def _reduced(self, acc):
+        """An exact sum without the entries that are 0 in the field, its
+        constants taken mod p over F_p."""
+        p = self.field.p
+        if p is None:
+            return {k: x for k, x in acc.items() if x}
+        return {k: x % p for k, x in acc.items() if x % p}
 
     def relation_vectors(self, p, h):
         """Symbol relations (a in slot s - a in slot t) T (x) mu, (s, t) an
         edge of mu, in block (p, h), as elements over ambient keys: one pass
         over the ambient keys of block (p, h - |a|) per positive basis
-        element a."""
-        degs = self.alg.degrees
-        minus = -self.field.one
+        element a.  a enters slot i with the Koszul sign
+        (-1)^(|a| pre[i - 1]) of moving it past the earlier slots, pre the
+        degree prefixes of T.  The products with a are the basis's lifted
+        ones, made field scalars once per pass and sign.  The two slots'
+        terms differ in slot s (a raises its degree), so no two add, and a
+        relation with no terms is dropped."""
+        degs, of = self.alg.degrees, self.field.of
+        product = self.basis._product
         out = []
         for a in self.alg.positive_indices():
-            a_el = {a: self.field.one}
-            for tens, mu in self.ambient_keys(p, h - degs[a]):
-                for (s, t) in mu:
-                    vec = vec_iadd(self.insert_slot(tens, s, a_el),
-                                   self.insert_slot(tens, t, a_el), minus)
+            da = degs[a]
+            # sign -> b -> the terms of a b with that sign, as field scalars
+            times = {e: [[(k, of(e * c)) for k, c in product(a, b) if c]
+                         for b in range(self.alg.dim)] for e in (1, -1)}
+            for tens, mu in self.ambient_keys(p, h - da):
+                pre = [0]
+                for i in tens:
+                    pre.append(pre[-1] + degs[i])
+                for edge in mu:
+                    vec = {}
+                    for slot, e in zip(edge, (1, -1)):
+                        if da * pre[slot - 1] % 2:
+                            e = -e
+                        head, tail = tens[:slot - 1], tens[slot:]
+                        for k, x in times[e][tens[slot - 1]]:
+                            vec[(head + (k,) + tail, mu)] = x
                     if vec:
-                        out.append({(t2, mu): c for t2, c in vec.items()})
+                        out.append(vec)
         return out
 
     def merge(self, key):
         """The image of an ambient key (T, mu) in H tensored once per
-        component of mu, as {graph key (G, factors): coefficient}, G the
+        component of mu, as {graph key (G, factors): exact constant}, G the
         graph of mu: the Koszul sign of grouping the slots of T by
-        component, times the product of each component's slots.  Computed
-        once per key."""
+        component, times the product of each component's slots, taken with
+        the basis's lifted products: exact constants, none 0 in the field
+        and residues over F_p.  Computed once per key."""
         out = self._merged.get(key)
         if out is None:
             tens, mu = key
             g, inversions = self._forest[mu]
             degs = self.alg.degrees
-            one = self.field.one
-            out = {(): self.field.of(sign(sum(
-                degs[tens[a]] * degs[tens[b]] for a, b in inversions)))}
+            product = self.basis._product
+            terms = {(): sign(sum(degs[tens[a]] * degs[tens[b]]
+                                  for a, b in inversions))}
             for comp in gr.components(g):
-                el = {tens[comp[0] - 1]: one}
+                el = {tens[comp[0] - 1]: 1}
                 for v in comp[1:]:
-                    el = self.alg.multiply(el, {tens[v - 1]: one})
-                out = {fs + (i,): c * x for fs, c in out.items()
-                       for i, x in el.items()}
-            out = self._merged[key] = {(g, fs): c for fs, c in out.items()}
+                    acc = {}
+                    for i, x in el.items():
+                        for k, y in product(i, tens[v - 1]):
+                            acc[k] = acc.get(k, 0) + x * y
+                    el = acc
+                terms = {fs + (i,): c * x for fs, c in terms.items()
+                         for i, x in el.items()}
+            out = self._merged[key] = {
+                (g, fs): c for fs, c in self._reduced(terms).items()}
         return out
 
     def quotient(self, p, h):
         """(reps, project) for the block quotient: reps are the unit
         coordinate vectors of the block keys, and project maps an element
         over ambient keys of (p, h) to its sparse quotient coordinates by
-        merging each key."""
+        merging each key: the lifted coefficients times the merge constants
+        are summed over exact constants, and become field scalars once per
+        coordinate."""
         if (p, h) not in self._quot:
             pos = self.basis.pos.get((p, h), {})
+            lift = self.field.lift
 
             def project(el):
-                out = {}
+                merge = self.merge
+                acc = {}
                 for key, c in el.items():
-                    vec_iadd(out, {pos[k]: x
-                                   for k, x in self.merge(key).items()}, c)
-                return out
+                    c = lift(c)
+                    for k, x in merge(key).items():
+                        i = pos[k]
+                        acc[i] = acc.get(i, 0) + c * x
+                acc = self._reduced(acc)
+                return self.basis._scalars(acc) if acc else {}
 
             reps = [{i: self.field.one} for i in range(len(pos))]
             self._quot[(p, h)] = reps, project

@@ -96,7 +96,11 @@ class Pairing:
         Poincare pairing (invertible, with signs) applied to its merge, so a
         symbol relation pairs nontrivially exactly when it projects to a
         nonzero quotient vector; DualityError is raised then, since the
-        pairing is not defined on the quotient."""
+        pairing is not defined on the quotient.  Every symbol relation of
+        the block is checked: the relations are read off the lifted product
+        table, and each projection is summed over exact constants and
+        tested for zero in the field (mod p over F_p) before any field
+        scalar is formed."""
         if (p, h) not in self._mat:
             _, project = self.ct.r_quotient(p, h)
             for v in self.ct.relation_vectors(p, h):

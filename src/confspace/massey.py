@@ -15,6 +15,7 @@ resulting corner class).  The zig-zag value is the authoritative one;
 classes, so a predicted value is compared with it modulo the page
 boundaries."""
 
+from functools import cached_property
 from itertools import product
 
 from .exactlinalg import (SpanReducer, solve, NO_SOLUTION, apply_map,
@@ -39,9 +40,16 @@ class MasseyResult:
     def residual(self):
         return q_residual(self.H, self.class_el)
 
+    @cached_property
+    def _indeterminacy_span(self):
+        return SpanReducer(self.H.field).extend(self.indeterminacy)
+
     def class_modulo_indeterminacy(self):
-        red = SpanReducer(self.H.field).extend(self.indeterminacy)
-        return red.reduce(self.class_el)
+        return self._indeterminacy_span.reduce(self.class_el)
+
+    @property
+    def indeterminacy_dim(self):
+        return self._indeterminacy_span.dim
 
 
 def _rep(H, u):

@@ -1,6 +1,7 @@
 """Tensor-power first-page complex: quotient dims, d1, known point counts."""
 
 import sys
+from collections import Counter
 from itertools import combinations
 from math import factorial
 
@@ -22,9 +23,11 @@ class AmbientOracle:
     Keys are every tensor times every squarefree monomial in the x_{st};
     the quotient is by the symbol relations and by the three-term relations
     x_{st} x_{tu} + (-1)^m x_{tu} x_{su} + (-1)^m x_{su} x_{st} times
-    anything.  Only slot insertion comes from CTComplex: d1 of a key
-    inserts the diagonal class into the two slots of each edge, apart from
-    the closed form CTComplex computes."""
+    anything.  Everything is taken term by term in field scalars, apart
+    from CTComplex's lifted tables: slot insertion multiplies with the
+    algebra's own products, and d1 of a key inserts the diagonal class into
+    the two slots of each edge, apart from the closed form CTComplex
+    computes."""
 
     def __init__(self, ct):
         self.ct = ct
@@ -46,16 +49,32 @@ class AmbientOracle:
                     blk.append((t, mu))
         self._quot = {}
 
+    def insert_slot(self, t, i, a_el):
+        """Multiply an element of H into slot i (1-based) of a tensor key,
+        with the Koszul sign of moving it past the earlier slots."""
+        alg = self.ct.alg
+        degs = alg.degrees
+        out = {}
+        for a, ca in a_el.items():
+            pre = sum(degs[t[r]] for r in range(i - 1))
+            s = self.field.of(sign(degs[a] * pre))
+            for k, c in alg.mul_basis(a, t[i - 1]).items():
+                t2 = t[:i - 1] + (k,) + t[i:]
+                vec_iadd(out, {t2: s * ca * c})
+        return out
+
     def symbol_vectors(self, p, h):
+        """The symbol relations of block (p, h), on every monomial, over
+        ambient positions."""
         ct, one = self.ct, self.field.one
         out = []
         for a in ct.alg.positive_indices():
             for tens, mu in self.keys.get((p, h - ct.alg.degrees[a]), ()):
                 for (s, t) in mu:
                     vec = {}
-                    for t2, c in ct.insert_slot(tens, s, {a: one}).items():
+                    for t2, c in self.insert_slot(tens, s, {a: one}).items():
                         vec_iadd(vec, {self.pos[(t2, mu)]: c})
-                    for t2, c in ct.insert_slot(tens, t, {a: one}).items():
+                    for t2, c in self.insert_slot(tens, t, {a: one}).items():
                         vec_iadd(vec, {self.pos[(t2, mu)]: -c})
                     if vec:
                         out.append(vec)
@@ -114,9 +133,9 @@ class AmbientOracle:
             for (u, v, c) in ct.pd.diagonal:
                 # insert at the later slot first so the Koszul prefix of the
                 # earlier insertion is unaffected
-                el1 = ct.insert_slot(tens, t, {v: f.one})
+                el1 = self.insert_slot(tens, t, {v: f.one})
                 for t1, c1 in el1.items():
-                    el2 = ct.insert_slot(t1, s, {u: f.one})
+                    el2 = self.insert_slot(t1, s, {u: f.one})
                     for t2, c2 in el2.items():
                         vec_iadd(out, {(t2, mu2): pref * c * c1 * c2})
         return out
@@ -233,6 +252,30 @@ def test_merge_quotient_matches_relation_elimination(nm, n, field):
         assert ct.dim(p, h) == len(quotient_basis(
             field, len(amb),
             [{pos[key]: c for key, c in v.items()} for v in rels])[0]), (p, h)
+
+
+@pytest.mark.parametrize("nm,n,field", [
+    pytest.param(nm, n, field, id="%s-n%d-%s" % (nm, n, field.name))
+    for nm in ("s2", "t2", "cp2", "cs_s5") for n in (1, 2, 3)
+    for field in (QQ, Field(3))])
+def test_relation_vectors_match_the_oracle(nm, n, field):
+    # the relations built from lifted products against slot insertion in
+    # field scalars, on the monomials that are no-duplicate-target forests;
+    # cs_s5 has odd m and classes of both parities, so both Koszul signs
+    # occur
+    ct = CTComplex(catalog.load(nm, field=field), n)
+    oracle = AmbientOracle(ct)
+    seen = 0
+    for (p, h) in ambient_blocks(ct):
+        keys = oracle.keys.get((p, h), [])
+        # each relation lies over one monomial; re-index it by ambient key
+        want = Counter(frozenset((keys[i], c) for i, c in v.items())
+                       for v in oracle.symbol_vectors(p, h)
+                       if keys[next(iter(v))][1] in ct._forest)
+        got = Counter(frozenset(v.items()) for v in ct.relation_vectors(p, h))
+        assert got == want, (p, h)
+        seen += sum(got.values())
+    assert seen or n == 1
 
 
 @pytest.mark.parametrize("nm,n", [

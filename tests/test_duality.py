@@ -7,9 +7,9 @@ import pytest
 from confspace.exactlinalg import QQ, Field
 from confspace import graphs as gr
 from confspace import catalog
-from confspace.algebra import Algebra, sign
+from confspace.algebra import sign
 from confspace.ctcomplex import CTComplex
-from confspace.bgcomplex import build_AG
+from confspace.bgcomplex import Bicomplex, build_AG
 from confspace.duality import Pairing, theorem1_check, DualityError
 
 
@@ -139,42 +139,58 @@ def test_matrix_rows_pair_the_quotient_representatives(nm, n, p):
                            if (x := _reference_pair_keys(pr, amb, bkey))}
 
 
-@pytest.mark.parametrize("nm, block", [("t2", (1, 2)), ("s3", (1, 6))])
-def test_unsigned_merge_breaks_the_relation_check(monkeypatch, nm, block):
+@pytest.mark.parametrize("nm, block, p", [
+    pytest.param(nm, block, p, id="%s-block%d%s" % (
+        nm, i, "" if p is None else "-F%d" % p))
+    for i, (nm, block) in enumerate((("t2", (1, 2)), ("s3", (1, 6))))
+    for p in (None, 3, 101)])
+def test_unsigned_merge_breaks_the_relation_check(monkeypatch, nm, block, p):
     # without the Koszul sign of grouping the slots by component, merging
-    # no longer kills the symbol relations
+    # no longer kills the symbol relations, over Q and mod p alike
     merge = CTComplex.merge
 
     def unsigned(self, key):
         tens, mu = key
         degs = self.alg.degrees
-        s = self.field.of(sign(sum(degs[tens[a]] * degs[tens[b]]
-                                   for a, b in self._forest[mu][1])))
+        s = sign(sum(degs[tens[a]] * degs[tens[b]]
+                     for a, b in self._forest[mu][1]))
         return {gkey: s * c for gkey, c in merge(self, key).items()}
 
     monkeypatch.setattr(CTComplex, "merge", unsigned)
     with pytest.raises(DualityError) as e:
-        theorem1_check(catalog.load(nm), 3)
+        theorem1_check(catalog.load(nm, field=Field(p)), 3)
     assert str(e.value) == "relation pairs nontrivially at (%d, %d)" % block
 
 
 def test_pairing_merges_each_key_once(monkeypatch):
-    calls = [0]
-    multiply = Algebra.multiply
+    # count the lifted products merge takes, not the ones the relations
+    # and d1 take
+    calls, merging = [0], [False]
+    merge, product = CTComplex.merge, Bicomplex._product
 
-    def counted(self, u, v):
-        calls[0] += 1
-        return multiply(self, u, v)
+    def counted_merge(self, key):
+        merging[0] = True
+        try:
+            return merge(self, key)
+        finally:
+            merging[0] = False
 
-    monkeypatch.setattr(Algebra, "multiply", counted)
+    def counted_product(self, a, b):
+        calls[0] += merging[0]
+        return product(self, a, b)
+
+    monkeypatch.setattr(CTComplex, "merge", counted_merge)
+    monkeypatch.setattr(Bicomplex, "_product", counted_product)
     a = catalog.load("t2")
     ct = CTComplex(a, 3)
     keys = sum(ct.ambient_dim(p, h) for p in range(3) for h in ct._tensors)
     assert keys == 384
     assert theorem1_check(a, 3, ct=ct)["e2_pairs"]
     # n merging products per tensor key at most, however many graph keys
-    # it pairs with
+    # it pairs with; a key is merged once, with n - 1 products at most (t2
+    # multiplies basis elements to single terms)
     assert 0 < calls[0] <= 3 * keys
+    assert calls[0] <= 2 * len(ct._merged)
 
 
 # -- guards ---------------------------------------------------------------------
@@ -219,6 +235,19 @@ def test_duality_verified(nm, n):
     assert out["e2_pairs"]
     for (ph, q2, d, db) in out["e2_pairs"]:
         assert d == db
+
+
+@pytest.mark.parametrize("nm, n, p", [
+    pytest.param(nm, n, p, id="%d-%s-F%d" % (n, nm, p)) for p in (3, 101)
+    for n in (3, 4) for nm in ("t2", "s2xs2", "cp2")])
+def test_duality_verified_over_fp(nm, n, p):
+    # the relation check sums lifted residues: a relation's two slot terms
+    # lift to c and p - c, so its sums vanish only once reduced mod p
+    f = Field(p)
+    out = theorem1_check(catalog.load(nm, field=f), n)
+    for (b, h), s in out["signs"].items():
+        assert s is None or s == f.of(sign(b - 1)), (b, h)
+    assert out["e2_pairs"]
 
 
 @pytest.mark.parametrize("case, message", [

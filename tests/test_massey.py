@@ -2,7 +2,7 @@
 
 import pytest
 
-from confspace.exactlinalg import QQ, vec_iadd, vec_scale
+from confspace.exactlinalg import QQ, rank, vec_iadd, vec_scale
 from confspace import graphs as gr
 from confspace import catalog
 from confspace.algebra import cohomology, el_degree, sign
@@ -80,6 +80,16 @@ def test_formal_triple_products_die_modulo_indeterminacy():
         except NotDefined:
             continue
         assert not r.class_modulo_indeterminacy()
+
+
+def test_indeterminacy_dim_reads_the_reduced_span():
+    # <sx, sx, sx>: sx H + H sx has two spanning vectors and dimension 1;
+    # the dimension is the span's, not the count of spanning vectors
+    hf = cohomology(catalog.load("cs_s5"), 5)
+    sx = one(hf, "[sx]")
+    r = triple_massey(hf, sx, sx, sx)
+    assert len(r.indeterminacy) == 2
+    assert r.indeterminacy_dim == rank(hf.field, r.indeterminacy) == 1
 
 
 # -- failure modes --------------------------------------------------------------
