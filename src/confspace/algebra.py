@@ -17,6 +17,11 @@ Elements are sparse dicts ``{basis_index: scalar}``.  The dicts that
 truncated CDGA keeps d of each basis monomial once computed), so callers
 must not mutate them.  A truncated carrier raises ``Overflow`` on every call
 whose result escapes the bound; no such result is ever kept.
+
+The graded basis also keeps the lifted tables both spectral sequences sum
+over: ``lifted_product`` and ``lifted_d`` give ``mul_basis`` and ``d_basis``
+as (index, ``Field.lift`` constant) pairs, built once per carrier and so
+shared by every complex on it.
 """
 
 from .exactlinalg import (
@@ -91,10 +96,32 @@ class _GradedBasis:
         self._by_degree = {}
         for i, d in enumerate(degrees):
             self._by_degree.setdefault(d, []).append(i)
+        self._lifted_mul = {}   # (a, b) -> lifted mul_basis(a, b)
+        self._lifted_d = {}     # a -> lifted d_basis(a)
 
     @property
     def dim(self):
         return len(self.labels)
+
+    def _lift(self, el):
+        lift = self.field.lift
+        return tuple((k, lift(c)) for k, c in el.items())
+
+    def lifted_product(self, a, b):
+        """mul_basis(a, b) as (index, exact constant) pairs, the constants
+        ``field.lift`` gives; kept per pair on first use, so a product that
+        raises Overflow is never kept."""
+        prod = self._lifted_mul.get((a, b))
+        if prod is None:
+            prod = self._lifted_mul[(a, b)] = self._lift(self.mul_basis(a, b))
+        return prod
+
+    def lifted_d(self, a):
+        """d_basis(a), lifted and kept like ``lifted_product``."""
+        d = self._lifted_d.get(a)
+        if d is None:
+            d = self._lifted_d[a] = self._lift(self.d_basis(a))
+        return d
 
     def basis_of_degree(self, d):
         return self._by_degree.get(d, [])

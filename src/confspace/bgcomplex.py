@@ -18,13 +18,14 @@ Three variants:
 * ``phi_bar``   - the quasi-isomorphism embedding the reduced bicomplex into
   the no-duplicate-target quotient.
 
-Key images of d' and d'' are summed over exact ints and become field
-scalars once per entry.  d' reads two caches: per graph, the edges whose
-addition stays in the family, each with its enlarged graph, insertion sign
-and the components it joins; per pair of carrier indices, the product
-lifted to exact constants (residues over F_p; over Q an int, or the
-Fraction where the constant is not integral), as d'' reads the lifted
-carrier differential.
+Key images of d' and d'' are summed over exact constants and become field
+scalars once per entry, through ``Field.scalars``.  d' reads, per graph,
+the edges whose addition stays in the family, each with its enlarged graph,
+insertion sign and the components it joins, built once here; the products
+it sums, and the differentials d'' sums, are the carrier's lifted tables
+(``lifted_product`` and ``lifted_d``), kept on the carrier and so shared by
+every bicomplex on it.  ``as_block`` and ``from_block`` convert elements
+over keys to and from coordinate vectors over a block.
 """
 
 from .exactlinalg import apply_map, vec_iadd
@@ -52,8 +53,6 @@ class Bicomplex:
         self._dp_cols = {}
         self._ds_cols = {}
         self._edges = {}   # graph -> its edge table
-        self._mul = {}     # (a, b) -> lifted carrier product
-        self._d = {}       # a -> lifted carrier differential
 
     # -- basis --------------------------------------------------------------
     def _build_basis(self):
@@ -126,45 +125,6 @@ class Bicomplex:
         self._edges[g] = table
         return table
 
-    def _lift(self, el):
-        """A carrier element as (index, exact constant) pairs: residues over
-        F_p; over Q an int where the constant is integral, else the
-        Fraction."""
-        lift = self.field.lift
-        return tuple((k, lift(c)) for k, c in el.items())
-
-    def _product(self, a, b):
-        """carrier.mul_basis(a, b), lifted; kept per pair on first use, so a
-        product that raises Overflow is never kept."""
-        prod = self._mul.get((a, b))
-        if prod is None:
-            prod = self._mul[(a, b)] = self._lift(
-                self.carrier.mul_basis(a, b))
-        return prod
-
-    def _differential(self, a):
-        """carrier.d_basis(a), lifted; only the lift is kept.  The carrier
-        (which keeps d itself) is still asked once per slot, so its traced
-        d_basis count does not depend on this cache."""
-        d = self.carrier.d_basis(a)
-        if not d:
-            return ()
-        lifted = self._d.get(a)
-        if lifted is None:
-            lifted = self._d[a] = self._lift(d)
-        return lifted
-
-    def _scalars(self, acc):
-        """An element summed over exact constants, as field scalars; entries
-        that are 0 in the field (an integer sum may be 0 mod p) dropped."""
-        of = self.field.of
-        out = {}
-        for key, x in acc.items():
-            c = of(x)
-            if c:
-                out[key] = c
-        return out
-
     def _edge_image(self, key, entries):
         """Sum of the single-edge summands of d' on key over the given
         edge-table entries: multiplication by the edge generators e_{ij};
@@ -174,10 +134,11 @@ class Bicomplex:
             acc = self._reduced_edge_ints(key, entries)
         else:
             acc = self._edge_ints(key, entries)
-        return self._scalars(acc)
+        return self.field.scalars(acc)
 
     def _edge_ints(self, key, entries):
         degs = self.carrier.degrees
+        product = self.carrier.lifted_product
         factors = key[1]
         acc = {}
         for g2, esign, s, t in entries:
@@ -189,13 +150,14 @@ class Bicomplex:
             tau = sum(degs[factors[r]] for r in range(s + 1, t)) * degs[ft]
             e = -esign if tau % 2 else esign
             head, mid, tail = factors[:s], factors[s + 1:t], factors[t + 1:]
-            for k, c in self._product(fs, ft):
+            for k, c in product(fs, ft):
                 k2 = (g2, head + (k,) + mid + tail)
                 acc[k2] = acc.get(k2, 0) + e * c
         return acc
 
     def _reduced_edge_ints(self, key, entries):
         degs = self.carrier.degrees
+        product = self.carrier.lifted_product
         factors = key[1]
         f0 = factors[0]
         acc = {}
@@ -208,20 +170,20 @@ class Bicomplex:
             head, mid, tail = factors[:s], factors[s + 1:t], factors[t + 1:]
             # merge the two factors in place
             e = -esign if dt * dst % 2 else esign
-            for k, c in self._product(fs, ft):
+            for k, c in product(fs, ft):
                 k2 = (g2, head + (k,) + mid + tail)
                 acc[k2] = acc.get(k2, 0) + e * c
             # absorb the source factor into the free slot, move the target
             # factor up
             e = esign if (ds * d2s + dt * dst) % 2 else -esign
             rest = factors[1:s] + (ft,) + mid + tail
-            for k, c in self._product(f0, fs):
+            for k, c in product(f0, fs):
                 k2 = (g2, (k,) + rest)
                 acc[k2] = acc.get(k2, 0) + e * c
             # absorb the target factor into the free slot
             e = esign if dt * (d2s + ds + dst) % 2 else -esign
             rest = factors[1:t] + tail
-            for k, c in self._product(f0, ft):
+            for k, c in product(f0, ft):
                 k2 = (g2, (k,) + rest)
                 acc[k2] = acc.get(k2, 0) + e * c
         return acc
@@ -238,11 +200,12 @@ class Bicomplex:
     def dsecond_key(self, key):
         g, factors = key
         degs = self.carrier.degrees
+        lifted_d = self.carrier.lifted_d
         acc = {}
         # the sign of a slot is (-1)^(edges + degrees of the slots before it)
         pre = g.edge_count
         for slot, fi in enumerate(factors):
-            d = self._differential(fi)
+            d = lifted_d(fi)
             if d:
                 e = -1 if pre % 2 else 1
                 head, tail = factors[:slot], factors[slot + 1:]
@@ -250,7 +213,7 @@ class Bicomplex:
                     k2 = (g, head + (k,) + tail)
                     acc[k2] = acc.get(k2, 0) + e * c
             pre += degs[fi]
-        return self._scalars(acc)
+        return self.field.scalars(acc)
 
     def apply_dprime(self, el):
         return apply_map(self.dprime_key, el)
@@ -262,7 +225,9 @@ class Bicomplex:
         return vec_iadd(self.apply_dprime(el), self.apply_dsecond(el))
 
     # -- block maps -----------------------------------------------------------
-    def _as_block(self, el, p, q):
+    def as_block(self, el, p, q):
+        """el, an element over the keys of block (p, q), as a coordinate
+        vector over that block: the inverse of ``from_block``."""
         pos = self.pos.get((p, q), {})
         out = {}
         for key, c in el.items():
@@ -279,7 +244,7 @@ class Bicomplex:
         """Columns of a differential out of block (p, q), over block tgt;
         built once, then shared, so callers must not mutate them."""
         if (p, q) not in cache:
-            cache[(p, q)] = [self._as_block(on_key(k), *tgt)
+            cache[(p, q)] = [self.as_block(on_key(k), *tgt)
                              for k in self.blocks.get((p, q), [])]
         return cache[(p, q)]
 

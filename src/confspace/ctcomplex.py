@@ -26,10 +26,12 @@ forest G and factor per component, components ordered by least vertex, as
 blocks, and ``merge`` sends an ambient key (T, mu) to graph keys.  The
 ambient keys and the symbol relations are built on demand, only where they
 are asked for: the pairing checks the merge against them.  Both read the
-basis's lifted product table, as d1 does: the relations take its products
-as field scalars made once per product and sign, and the merge and the
-projections onto the quotient sum over exact constants, a projection
-becoming field scalars once per coordinate and only when it is not 0.
+algebra's lifted product table (``lifted_product``, kept on the algebra and
+shared with the graph-side basis), as d1 does: the relations take its
+products as field scalars made once per product and sign, and the merge and
+the projections onto the quotient sum over exact constants.  ``Field.exact``
+keeps a merge's nonzero constants, and ``Field.scalars`` makes a projection
+or a d1 image field scalars once per coordinate, only where it is not 0.
 
 Blocks are keyed (p, h): p the number of x factors and h the internal
 degree.  The differential d1 replaces one x factor x_{st} by the diagonal
@@ -113,26 +115,18 @@ class CTComplex:
             len(mu) == p for mu in self._forest)
 
     # -- operations on keys ----------------------------------------------------
-    def _reduced(self, acc):
-        """An exact sum without the entries that are 0 in the field, its
-        constants taken mod p over F_p."""
-        p = self.field.p
-        if p is None:
-            return {k: x for k, x in acc.items() if x}
-        return {k: x % p for k, x in acc.items() if x % p}
-
     def relation_vectors(self, p, h):
         """Symbol relations (a in slot s - a in slot t) T (x) mu, (s, t) an
         edge of mu, in block (p, h), as elements over ambient keys: one pass
         over the ambient keys of block (p, h - |a|) per positive basis
         element a.  a enters slot i with the Koszul sign
         (-1)^(|a| pre[i - 1]) of moving it past the earlier slots, pre the
-        degree prefixes of T.  The products with a are the basis's lifted
+        degree prefixes of T.  The products with a are the algebra's lifted
         ones, made field scalars once per pass and sign.  The two slots'
         terms differ in slot s (a raises its degree), so no two add, and a
         relation with no terms is dropped."""
         degs, of = self.alg.degrees, self.field.of
-        product = self.basis._product
+        product = self.alg.lifted_product
         out = []
         for a in self.alg.positive_indices():
             da = degs[a]
@@ -160,14 +154,15 @@ class CTComplex:
         component of mu, as {graph key (G, factors): exact constant}, G the
         graph of mu: the Koszul sign of grouping the slots of T by
         component, times the product of each component's slots, taken with
-        the basis's lifted products: exact constants, none 0 in the field
-        and residues over F_p.  Computed once per key."""
+        the algebra's lifted products: exact constants that ``Field.exact``
+        keeps, none 0 in the field and residues over F_p.  Computed once
+        per key."""
         out = self._merged.get(key)
         if out is None:
             tens, mu = key
             g, inversions = self._forest[mu]
             degs = self.alg.degrees
-            product = self.basis._product
+            product = self.alg.lifted_product
             terms = {(): sign(sum(degs[tens[a]] * degs[tens[b]]
                                   for a, b in inversions))}
             for comp in gr.components(g):
@@ -181,7 +176,7 @@ class CTComplex:
                 terms = {fs + (i,): c * x for fs, c in terms.items()
                          for i, x in el.items()}
             out = self._merged[key] = {
-                (g, fs): c for fs, c in self._reduced(terms).items()}
+                (g, fs): c for fs, c in self.field.exact(terms).items()}
         return out
 
     def quotient(self, p, h):
@@ -189,8 +184,8 @@ class CTComplex:
         coordinate vectors of the block keys, and project maps an element
         over ambient keys of (p, h) to its sparse quotient coordinates by
         merging each key: the lifted coefficients times the merge constants
-        are summed over exact constants, and become field scalars once per
-        coordinate."""
+        are summed over exact constants, and ``Field.scalars`` makes them
+        field scalars once per coordinate that is not 0 in the field."""
         if (p, h) not in self._quot:
             pos = self.basis.pos.get((p, h), {})
             lift = self.field.lift
@@ -203,8 +198,7 @@ class CTComplex:
                     for k, x in merge(key).items():
                         i = pos[k]
                         acc[i] = acc.get(i, 0) + c * x
-                acc = self._reduced(acc)
-                return self.basis._scalars(acc) if acc else {}
+                return self.field.scalars(acc)
 
             reps = [{i: self.field.one} for i in range(len(pos))]
             self._quot[(p, h)] = reps, project
@@ -242,14 +236,15 @@ class CTComplex:
     def d1_key(self, key):
         """d1 of a basis key (G, factors), over the basis keys of (p - 1,
         h + m), in the closed form of the module docstring, summed over
-        exact constants with the basis's lifted products.  The term
+        exact constants with the algebra's lifted products and made field
+        scalars by ``Field.scalars``.  The term
         u (x) v of the diagonal at edge (s, t) moves u past the factors up
         to and including C's factor f, and v past the first bi factors: the
         sign is (-1)^(|u| pre[ci + 1] + |v| pre[bi]), pre the degree
         prefixes of the factors."""
         fs = key[1]
         degs = self.alg.degrees
-        product = self.basis._product
+        product = self.alg.lifted_product
         pre = [0]
         for i in fs:
             pre.append(pre[-1] + degs[i])
@@ -265,7 +260,7 @@ class CTComplex:
                 for k, y in product(f, u):
                     k2 = (g2, head + (k,) + mid + (v,) + tail)
                     acc[k2] = acc.get(k2, 0) + x * y
-        return self.basis._scalars(acc)
+        return self.field.scalars(acc)
 
     def d1_matrix(self, p, h):
         """Columns of d1 on quotient blocks: (p, h) -> (p - 1, h + m)."""
@@ -274,7 +269,7 @@ class CTComplex:
             # only; the next benchmark change can drop it with that hook
             self.quotient(p - 1, h + self.m)
             self._d1[(p, h)] = [
-                self.basis._as_block(self.d1_key(key), p - 1, h + self.m)
+                self.basis.as_block(self.d1_key(key), p - 1, h + self.m)
                 for key in self._blocks.get((p, h), ())]
         return self._d1[(p, h)]
 

@@ -111,7 +111,7 @@ class Pairing:
             self._mat[(p, h)] = [
                 dict(sorted((pos[(key[0], bs)], x)
                             for bs, x in self._dual(key).items()))
-                for key in self.ct._blocks.get((p, h), ())]
+                for key in self.ct.basis.blocks.get((p, h), ())]
         return self._mat[(p, h)]
 
 

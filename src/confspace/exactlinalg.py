@@ -4,9 +4,13 @@ Everything downstream (bicomplex differentials, spectral-sequence pages,
 Massey defining systems) reduces to rank / kernel / solve / quotient over an
 exact field, so no floating point appears anywhere in this package.  Vectors
 are sparse ``{index: scalar}`` dicts of field scalars (``Fraction`` over Q,
-``FpElement`` over F_p), and a linear map is the list of its columns, each
-such a dict over the rows; ``apply_map`` applies a map given by the images
-of basis vectors, and ``transpose`` is the one place columns become rows.
+``FpElement`` over F_p).  ``Field`` owns the exact constants: ``lift`` takes
+a scalar to one, ``exact`` drops sums of them that are 0 in the field, and
+``scalars`` is the one place such sums become field scalars, for the
+differentials and the elimination kernel alike.  A linear map is the list of
+its columns, each such a dict over the rows; ``apply_map`` applies a map
+given by the images of basis vectors, and ``transpose`` is the one place
+columns become rows.
 Every elimination runs through one kernel, ``SpanReducer``: an incremental
 reduced row echelon form whose rows are kept as ``{col: int}`` dicts,
 fraction-free and primitive over Q and residues mod p over F_p, so
@@ -180,6 +184,27 @@ class Field:
             return c.v
         return c.numerator if c.denominator == 1 else c
 
+    def scalars(self, acc, s=1):
+        """The exact sums acc divided by the int s, as field scalars, without
+        the entries that are 0 in the field; key order is kept."""
+        p = self.p
+        if p is not None:
+            inv = pow(s, -1, p)
+            return {k: FpElement(p, r) for k, x in acc.items()
+                    if (r := x * inv % p)}
+        # one-argument Fraction costs half what Fraction(x, 1) does
+        if s == 1:
+            return {k: Fraction(x) for k, x in acc.items() if x}
+        return {k: Fraction(x, s) for k, x in acc.items() if x}
+
+    def exact(self, acc):
+        """The exact sums acc without the entries that are 0 in the field,
+        taken mod p over F_p."""
+        p = self.p
+        if p is None:
+            return {k: x for k, x in acc.items() if x}
+        return {k: r for k, x in acc.items() if (r := x % p)}
+
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
 
@@ -297,13 +322,6 @@ class SpanReducer:
             v = {j: x for j, x in v.items() if x}
         return v, s
 
-    def _scalars(self, v, s):
-        """The field vector v / s (over F_p, v itself: s is always 1)."""
-        p = self.p
-        if p is None:
-            return {j: Fraction(x, s) for j, x in v.items()}
-        return {j: FpElement(p, x) for j, x in v.items()}
-
     def _combine(self, u, a, w, b):
         """u <- b*u - a*w in place; returns the factor u was multiplied by.
         Over Q gcd(a, b) is cancelled first; over F_p b is 1 and every entry
@@ -360,7 +378,7 @@ class SpanReducer:
     def reduce(self, vec):
         v, s = self._ints(vec)
         s = self._reduce(v, s)
-        return self._scalars(v, s)
+        return self.field.scalars(v, s)
 
     def insert(self, vec):
         """Add vec to the span; returns True if the dimension grew."""
@@ -401,7 +419,7 @@ class SpanReducer:
 
     def basis(self):
         rows = self.rows
-        return [self._scalars(rows[c], rows[c][c]) for c in sorted(rows)]
+        return [self.field.scalars(rows[c], rows[c][c]) for c in sorted(rows)]
 
 
 def pivot_pairs(field, cols):
@@ -456,7 +474,7 @@ def kernel_basis(field, cols):
     # each reduced row gives the pivot coordinate of every free column in it
     for c in red.pivots:
         row = red.rows[c]
-        neg = red._scalars({f: -x for f, x in row.items() if f != c}, row[c])
+        neg = field.scalars({f: -x for f, x in row.items() if f != c}, row[c])
         for f, x in neg.items():
             basis[f][c] = x
     return list(basis.values())

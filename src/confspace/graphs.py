@@ -89,14 +89,6 @@ def components(g):
     return comps
 
 
-def component_of(g, vertex):
-    """Index (0-based) of the component containing vertex."""
-    for s, comp in enumerate(components(g)):
-        if vertex in comp:
-            return s
-    raise ValueError("vertex %d not in graph on %d vertices" % (vertex, g.n))
-
-
 def in_family(g, family):
     if family == FULL:
         return True

@@ -240,7 +240,7 @@ def d2_zigzag(bc, u):
     if not v:
         return {}, {}
     cols = bc.dsecond_matrix(p + 1, q - 1)
-    rhs = bc._as_block(vec_scale(v, bc.field.of(-1)), p + 1, q)
+    rhs = bc.as_block(vec_scale(v, bc.field.of(-1)), p + 1, q)
     x = solve(bc.field, cols, rhs)
     if x is NO_SOLUTION:
         raise NotDefined("the horizontal image is not vertically exact")

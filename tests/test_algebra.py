@@ -191,6 +191,40 @@ def test_d_basis_is_kept_but_overflow_is_not():
     assert (c.dim, escaping) == (224, 91)
 
 
+def _lifted_or_overflow(field, plain, args):
+    """plain(*args) lifted to (index, exact constant) pairs, or Overflow."""
+    try:
+        return tuple((k, field.lift(x)) for k, x in plain(*args).items())
+    except Overflow:
+        return Overflow
+
+
+@pytest.mark.parametrize("field", [QQ, Field(3), Field(101)],
+                         ids=["Q", "F3", "F101"])
+@pytest.mark.parametrize("nm", ["s2xs2", "heis3", "cs_s5", "stb_s2xs2"])
+def test_lifted_tables_are_the_lifted_carrier(nm, field):
+    kw = {"truncate": 8} if nm == "stb_s2xs2" else {}
+    c = catalog.load(nm, field=field, **kw)
+    tables = [(c.lifted_d, c.d_basis, (a,)) for a in range(c.dim)] + [
+        (c.lifted_product, c.mul_basis, (a, b))
+        for a in range(c.dim) for b in range(c.dim)]
+    escaping = 0
+    for lifted, plain, args in tables:
+        want = _lifted_or_overflow(field, plain, args)
+        if want is Overflow:
+            # never kept: the second call raises as well
+            escaping += 1
+            for _ in range(2):
+                with pytest.raises(Overflow):
+                    lifted(*args)
+            continue
+        got = lifted(*args)
+        assert got == want and lifted(*args) is got, (nm, args)
+        # Field.scalars turns the lifted constants back into the table
+        assert field.scalars(dict(got)) == plain(*args), (nm, args)
+    assert bool(escaping) == (nm == "stb_s2xs2")
+
+
 def test_d_squared_nonzero_rejected():
     # d x = y, d y = z: d(d x) = z != 0
     with pytest.raises(AxiomViolation) as e:

@@ -1,5 +1,6 @@
 """Graph-indexed bicomplexes: differentials, squares, the reduced embedding."""
 
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -129,6 +130,12 @@ def test_edge_multiply_matches_single_summand():
     assert edge_multiply(bc, el, 1, 2) == bc._pair_term(key, 1, 2)
 
 
+def component_index(g, vertex):
+    """Index (0-based) of the component of g that holds vertex."""
+    return next(s for s, comp in enumerate(gr.components(g))
+                if vertex in comp)
+
+
 class EdgeOracle:
     """The key images of a Bicomplex, summand by summand, as a reference.
 
@@ -154,8 +161,7 @@ class EdgeOracle:
             return self.pair_term_reduced(g, factors, i, j, g2, esign)
         degs = self.carrier.degrees
         f = self.field
-        s = gr.component_of(g, i)
-        t = gr.component_of(g, j)
+        s, t = component_index(g, i), component_index(g, j)
         if s == t:
             return {(g2, factors): f.of(esign)}
         if s > t:
@@ -171,8 +177,7 @@ class EdgeOracle:
     def pair_term_reduced(self, g, factors, i, j, g2, esign):
         degs = self.carrier.degrees
         f = self.field
-        s = gr.component_of(g, i)
-        t = gr.component_of(g, j)
+        s, t = component_index(g, i), component_index(g, j)
         assert s < t
         ds = degs[factors[s]]
         dt = degs[factors[t]]
@@ -311,6 +316,29 @@ def test_overflowing_product_is_never_kept():
     # a product inside the bound still evaluates on the same bicomplex
     assert bc.dprime_key((gr.Graph(2), (x2, x2))) == \
         {(gr.Graph(2, [(1, 2)]), (c.index_of((0, 0, 0, 0)),)): QQ.one}
+    # the lifted table lives on the carrier, which never kept the Overflow:
+    # a second bicomplex on it raises again
+    with pytest.raises(Overflow):
+        build_AG(c, 2, gr.FULL).dprime_key(key)
+
+
+def test_bicomplexes_on_one_carrier_share_its_lifted_tables(monkeypatch):
+    # heis3 has a differential (d c = ab/2), so both tables are read
+    c = catalog.load("heis3")
+    calls = Counter()
+    for name in ("mul_basis", "d_basis"):
+        def counted(*args, _name=name, _orig=getattr(c, name)):
+            calls[(_name,) + args] += 1
+            return _orig(*args)
+        monkeypatch.setattr(c, name, counted)
+    images = []
+    for bc in (build_AG(c, 3, gr.NODUPTARGET), build_C(c, 3)):
+        for key in bc.block_of:
+            images.append((bc.dprime_key(key), bc.dsecond_key(key)))
+    assert any(d1 for d1, _ in images) and any(d2 for _, d2 in images)
+    assert {name for name, *_ in calls} == {"mul_basis", "d_basis"}
+    # one call per pair of indices and per index, over both bicomplexes
+    assert set(calls.values()) == {1}
 
 
 def test_reduced_edge_table_refuses_a_target_heading_no_component(

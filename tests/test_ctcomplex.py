@@ -413,7 +413,7 @@ def test_d1_of_ambient_keys_matches_slot_insertion(nm, n):
         for key in ct.ambient_keys(p, h):
             if key not in stored:
                 seen += 1
-                closed = ct.basis._as_block(
+                closed = ct.basis.as_block(
                     apply_map(ct.d1_key, ct.merge(key)), p - 1, h + ct.m)
                 assert closed == project(d1_key(key)), key
     assert seen

@@ -9,7 +9,7 @@ from confspace import graphs as gr
 from confspace import catalog
 from confspace.algebra import sign
 from confspace.ctcomplex import CTComplex
-from confspace.bgcomplex import Bicomplex, build_AG
+from confspace.bgcomplex import build_AG
 from confspace.duality import Pairing, theorem1_check, DualityError
 
 
@@ -166,7 +166,8 @@ def test_pairing_merges_each_key_once(monkeypatch):
     # count the lifted products merge takes, not the ones the relations
     # and d1 take
     calls, merging = [0], [False]
-    merge, product = CTComplex.merge, Bicomplex._product
+    a = catalog.load("t2")
+    merge, product = CTComplex.merge, a.lifted_product
 
     def counted_merge(self, key):
         merging[0] = True
@@ -175,13 +176,12 @@ def test_pairing_merges_each_key_once(monkeypatch):
         finally:
             merging[0] = False
 
-    def counted_product(self, a, b):
+    def counted_product(i, j):
         calls[0] += merging[0]
-        return product(self, a, b)
+        return product(i, j)
 
     monkeypatch.setattr(CTComplex, "merge", counted_merge)
-    monkeypatch.setattr(Bicomplex, "_product", counted_product)
-    a = catalog.load("t2")
+    monkeypatch.setattr(a, "lifted_product", counted_product)
     ct = CTComplex(a, 3)
     keys = sum(ct.ambient_dim(p, h) for p in range(3) for h in ct._tensors)
     assert keys == 384

@@ -426,6 +426,47 @@ def test_span_reducer_matches_reference(case):
         assert red.contains(v) == ref.contains(v)
 
 
+@st.composite
+def exact_sums(draw):
+    """(field, acc, s): sums of exact constants keyed by ints, in no sorted
+    order, and a divisor s invertible in the field.  The constants include
+    negative ints, multiples of both primes (sums that are 0 mod p) and,
+    over Q, Fractions such as heis3's d(c) = ab/2."""
+    field = draw(st.sampled_from([QQ, F3, F101]))
+    consts = st.one_of(st.integers(-12, 12),
+                       st.integers(-3, 3).map(lambda k: 303 * k))
+    if field.p is None:
+        consts = st.one_of(consts, st.fractions(-5, 5, max_denominator=6))
+    keys = draw(st.lists(st.integers(0, 30), unique=True, max_size=8))
+    acc = {k: draw(consts) for k in keys}
+    s = draw(st.sampled_from([1, 1, 2, 4, 5, 7, 12]).filter(
+        lambda s: field.p is None or s % field.p))
+    return field, acc, s
+
+
+@settings(max_examples=200, deadline=None)
+@given(exact_sums())
+def test_field_scalars_and_exact_match_the_scalar_forms(case):
+    field, acc, s = case
+    want = {k: field.of(x) / field.of(s) for k, x in acc.items()}
+    want = {k: c for k, c in want.items() if c}
+    got = field.scalars(acc, s)
+    assert _same(got, want)
+    assert _is_field_vector(field, got)
+    if s == 1:
+        assert _same(field.scalars(acc), want)
+    # exact keeps the constants that are not 0 in the field, in their order:
+    # residues in [0, p) over F_p, the constants themselves over Q
+    kept = field.exact(acc)
+    assert list(kept) == [k for k, x in acc.items() if field.of(x)]
+    if field.p is None:
+        assert all(kept[k] == acc[k] for k in kept)
+    else:
+        assert all(type(x) is int and 0 < x < field.p
+                   and x == acc[k] % field.p for k, x in kept.items())
+    assert _same(field.scalars(kept, s), want)
+
+
 class _ScanningSpanReducer(SpanReducer):
     """The integer kernel clearing a new pivot by scanning every stored row,
     as before its column index: the reference for that index."""
