@@ -256,18 +256,21 @@ class Algebra(_GradedBasis):
 # Poincare duality data
 
 class PoincareData:
-    """Dual basis and diagonal class of a Poincare duality algebra."""
+    """Dual basis, diagonal and pairing table of a Poincare duality algebra."""
 
-    def __init__(self, algebra, m, dual, diagonal):
+    def __init__(self, algebra, m, dual, diagonal, pairing):
         self.algebra = algebra
         self.m = m
         self.dual = dual          # list: basis index -> dual element (dict)
         self.diagonal = diagonal  # list of (i, j, scalar) for delta in A (x) A
+        # list: basis index c -> [(b, top coefficient of c b)] over the b
+        # where it is nonzero, in increasing b
+        self.pairing = pairing
 
 
 def poincare_data(alg):
-    """Dual basis {e_t'} with e_t * e_t' = top, and the diagonal class
-    delta = sum_t (-1)^{|e_t'|} e_t (x) e_t'."""
+    """Dual basis {e_t'} with e_t * e_t' = top, the diagonal class
+    delta = sum_t (-1)^{|e_t'|} e_t (x) e_t', and the pairing table."""
     if alg.top is None:
         raise ValueError("algebra %r has no top class" % alg.name)
     if alg.has_differential:
@@ -279,6 +282,7 @@ def poincare_data(alg):
     if any(d > m for d in alg.degrees):
         raise DegeneratePairing(m)
     dual = [None] * alg.dim
+    pairing = [[] for _ in range(alg.dim)]
     for p in sorted(set(alg.degrees)):
         rows_idx = alg.basis_of_degree(p)
         cols_idx = alg.basis_of_degree(m - p)
@@ -293,6 +297,7 @@ def poincare_data(alg):
                 val = alg.mul_basis(i, j).get(alg.top)
                 if val:
                     col[r] = val
+                    pairing[i].append((j, val))
             cols.append(col)
         _, coords = subquotient(f, len(rows_idx), (), cols)
         for r, i in enumerate(rows_idx):
@@ -305,7 +310,7 @@ def poincare_data(alg):
         s = f.of(sign(m - alg.degrees[t]))
         for j, c in sorted(dual[t].items()):
             diagonal.append((t, j, s * c))
-    return PoincareData(alg, m, dual, diagonal)
+    return PoincareData(alg, m, dual, diagonal, pairing)
 
 
 def indecomposables(alg):

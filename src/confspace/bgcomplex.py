@@ -21,11 +21,13 @@ Three variants:
 Key images of d' and d'' are summed over exact constants and become field
 scalars once per entry, through ``Field.scalars``.  d' reads, per graph,
 the edges whose addition stays in the family, each with its enlarged graph,
-insertion sign and the components it joins, built once here; the products
-it sums, and the differentials d'' sums, are the carrier's lifted tables
-(``lifted_product`` and ``lifted_d``), kept on the carrier and so shared by
-every bicomplex on it.  ``as_block`` and ``from_block`` convert elements
-over keys to and from coordinate vectors over a block.
+insertion sign and the components it joins, built once here; one
+``_edge_image`` sums the merge term of every family and the two absorb
+terms of the reduced kind.  The products it sums, and the differentials
+d'' sums, are the carrier's lifted tables (``lifted_product`` and
+``lifted_d``), kept on the carrier and so shared by every bicomplex on it.
+``as_block`` and ``from_block`` convert elements over keys to and from
+coordinate vectors over a block.
 """
 
 from .exactlinalg import apply_map, vec_iadd
@@ -127,18 +129,13 @@ class Bicomplex:
 
     def _edge_image(self, key, entries):
         """Sum of the single-edge summands of d' on key over the given
-        edge-table entries: multiplication by the edge generators e_{ij};
-        for the reduced bicomplex each is the three-term rewriting that
-        keeps later factors positive."""
-        if self.family == gr.HFAMILY:
-            acc = self._reduced_edge_ints(key, entries)
-        else:
-            acc = self._edge_ints(key, entries)
-        return self.field.scalars(acc)
-
-    def _edge_ints(self, key, entries):
+        edge-table entries: multiplication by the edge generators e_{ij},
+        merging two factors in place; for the reduced bicomplex each is the
+        three-term rewriting (merge, then two absorb terms) that keeps later
+        factors positive."""
         degs = self.carrier.degrees
         product = self.carrier.lifted_product
+        reduced = self.family == gr.HFAMILY
         factors = key[1]
         acc = {}
         for g2, esign, s, t in entries:
@@ -147,25 +144,7 @@ class Bicomplex:
                 acc[k2] = acc.get(k2, 0) + esign
                 continue
             fs, ft = factors[s], factors[t]
-            tau = sum(degs[factors[r]] for r in range(s + 1, t)) * degs[ft]
-            e = -esign if tau % 2 else esign
-            head, mid, tail = factors[:s], factors[s + 1:t], factors[t + 1:]
-            for k, c in product(fs, ft):
-                k2 = (g2, head + (k,) + mid + tail)
-                acc[k2] = acc.get(k2, 0) + e * c
-        return acc
-
-    def _reduced_edge_ints(self, key, entries):
-        degs = self.carrier.degrees
-        product = self.carrier.lifted_product
-        factors = key[1]
-        f0 = factors[0]
-        acc = {}
-        for g2, esign, s, t in entries:
-            fs, ft = factors[s], factors[t]
-            ds = degs[fs]
             dt = degs[ft]
-            d2s = sum(degs[factors[r]] for r in range(1, s))
             dst = sum(degs[factors[r]] for r in range(s + 1, t))
             head, mid, tail = factors[:s], factors[s + 1:t], factors[t + 1:]
             # merge the two factors in place
@@ -173,6 +152,10 @@ class Bicomplex:
             for k, c in product(fs, ft):
                 k2 = (g2, head + (k,) + mid + tail)
                 acc[k2] = acc.get(k2, 0) + e * c
+            if not reduced:
+                continue
+            f0, ds = factors[0], degs[fs]
+            d2s = sum(degs[factors[r]] for r in range(1, s))
             # absorb the source factor into the free slot, move the target
             # factor up
             e = esign if (ds * d2s + dt * dst) % 2 else -esign
@@ -186,7 +169,7 @@ class Bicomplex:
             for k, c in product(f0, ft):
                 k2 = (g2, (k,) + rest)
                 acc[k2] = acc.get(k2, 0) + e * c
-        return acc
+        return self.field.scalars(acc)
 
     def _pair_term(self, key, i, j):
         """Multiplication by the edge generator e_{ij} on one key: element

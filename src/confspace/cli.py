@@ -457,9 +457,9 @@ def cmd_check(args):
 
 def cmd_massey(args):
     obj = _load(args)
-    H = _cohomology_of(obj)
     if len(args.classes) != 3:
         raise InputError("massey takes exactly three class labels")
+    H = _cohomology_of(obj)
     a, b, c = (_resolve_class(H, t) for t in args.classes)
     try:
         res = triple_massey(H, a, b, c)
@@ -485,9 +485,9 @@ def cmd_d2(args):
     n = _check_n(args.n)
     if n != 4:
         raise InputError("the second-page differential command needs --n 4")
-    H = _cohomology_of(obj)
     if len(args.classes) != 4:
         raise InputError("d2 takes exactly four class labels")
+    H = _cohomology_of(obj)
     cls = [_resolve_class(H, t) for t in args.classes]
     qtot = sum(el_degree(H, u) for u in cls)
     bc = build_C(H.ambient, 4, qmax=qtot + 2)

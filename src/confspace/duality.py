@@ -31,7 +31,8 @@ class DualityError(AssertionError):
 class Pairing:
     def __init__(self, ct, bar):
         """ct: tensor-power complex; bar: no-duplicate-target bicomplex on
-        the same algebra and n, with zero internal differential."""
+        the same algebra and n, with zero internal differential.  Factors
+        pair through ct's Poincare pairing table, ``ct.pd.pairing``."""
         if ct.alg is not bar.carrier:
             raise ValueError("the two complexes must share the algebra")
         if bar.family != gr.NODUPTARGET:
@@ -42,14 +43,6 @@ class Pairing:
         self.m = ct.m
         self.n = ct.n
         self._mat = {}   # (p, h) -> pairing rows, read again by adjointness
-        # Poincare pairing table: basis index c -> [(b, top coefficient of
-        # c b)] over the b where it is nonzero, in increasing b
-        self._partners = [[] for _ in range(self.alg.dim)]
-        for c, row in enumerate(self._partners):
-            for b in range(self.alg.dim):
-                v = self.alg.mul_basis(c, b).get(self.alg.top)
-                if v:
-                    row.append((b, v))
 
     def dual_block(self, p, h):
         return (p, (self.n - p) * self.m - h)
@@ -87,7 +80,7 @@ class Pairing:
                 e2 += (self.m - degs[combo[i]]) * degs[combo[j]]
         s = total * f.of(sign(e2))
         return {tuple(b for b, _ in terms): prod((x for _, x in terms), start=s)
-                for terms in product(*(self._partners[ci] for ci in combo))}
+                for terms in product(*(self.ct.pd.pairing[ci] for ci in combo))}
 
     def matrix(self, p, h):
         """Rows of the pairing matrix, one per block basis key, each over the

@@ -10,21 +10,21 @@ a scalar to one, ``exact`` drops sums of them that are 0 in the field, and
 differentials and the elimination kernel alike.  A linear map is the list of
 its columns, each such a dict over the rows; ``apply_map`` applies a map
 given by the images of basis vectors, and ``transpose`` is the one place
-columns become rows.
+columns become rows, for the duality check's adjointness test.
 Every elimination runs through one kernel, ``SpanReducer``: an incremental
 reduced row echelon form whose rows are kept as ``{col: int}`` dicts,
 fraction-free and primitive over Q and residues mod p over F_p, so
 elimination does no scalar-object arithmetic; field scalars are formed only
 where its rows or reductions are read.  ``pivot_pairs`` reduces the columns
 of a map in the order given, and every rank is its number of pairs, the
-columns inserted last to first; ``kernel_basis`` reduces the rows of a map
-and ``quotient_basis`` the spanning vectors of a subspace.  ``subquotient``
-reduces a list of relations and then a list of candidates, each candidate
-extended by its own index past every row index, so that every reduced row
-records the combination of candidates it is; the classes, class coordinates
-and preimages that callers ask for are then one ``reduce`` each, and
-``solve`` is its one-shot form.  ``homology_dims`` reads the cohomology of a
-complex of blocks off the ranks of its differentials, each ranked once.
+columns inserted last to first.  ``subquotient`` reduces a list of
+relations and then each of a list of candidates once, extended by its own
+index past every row index, so that every reduced row records the
+combination of candidates it is (the recorded reduction R = D V); classes,
+class coordinates, preimages (``solve``), kernels (``kernel_basis``) and
+quotients (``quotient_basis``) are all read off it.  ``homology_dims``
+reads the cohomology of a complex of blocks off the ranks of its
+differentials, each ranked once.
 """
 
 from fractions import Fraction
@@ -303,10 +303,6 @@ class SpanReducer:
     def dim(self):
         return len(self.rows)
 
-    @property
-    def pivots(self):
-        return sorted(self.rows)
-
     def _ints(self, vec):
         """(integer row, scale s) with vec = row / s; over F_p s is 1."""
         if self.p is not None:
@@ -384,8 +380,12 @@ class SpanReducer:
         """Add vec to the span; returns True if the dimension grew."""
         v, s = self._ints(vec)
         self._reduce(v, s)
-        if not v:
-            return False
+        if v:
+            self._add(v)
+        return bool(v)
+
+    def _add(self, v):
+        """Store the reduced nonzero int row v; clear its pivot elsewhere."""
         piv = min(v)
         self._normalise(v, piv)
         b = v[piv]
@@ -405,7 +405,6 @@ class SpanReducer:
                 else:
                     cols[j].discard(c)
         rows[piv] = v
-        return True
 
     def contains(self, vec):
         v, s = self._ints(vec)
@@ -461,25 +460,6 @@ def homology_dims(field, dims, maps):
     return out
 
 
-def kernel_basis(field, cols):
-    """Basis of the null space of the map with columns cols, as sparse dict
-    vectors over the columns.
-
-    One basis vector per free column, in increasing column order; each has a
-    1 at its free column (deterministic for a fixed input).
-    """
-    red = SpanReducer(field).extend(transpose(cols).values())
-    basis = {f: {f: field.one} for f in range(len(cols))
-             if f not in red.rows}
-    # each reduced row gives the pivot coordinate of every free column in it
-    for c in red.pivots:
-        row = red.rows[c]
-        neg = field.scalars({f: -x for f, x in row.items() if f != c}, row[c])
-        for f, x in neg.items():
-            basis[f][c] = x
-    return list(basis.values())
-
-
 NO_SOLUTION = None  # what coords and solve return off the span
 
 
@@ -500,15 +480,15 @@ def subquotient(field, dim, relations, candidates):
     # every reduced row records the combination of candidates it came from.
     # Inserting only candidates independent of the span so far keeps every
     # pivot below dim and the other candidates' coordinates at zero.
+    # Each tagged candidate is reduced once, in ints, and stored as it is.
     red = SpanReducer(field).extend(relations)
-    one = field.one
     picked = []
     for j, cand in enumerate(candidates):
-        v = {i: cand[i] for i in sorted(cand)}
-        v[dim + j] = one
-        v = red.reduce(v)
+        v, s = red._ints({i: cand[i] for i in sorted(cand)})
+        v[dim + j] = s  # the tag, 1 once v is divided by its scale s
+        red._reduce(v, s)
         if min(v) < dim:
-            red.insert(v)
+            red._add(v)
             picked.append(j)
 
     def coords(vec):
@@ -535,21 +515,41 @@ def solve(field, cols, rhs):
     return subquotient(field, dim, (), cols)[1](rhs)
 
 
+def kernel_basis(field, cols):
+    """Basis of the null space of the map with columns cols, as sparse dict
+    vectors over the columns.
+
+    One basis vector per column that ``subquotient`` does not pick (a free
+    column), in increasing column order: 1 at that column, then minus its
+    coords on the picked columns, in increasing order.  This is the
+    canonical basis read off the reduced row echelon form of the map.
+    """
+    dim = 1 + max((i for v in cols for i in v), default=-1)
+    picked, coords = subquotient(field, dim, (), cols)
+    basis = []
+    for f in sorted(set(range(len(cols))).difference(picked)):
+        x = coords(cols[f])
+        basis.append({f: field.one} | {j: -x[j] for j in sorted(x)})
+    return basis
+
+
 def quotient_basis(field, ambient_dim, vectors):
     """Complement representatives and projection for ambient / span(vectors).
 
     Returns (reps, project): reps is a list of sparse standard basis vectors
     e_j for the non-pivot columns j of the subspace span; project maps any
     ambient sparse vector to its coordinate list in the quotient basis.
+    The unit vectors go to ``subquotient`` last index first, so that it
+    picks exactly those at the non-pivot columns.
     """
-    red = SpanReducer(field).extend(vectors)
-    pivset = set(red.rows)
-    free = [j for j in range(ambient_dim) if j not in pivset]
-    reps = [{j: field.one} for j in free]
+    last = ambient_dim - 1
+    picked, coords = subquotient(field, ambient_dim, vectors,
+                                 [{j: field.one} for j in range(last, -1, -1)])
+    free = [last - t for t in reversed(picked)]
     zero = field.zero
 
     def project(vec):
-        r = red.reduce(vec)
-        return [r.get(j, zero) for j in free]
+        x = coords(vec)
+        return [x.get(last - j, zero) for j in free]
 
-    return reps, project
+    return [{j: field.one} for j in free], project

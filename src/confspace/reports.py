@@ -66,11 +66,10 @@ def check_reduced_embedding(alg, n):
             if vec_add(lhs, rhs, f.of(-1)):
                 ok, bad = False, ("not a chain map", c.show_key(key))
                 break
-            for r in range(2, n + 1):
-                if edge_multiply(bar, img, 1, r):
-                    ok, bad = False, ("image not killed by edge at vertex 1",
-                                      c.show_key(key))
-                    break
+            if any(edge_multiply(bar, img, 1, r) for r in range(2, n + 1)):
+                ok, bad = False, ("image not killed by edge at vertex 1",
+                                  c.show_key(key))
+                break
         if not ok:
             break
     hc = hb = None

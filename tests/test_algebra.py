@@ -94,6 +94,27 @@ def test_diagonal_flip_symmetry():
         assert flipped == orig
 
 
+@pytest.mark.parametrize("field", [QQ, Field(3), Field(101)],
+                         ids=["Q", "F3", "F101"])
+def test_pairing_table_is_the_top_coefficient_table(field):
+    # every catalog carrier with Poincare data, and only those
+    patterned = ["torus(3)"] + ["s%d" % m for m in range(1, 8)]
+    found = []
+    for nm in [nm for nm in catalog.names() if nm.isidentifier()] + patterned:
+        a = catalog.load(nm, field=field)
+        try:
+            pd = poincare_data(a)
+        except ValueError:  # no top class, a differential, or degenerate
+            continue
+        found.append(nm)
+        want = [[(b, v) for b in range(a.dim)
+                 if (v := a.mul_basis(c, b).get(a.top))]
+                for c in range(a.dim)]
+        assert pd.pairing == want
+    assert sorted(found) == sorted(["cp2", "cs_s5", "point", "s2xs2", "t2",
+                                    "stb_s2xs2_h"] + patterned)
+
+
 def test_degenerate_pairing_detected():
     basis = [("1", 0), ("x", 2), ("w", 4)]
     products = {(1, 1): {}, (1, 2): {}, (2, 2): {}}

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from confspace import catalog
+from confspace import catalog, cli
 from confspace.algebra import TruncatedFreeCDGA
 from confspace.cli import ParseError, parse_algebra_text, main, _load
 
@@ -386,6 +386,24 @@ def test_d2_command_detects_nonzero_differential(capsys):
     assert len(data["e23e34_component"]) == 3
     assert data["e23e24_component"] == {}
     assert any(k.startswith("Q") for k in data["residuals"]["e2334"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["massey", "--catalog", "stb_s2xs2", "x", "y"],
+    ["massey", "--catalog", "stb_s2xs2", "x", "y", "x", "y"],
+    ["d2", "--catalog", "stb_s2xs2", "--n", "4", "x", "x", "y"],
+    ["d2", "--catalog", "stb_s2xs2", "--n", "4", "x", "x", "y", "y", "x"],
+], ids=["massey-2", "massey-4", "d2-3", "d2-5"])
+def test_wrong_class_count_refused_before_cohomology(argv, capsys,
+                                                     monkeypatch):
+    def refused(*args, **kwargs):
+        raise AssertionError("cohomology computed before the label count "
+                             "was checked")
+
+    monkeypatch.setattr(cli, "cohomology", refused)
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "class labels" in err
 
 
 def test_catalog_command(capsys):

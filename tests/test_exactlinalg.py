@@ -415,7 +415,7 @@ def test_span_reducer_matches_reference(case):
     red, ref = SpanReducer(field), _ReferenceSpanReducer(field)
     for v in vecs:
         assert red.insert(v) == ref.insert(v)
-        assert red.dim == ref.dim and red.pivots == ref.pivots
+        assert red.dim == ref.dim and sorted(red.rows) == ref.pivots
         got = red.basis()
         assert all(_same(a, b) for a, b in zip(got, ref.basis()))
         assert all(_is_field_vector(field, b) for b in got)
@@ -526,6 +526,76 @@ def test_kernel_solve_quotient_match_reference(case):
         coords = project(v)
         assert coords == ref_project(v)
         kind = Fraction if field.p is None else FpElement
+        assert all(type(x) is kind for x in coords)
+
+
+# -- kernels and quotients at real sizes, against the row-form references -----
+
+FIELDS = pytest.mark.parametrize("field", [QQ, F3, F101],
+                                 ids=["Q", "F3", "F101"])
+
+
+def _assert_kernel_matches_reference(field, cols):
+    ker = kernel_basis(field, cols)
+    ref = _reference_kernel_basis(field, list(transpose(cols).values()),
+                                  len(cols))
+    assert len(ker) == len(ref)
+    assert all(_same(a, b) for a, b in zip(ker, ref))
+    assert all(_is_field_vector(field, v) for v in ker)
+
+
+def _recording(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recorded)
+    return calls
+
+
+@FIELDS
+def test_kernel_of_every_z_basis_map_of_the_headline_page(field,
+                                                          monkeypatch):
+    # E2(2, 7) of the four-point reduced complex of the CDGA behind d2
+    from confspace import catalog, spectral
+    from confspace.bgcomplex import build_C
+    calls = _recording(monkeypatch, spectral, "kernel_basis")
+    alg = catalog.load("stb_s2xs2", field=field)
+    spectral.SpectralSequence(build_C(alg, 4, qmax=10)).e_block(2, 2, 7)
+    assert sum(len(cols) for _, cols in calls) > 300
+    for f, cols in calls:
+        assert f == field
+        _assert_kernel_matches_reference(field, cols)
+
+
+@FIELDS
+def test_kernel_of_every_carrier_differential(field):
+    from confspace import catalog
+    from confspace.algebra import CochainView
+    alg = catalog.load("stb_s2xs2", field=field)
+    view = CochainView(alg, alg.formal_dimension)
+    for k in range(view.max_degree + 1):
+        _assert_kernel_matches_reference(field, view.d_columns(k))
+
+
+@FIELDS
+@pytest.mark.parametrize("nm", ["stb_s2xs2_h", "heis3_s2"])
+def test_quotient_of_the_indecomposables(field, nm, monkeypatch):
+    from confspace import algebra, catalog
+    calls = _recording(monkeypatch, algebra, "quotient_basis")
+    algebra.indecomposables(catalog.load(nm, field=field))
+    (f, dim, vectors), = calls
+    reps, project = quotient_basis(field, dim, vectors)
+    ref_reps, ref_project = _reference_quotient_basis(field, dim, vectors)
+    assert reps == ref_reps and 0 < len(reps) < dim
+    kind = Fraction if field.p is None else FpElement
+    units = [{j: field.one} for j in range(dim)]
+    for v in vectors + units + [{j: field.one for j in range(dim)}]:
+        coords = project(v)
+        assert coords == ref_project(v)
         assert all(type(x) is kind for x in coords)
 
 

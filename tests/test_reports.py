@@ -31,6 +31,27 @@ def test_reduced_embedding(nm, n):
     assert out["details"]["reduced"] == out["details"]["quotient"]
 
 
+def test_reduced_embedding_names_the_first_failing_key(monkeypatch):
+    # with every image left alive by the edges at vertex 1, the report
+    # names the first key of the first block and checks no later key
+    alg = catalog.load("t2")
+    c = build_C(alg, 3)
+    first = c.blocks[min(c.blocks)][0]
+    seen = []
+
+    def alive(bc, el, i, j):
+        seen.append(el)
+        return el
+
+    monkeypatch.setattr(rp, "edge_multiply", alive)
+    out = rp.check_reduced_embedding(alg, 3)
+    assert out["verdict"] == "fail"
+    assert out["details"]["failure"] == (
+        "image not killed by edge at vertex 1", c.show_key(first))
+    assert out["details"]["reduced"] is None
+    assert len(seen) == 1
+
+
 @pytest.mark.parametrize("nm", ["s2", "s3", "t2", "cp2"])
 def test_collapse_three_points(nm):
     out = rp.check_collapse(catalog.load(nm), 3)
