@@ -30,6 +30,7 @@ Every term is COEFF*LABEL with an integer or fraction coefficient; a bare
 LABEL means coefficient 1.  `= 0` denotes the zero element."""
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -387,10 +388,12 @@ def cmd_pages(args):
     bc = build_AG(obj, n, _KINDS[args.kind], qmax=qmax)
     ss = SpectralSequence(bc)
     rmax = bc.pmax + 1 if args.page is None else args.page
+    # a window determines the blocks of total degree below it
+    inside = [pq for pq in sorted(bc.blocks) if qmax is None or sum(pq) < qmax]
     pages = {}
     for r in range(1, rmax + 1):
         pages["E%d" % r] = {"(%d,%d)" % pq: d
-                            for pq, d in sorted(ss.page(r).items()) if d}
+                            for pq, d in ss.page(r, inside).items() if d}
     payload = {"command": "pages", "algebra": obj.name, "n": n,
                "kind": args.kind, "pages": pages}
     return payload, 0
@@ -419,7 +422,8 @@ def cmd_total(args):
         bc = build_C(obj, n, qmax=qmax)
     else:
         bc = build_AG(obj, n, _KINDS[args.kind], qmax=qmax)
-    ks = [p + q for (p, q) in bc.blocks]
+    # a window determines the degrees below it
+    ks = [p + q for (p, q) in bc.blocks if qmax is None or p + q < qmax]
     h = total_cohomology(bc, min(ks), max(ks)) if ks else {}
     payload = {"command": "total", "algebra": obj.name, "n": n,
                "kind": args.kind,
@@ -490,7 +494,7 @@ def cmd_d2(args):
     H = _cohomology_of(obj)
     cls = [_resolve_class(H, t) for t in args.classes]
     qtot = sum(el_degree(H, u) for u in cls)
-    bc = build_C(H.ambient, 4, qmax=qtot + 2)
+    bc = build_C(H.ambient, 4, qmax=qtot)
     try:
         tensors = d2_formula(H, *cls)
     except NotDefined as e:
@@ -527,6 +531,7 @@ def cmd_catalog(args):
 
 # ---------------------------------------------------------------------------
 
+@functools.cache  # built once per process: a parse keeps no state on it
 def _build_parser():
     ap = argparse.ArgumentParser(
         prog="confspace",
@@ -545,7 +550,9 @@ def _build_parser():
         if n:
             p.add_argument("--n", type=int, help="number of points")
         if qmax:
-            p.add_argument("--qmax", type=int, help="internal degree window")
+            p.add_argument("--qmax", type=int,
+                           help="internal degree window; only the total "
+                                "degrees below it are reported")
         p.add_argument("--format", choices=("table", "json"), default="table")
         return p
 
@@ -571,8 +578,7 @@ _DISPATCH = {
 
 
 def main(argv=None):
-    ap = _build_parser()
-    args = ap.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     t0 = time.time()
     try:
         payload, code = _DISPATCH[args.command](args)

@@ -21,8 +21,9 @@ columns inserted last to first.  ``subquotient`` reduces a list of
 relations and then each of a list of candidates once, extended by its own
 index past every row index, so that every reduced row records the
 combination of candidates it is (the recorded reduction R = D V); classes,
-class coordinates, preimages (``solve``), kernels (``kernel_basis``) and
-quotients (``quotient_basis``) are all read off it.  ``homology_dims``
+class coordinates, preimages (``solve``), kernels (``kernel_basis``, from
+the reductions of the candidates it does not pick) and quotients
+(``quotient_basis``) are all read off it.  ``homology_dims``
 reads the cohomology of a complex of blocks off the ranks of its
 differentials, each ranked once.
 """
@@ -463,6 +464,34 @@ def homology_dims(field, dims, maps):
 NO_SOLUTION = None  # what coords and solve return off the span
 
 
+def _tagged_reduction(field, dim, relations, candidates):
+    """(red, picked, dependent): the reduction ``subquotient`` and
+    ``kernel_basis`` read.
+
+    Candidate j is copied in increasing index order (so neither the
+    reduction nor the answer depends on the order its producer built it in)
+    and extended by its own index as the extra coordinate dim + j, so every
+    reduced row records the combination of candidates it came from.
+    Inserting only candidates independent of the span so far keeps every
+    pivot below dim and the other candidates' coordinates at zero.  Each
+    tagged candidate is reduced once, in ints: red stores those it picks,
+    and dependent maps every other index j to its reduced int row, which
+    lies on the tags alone and records a combination of the candidates,
+    with a nonzero tag at dim + j, that lies in span(relations)."""
+    red = SpanReducer(field).extend(relations)
+    picked, dependent = [], {}
+    for j, cand in enumerate(candidates):
+        v, s = red._ints({i: cand[i] for i in sorted(cand)})
+        v[dim + j] = s  # the tag, 1 once v is divided by its scale s
+        red._reduce(v, s)
+        if min(v) < dim:
+            red._add(v)
+            picked.append(j)
+        else:
+            dependent[j] = v
+    return red, picked, dependent
+
+
 def subquotient(field, dim, relations, candidates):
     """(picked, coords) for the classes of candidates modulo relations.
 
@@ -474,22 +503,7 @@ def subquotient(field, dim, relations, candidates):
     when v is not in span(relations + candidates); it is one reduction.
     relations and candidates are only read: callers hand in shared caches.
     """
-    # Candidate j is copied in increasing index order (so neither the
-    # reduction nor the answer depends on the order its producer built it
-    # in) and extended by its own index as the extra coordinate dim + j, so
-    # every reduced row records the combination of candidates it came from.
-    # Inserting only candidates independent of the span so far keeps every
-    # pivot below dim and the other candidates' coordinates at zero.
-    # Each tagged candidate is reduced once, in ints, and stored as it is.
-    red = SpanReducer(field).extend(relations)
-    picked = []
-    for j, cand in enumerate(candidates):
-        v, s = red._ints({i: cand[i] for i in sorted(cand)})
-        v[dim + j] = s  # the tag, 1 once v is divided by its scale s
-        red._reduce(v, s)
-        if min(v) < dim:
-            red._add(v)
-            picked.append(j)
+    red, picked, _ = _tagged_reduction(field, dim, relations, candidates)
 
     def coords(vec):
         # reducing vec = sum c_j cand_j + relations clears every index
@@ -522,15 +536,16 @@ def kernel_basis(field, cols):
     One basis vector per column that ``subquotient`` does not pick (a free
     column), in increasing column order: 1 at that column, then minus its
     coords on the picked columns, in increasing order.  This is the
-    canonical basis read off the reduced row echelon form of the map.
+    canonical basis read off the reduced row echelon form of the map.  The
+    tagged reduction of a free column is that vector, scaled by its own
+    tag, so each is read off it and no column is reduced twice.
     """
     dim = 1 + max((i for v in cols for i in v), default=-1)
-    picked, coords = subquotient(field, dim, (), cols)
-    basis = []
-    for f in sorted(set(range(len(cols))).difference(picked)):
-        x = coords(cols[f])
-        basis.append({f: field.one} | {j: -x[j] for j in sorted(x)})
-    return basis
+    _, _, dependent = _tagged_reduction(field, dim, (), cols)
+    one = field.one
+    return [{f: one} | field.scalars({i - dim: v[i] for i in sorted(v)},
+                                     v[dim + f])
+            for f, v in dependent.items()]
 
 
 def quotient_basis(field, ambient_dim, vectors):

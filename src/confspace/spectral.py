@@ -32,7 +32,12 @@ Pages with bases come from explicit cycle representatives
     E_r(p, q) = Z_r(p, q) / ( Z_{r-1}(p+1, q-1) + D Z_{r-1}(p-r+1, q+r-2) ),
 
 so the page differential d_r is literally "apply D to a representative and
-read the class off in the target block" (the zig-zag rule).
+read the class off in the target block" (the zig-zag rule).  The keys of
+Tot^k run block by block in increasing p, so F^p Tot^k is the suffix of
+the indices from where block p starts, and the rows below F^{p+r} are a
+prefix.  Z_r(p, q) evaluates D on blocks p..p+r-1 only: D keeps F^{p+r}
+in F^{p+r}, so those columns restrict to zero and their unit vectors join
+the kernel as they are.
 
 D columns are evaluated at most once per bicomplex: D of each Tot^k basis
 key is computed lazily, the first time it is needed, and cached on the
@@ -41,7 +46,10 @@ page differentials, total cohomology) combines these cached columns.  Build
 one ``SpectralSequence`` per bicomplex and reuse it to keep that saving.
 Pairs are cached per total degree, and cycle spaces, pages (with their
 class coordinates) and page differentials per (r, p, q).  A q-window on the
-underlying bicomplex restricts the total degrees that may be touched."""
+underlying bicomplex must hold what D reaches: D on F^p Tot^k reaches the
+blocks of q <= k + 1 - p, so the pairs, which take all of Tot^k, need
+k + 1 <= qmax, and a cycle space from column p needs only k + 1 - p <=
+qmax; outside that a ``WindowError`` is raised."""
 
 from .exactlinalg import (SpanReducer, subquotient, NO_SOLUTION, apply_map,
                           kernel_basis, pivot_pairs)
@@ -55,6 +63,7 @@ class SpectralSequence:
     def __init__(self, bc):
         self.bc = bc
         self._tot = {}
+        self._starts = {}  # k -> [(p, index of the first key of block p)]
         self._cols = {}    # k -> {Tot^k index: D of it, over Tot^{k+1}}
         self._gaps = {}    # k -> pair gaps of D on Tot^k, see _pairs
         self._z = {}
@@ -63,19 +72,31 @@ class SpectralSequence:
 
     # -- total-degree slices -------------------------------------------------
     def tot_keys(self, k):
+        """(keys, index of each key) of Tot^k, block by block in increasing
+        p; where each block starts is kept for ``_fp_start``."""
         if k not in self._tot:
-            keys = []
+            keys, starts = [], []
             for (p, q) in sorted(self.bc.blocks):
                 if p + q == k:
+                    starts.append((p, len(keys)))
                     keys.extend(self.bc.blocks[(p, q)])
             self._tot[k] = (keys, {key: i for i, key in enumerate(keys)})
+            self._starts[k] = starts
         return self._tot[k]
 
-    def _check_window(self, k):
-        # applying D to Tot^k needs the q+1 row inside the window
-        if self.bc.qmax is not None and k + 1 > self.bc.qmax:
-            raise WindowError("total degree %d needs q-window above %d"
-                              % (k, self.bc.qmax))
+    def _fp_start(self, k, p):
+        """Index of the first key of F^p Tot^k, which is the suffix of the
+        Tot^k indices from there."""
+        keys, _ = self.tot_keys(k)
+        return next((i for p1, i in self._starts[k] if p1 >= p), len(keys))
+
+    def _check_window(self, k, p):
+        """D on F^p Tot^k lands in the blocks of F^p Tot^{k+1}, of
+        q <= k + 1 - p; they must lie inside the q-window."""
+        qmax = self.bc.qmax
+        if qmax is not None and k + 1 - max(p, 0) > qmax:
+            raise WindowError("total degree %d from column %d needs q-window "
+                              "above %d" % (k, max(p, 0), qmax))
 
     def _column(self, k, i):
         """D of the i-th Tot^k basis key, as a Tot^{k+1} coordinate vector.
@@ -95,14 +116,6 @@ class SpectralSequence:
         """D of a Tot^k coordinate vector, as a Tot^{k+1} coordinate vector."""
         return apply_map(lambda i: self._column(k, i), v)
 
-    def _fp_indices(self, k, p):
-        keys, _ = self.tot_keys(k)
-        return [i for i, key in enumerate(keys) if self.bc.block_of[key][0] >= p]
-
-    def _low_indices(self, k, p_lt):
-        keys, _ = self.tot_keys(k)
-        return {i for i, key in enumerate(keys) if self.bc.block_of[key][0] < p_lt}
-
     # -- cycle spaces ---------------------------------------------------------
     def z_basis(self, r, p, q):
         """Basis of Z_r(p, q) as Tot^{p+q} coordinate vectors.
@@ -115,18 +128,20 @@ class SpectralSequence:
         k = p + q
         if k < 0:
             return []
-        fp = self._fp_indices(k, max(p, 0))
-        if r <= 0:
-            basis = [{i: self.bc.field.one} for i in fp]
-            self._z[key] = basis
-            return basis
-        self._check_window(k)
-        low = self._low_indices(k + 1, p + r)
-        cols = [{j: c for j, c in self._column(k, i).items() if j in low}
-                for i in fp]
+        # D on blocks p..p+r-1 only: the columns of F^{p+r} restrict to
+        # zero, and kernel_basis would put their unit vectors last
+        lo = hi = self._fp_start(k, p)
         basis = []
-        for v in kernel_basis(self.bc.field, cols):
-            basis.append({fp[i]: c for i, c in v.items()})
+        if r > 0:
+            self._check_window(k, p)
+            hi = self._fp_start(k, p + r)
+            rows = self._fp_start(k + 1, p + r)
+            cols = [{j: c for j, c in self._column(k, i).items() if j < rows}
+                    for i in range(lo, hi)]
+            basis = [{lo + i: c for i, c in v.items()}
+                     for v in kernel_basis(self.bc.field, cols)]
+        one = self.bc.field.one
+        basis += [{i: one} for i in range(hi, len(self.tot_keys(k)[0]))]
         self._z[key] = basis
         return basis
 
@@ -136,7 +151,7 @@ class SpectralSequence:
             red.insert(v)
         k = p + q
         if k - 1 >= 0:
-            self._check_window(k - 1)
+            self._check_window(k - 1, p - r + 1)
             for v in self.z_basis(r - 1, p - r + 1, q + r - 2):
                 red.insert(self._d_vec(v, k - 1))
         return red
@@ -169,7 +184,7 @@ class SpectralSequence:
         Tot^{k+1}, as lists keyed by the block of the column (out) and by
         the block of the pivot (into), and the set of pivot rows."""
         if k not in self._gaps:
-            self._check_window(k)
+            self._check_window(k, 0)
             keys, _ = self.tot_keys(k)
             keys1, _ = self.tot_keys(k + 1)
             block_of = self.bc.block_of

@@ -9,6 +9,9 @@ import sys
 import pytest
 
 from confspace import catalog, cli
+from confspace import graphs as gr
+from confspace.bgcomplex import build_AG, build_C
+from confspace.spectral import SpectralSequence, total_cohomology
 from confspace.algebra import TruncatedFreeCDGA
 from confspace.cli import ParseError, parse_algebra_text, main, _load
 
@@ -519,6 +522,34 @@ def test_check_refuses_options_the_suite_does_not_read(argv, option, capsys):
     assert code == 2
     assert out == ""
     assert option in err and argv[0] in err
+
+
+# A window determines the blocks of total degree below it, where D stays
+# inside it both ways; each case is checked against the whole complex, or
+# against a wider window where the whole complex is too large.
+@pytest.mark.parametrize("nm, n, qmax, wide", [
+    ("heis3", 4, 6, None), ("stb_s2xs2", 3, 8, 10)])
+def test_windowed_pages_report_the_blocks_below_the_window(nm, n, qmax, wide,
+                                                           capsys):
+    code, out, err = run(capsys, "pages", "--catalog", nm, "--n", str(n),
+                         "--qmax", str(qmax), "--format", "json")
+    assert code == 0, err
+    bc = build_AG(catalog.load(nm), n, gr.NODUPTARGET, qmax=wide)
+    ss = SpectralSequence(bc)
+    inside = [pq for pq in sorted(bc.blocks) if sum(pq) < qmax]
+    assert json.loads(out)["pages"] == {
+        "E%d" % r: {"(%d,%d)" % pq: d
+                    for pq, d in ss.page(r, inside).items() if d}
+        for r in range(1, bc.pmax + 2)}
+
+
+def test_windowed_total_reports_the_degrees_below_the_window(capsys):
+    code, out, err = run(capsys, "total", "--catalog", "heis3", "--n", "3",
+                         "--kind", "c", "--qmax", "6", "--format", "json")
+    assert code == 0, err
+    h = total_cohomology(build_C(catalog.load("heis3"), 3), 0, 5)
+    assert json.loads(out)["cohomology"] == {
+        str(k): d for k, d in h.items() if d}
 
 
 def test_page_one_shows_only_the_first_page(capsys):

@@ -4,7 +4,7 @@ import copy
 
 import pytest
 
-from confspace.exactlinalg import QQ, Field, pivot_pairs
+from confspace.exactlinalg import QQ, Field, kernel_basis, pivot_pairs
 from confspace import graphs as gr
 from confspace import catalog
 from confspace.bgcomplex import build_AG, build_C
@@ -361,6 +361,80 @@ def test_window_errors_name_the_least_degree():
         ss.e_dim(1, 1, 4)
     with pytest.raises(WindowError, match="total degree 5 "):
         ss.e_dim(1, 2, 4)
+
+
+# -- the per-column window ----------------------------------------------------
+
+FIELD_IDS = {None: "Q", 3: "F3", 101: "F101"}
+WINDOW_FIELDS = pytest.mark.parametrize("p", list(FIELD_IDS),
+                                        ids=FIELD_IDS.values())
+
+# (carrier, internal degree of a four-fold tensor class): d2 sends E2(0, q)
+# to E2(2, q - 1) on the four-point reduced complex, whose blocks need the
+# q-window up to q
+D2_WINDOWS = pytest.mark.parametrize("nm,q", [("stb_s2xs2", 8), ("heis3", 4)])
+
+
+@WINDOW_FIELDS
+@D2_WINDOWS
+def test_narrow_window_gives_the_wide_second_page(nm, q, p):
+    # a narrower window drops only low-p blocks at the front of each Tot^k,
+    # so the representatives and the classes stay the same
+    alg = catalog.load(nm, field=Field(p))
+    wide = SpectralSequence(build_C(alg, 4, qmax=q + 2))
+    narrow = SpectralSequence(build_C(alg, 4, qmax=q))
+    assert rep_elements(narrow, 2, 2, q - 1) == rep_elements(wide, 2, 2, q - 1)
+    images = [wide.bc.apply_total(x) for x in rep_elements(wide, 2, 0, q)]
+    classes = [wide.project_class(y, 2, 2, q - 1) for y in images]
+    assert any(classes)
+    assert [narrow.project_class(y, 2, 2, q - 1) for y in images] == classes
+
+
+@WINDOW_FIELDS
+@D2_WINDOWS
+def test_one_step_narrower_window_raises(nm, q, p):
+    bc = build_C(catalog.load(nm, field=Field(p)), 4, qmax=q - 1)
+    with pytest.raises(WindowError):
+        SpectralSequence(bc).e_block(2, 2, q - 1)
+
+
+def _z_basis_on_every_column(ss, r, p, q):
+    """Z_r(p, q) as the kernel of D on every column of F^p Tot^{p+q},
+    restricted to the rows below F^{p+r}: the windowed z_basis without its
+    window, each index placed by a scan of its key's block."""
+    k = p + q
+    if k < 0:
+        return []
+    keys, _ = ss.tot_keys(k)
+    block_of = ss.bc.block_of
+    fp = [i for i, key in enumerate(keys) if block_of[key][0] >= max(p, 0)]
+    if r <= 0:
+        return [{i: ss.bc.field.one} for i in fp]
+    keys1, _ = ss.tot_keys(k + 1)
+    low = {j for j, key in enumerate(keys1) if block_of[key][0] < p + r}
+    cols = [{j: c for j, c in ss._column(k, i).items() if j in low}
+            for i in fp]
+    return [{fp[i]: c for i, c in v.items()}
+            for v in kernel_basis(ss.bc.field, cols)]
+
+
+@WINDOW_FIELDS
+@pytest.mark.parametrize("nm,n,qmax", [("heis3", 4, 6), ("t2", 3, None)])
+def test_z_basis_matches_the_kernel_on_every_column(nm, n, qmax, p):
+    bc = build_C(catalog.load(nm, field=Field(p)), n, qmax=qmax)
+    ss, ref = SpectralSequence(bc), SpectralSequence(bc)
+    for k in sorted({sum(pq) for pq in bc.blocks}):
+        # column -1 stands for every F^p below the first column
+        for col in range(-1, bc.pmax + 1):
+            for r in range(bc.pmax + 2):
+                if r and qmax is not None and k + 1 - max(col, 0) > qmax:
+                    with pytest.raises(WindowError):
+                        ss.z_basis(r, col, k - col)
+                    continue
+                got = ss.z_basis(r, col, k - col)
+                want = _z_basis_on_every_column(ref, r, col, k - col)
+                assert ([list(v.items()) for v in got]
+                        == [list(v.items()) for v in want]), (r, col, k)
 
 
 # -- each D column is evaluated once ------------------------------------------
