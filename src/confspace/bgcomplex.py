@@ -18,16 +18,21 @@ Three variants:
 * ``phi_bar``   - the quasi-isomorphism embedding the reduced bicomplex into
   the no-duplicate-target quotient.
 
-Key images of d' and d'' are summed over exact constants and become field
-scalars once per entry, through ``Field.scalars``.  d' reads, per graph,
-the edges whose addition stays in the family, each with its enlarged graph,
-insertion sign and the components it joins, built once here; one
-``_edge_image`` sums the merge term of every family and the two absorb
-terms of the reduced kind.  The products it sums, and the differentials
-d'' sums, are the carrier's lifted tables (``lifted_product`` and
-``lifted_d``), kept on the carrier and so shared by every bicomplex on it.
-``as_block`` and ``from_block`` convert elements over keys to and from
-coordinate vectors over a block.
+Key images of d' and d'' are summed over exact constants.  ``dprime_key``
+and ``dsecond_key`` return them through ``Field.exact``: ints, and
+Fractions only where a structure constant is fractional, over Q; residues
+over F_p.  ``dtotal_key``, D of one key, is their union, and the spectral
+sequence pairs these exact columns with no field scalar formed.  The
+field-scalar views (``apply_dprime``, ``apply_dsecond``, ``apply_total``,
+the block matrices and the edge summands) convert each key image once,
+through ``Field.scalars``.  d' reads, per graph, the edges whose addition
+stays in the family, each with its enlarged graph, insertion sign and the
+components it joins, built once here; one ``_edge_image`` sums the merge
+term of every family and the two absorb terms of the reduced kind.  The
+products it sums, and the differentials d'' sums, are the carrier's lifted
+tables (``lifted_product`` and ``lifted_d``), kept on the carrier and so
+shared by every bicomplex on it.  ``as_block`` and ``from_block`` convert
+elements over keys to and from coordinate vectors over a block.
 """
 
 from .exactlinalg import apply_map, vec_iadd
@@ -132,7 +137,8 @@ class Bicomplex:
         edge-table entries: multiplication by the edge generators e_{ij},
         merging two factors in place; for the reduced bicomplex each is the
         three-term rewriting (merge, then two absorb terms) that keeps later
-        factors positive."""
+        factors positive.  The raw sums: exact constants, some of them
+        possibly 0 in the field."""
         degs = self.carrier.degrees
         product = self.carrier.lifted_product
         reduced = self.family == gr.HFAMILY
@@ -169,18 +175,24 @@ class Bicomplex:
             for k, c in product(f0, ft):
                 k2 = (g2, (k,) + rest)
                 acc[k2] = acc.get(k2, 0) + e * c
-        return self.field.scalars(acc)
+        return acc
 
     def _pair_term(self, key, i, j):
         """Multiplication by the edge generator e_{ij} on one key: element
-        dict over keys (the single-edge summand of d')."""
+        dict over keys (the single-edge summand of d'), in field scalars."""
         entry = self._edge_table(key[0]).get((i, j))
-        return self._edge_image(key, (entry,) if entry else ())
+        return self.field.scalars(
+            self._edge_image(key, (entry,) if entry else ()))
 
     def dprime_key(self, key):
-        return self._edge_image(key, self._edge_table(key[0]).values())
+        """d' of one key as exact constants (``Field.exact``): ints, or
+        Fractions where a structure constant is fractional, over Q;
+        residues over F_p."""
+        return self.field.exact(
+            self._edge_image(key, self._edge_table(key[0]).values()))
 
     def dsecond_key(self, key):
+        """d'' of one key as exact constants, like ``dprime_key``."""
         g, factors = key
         degs = self.carrier.degrees
         lifted_d = self.carrier.lifted_d
@@ -196,13 +208,25 @@ class Bicomplex:
                     k2 = (g, head + (k,) + tail)
                     acc[k2] = acc.get(k2, 0) + e * c
             pre += degs[fi]
-        return self.field.scalars(acc)
+        return self.field.exact(acc)
+
+    def dtotal_key(self, key):
+        """D = d' + d'' of one key as exact constants: the two images lie
+        in different blocks, so D is their union."""
+        return self.dprime_key(key) | self.dsecond_key(key)
+
+    # -- differentials in field scalars -------------------------------------
+    def _dprime_scalars(self, key):
+        return self.field.scalars(self.dprime_key(key))
+
+    def _dsecond_scalars(self, key):
+        return self.field.scalars(self.dsecond_key(key))
 
     def apply_dprime(self, el):
-        return apply_map(self.dprime_key, el)
+        return apply_map(self._dprime_scalars, el)
 
     def apply_dsecond(self, el):
-        return apply_map(self.dsecond_key, el)
+        return apply_map(self._dsecond_scalars, el)
 
     def apply_total(self, el):
         return vec_iadd(self.apply_dprime(el), self.apply_dsecond(el))
@@ -233,13 +257,13 @@ class Bicomplex:
 
     def dprime_matrix(self, p, q):
         """Columns of d' : (p, q) -> (p + 1, q)."""
-        return self._block_columns(self._dp_cols, self.dprime_key, p, q,
+        return self._block_columns(self._dp_cols, self._dprime_scalars, p, q,
                                    (p + 1, q))
 
     def dsecond_matrix(self, p, q):
         """Columns of d'' : (p, q) -> (p, q + 1)."""
-        return self._block_columns(self._ds_cols, self.dsecond_key, p, q,
-                                   (p, q + 1))
+        return self._block_columns(self._ds_cols, self._dsecond_scalars, p,
+                                   q, (p, q + 1))
 
     @property
     def pmax(self):

@@ -3,21 +3,25 @@
 Everything downstream (bicomplex differentials, spectral-sequence pages,
 Massey defining systems) reduces to rank / kernel / solve / quotient over an
 exact field, so no floating point appears anywhere in this package.  Vectors
-are sparse ``{index: scalar}`` dicts of field scalars (``Fraction`` over Q,
-``FpElement`` over F_p).  ``Field`` owns the exact constants: ``lift`` takes
-a scalar to one, ``exact`` drops sums of them that are 0 in the field, and
-``scalars`` is the one place such sums become field scalars, for the
-differentials and the elimination kernel alike.  A linear map is the list of
-its columns, each such a dict over the rows; ``apply_map`` applies a map
-given by the images of basis vectors, and ``transpose`` is the one place
-columns become rows, for the duality check's adjointness test.
+are sparse ``{index: scalar}`` dicts, either of field scalars (``Fraction``
+over Q, ``FpElement`` over F_p) or of exact constants: ints, and Fractions
+only where a constant is fractional, over Q; residues mod p over F_p.
+``Field`` owns the exact constants: ``lift`` takes a scalar to one,
+``exact`` drops sums of them that are 0 in the field (reducing them mod p),
+and ``scalars`` is the one place such sums become field scalars.  A linear
+map is the list of its columns, each such a dict over the rows;
+``apply_map`` applies a map given by the images of basis vectors, and
+``transpose`` is the one place columns become rows, for the duality check's
+adjointness test.
 Every elimination runs through one kernel, ``SpanReducer``: an incremental
 reduced row echelon form whose rows are kept as ``{col: int}`` dicts,
 fraction-free and primitive over Q and residues mod p over F_p, so
-elimination does no scalar-object arithmetic; field scalars are formed only
-where its rows or reductions are read.  ``pivot_pairs`` reduces the columns
-of a map in the order given, and every rank is its number of pairs, the
-columns inserted last to first.  ``subquotient`` reduces a list of
+elimination does no scalar-object arithmetic.  It takes vectors of either
+kind, and an all-int one goes in as a copy, so the D columns of a
+bicomplex reach it with no field scalar formed; field scalars are formed
+only where its rows or reductions are read.  ``pivot_pairs`` reduces the
+columns of a map in the order given, and every rank is its number of pairs,
+the columns inserted last to first.  ``subquotient`` reduces a list of
 relations and then each of a list of candidates once, extended by its own
 index past every row index, so that every reduced row records the
 combination of candidates it is (the recorded reduction R = D V); classes,
@@ -218,6 +222,8 @@ class Field:
 
 QQ = Field()
 
+_INT = frozenset((int,))  # the entry types of an all-int vector
+
 
 # ---------------------------------------------------------------------------
 # sparse vectors: plain dicts {index: nonzero scalar}
@@ -289,9 +295,10 @@ class SpanReducer:
     field scalar: over Q each row is primitive (content gcd 1) with a
     positive pivot, and a step R <- b*R - a*v is taken fraction-free, after
     cancelling gcd(a, b); over F_p each row holds residues in [0, p) with
-    pivot 1.  Field scalars appear only at the boundary: ``reduce`` and
-    ``basis`` return ``Fraction`` or ``FpElement`` values, those of the
-    unique reduced row echelon form with unit pivots.
+    pivot 1.  ``insert``, ``contains`` and ``reduce`` take field scalars
+    or exact constants (see ``_ints``).  Field scalars appear only at the
+    boundary: ``reduce`` and ``basis`` return ``Fraction`` or ``FpElement``
+    values, those of the unique reduced row echelon form with unit pivots.
     """
 
     def __init__(self, field):
@@ -305,8 +312,18 @@ class SpanReducer:
         return len(self.rows)
 
     def _ints(self, vec):
-        """(integer row, scale s) with vec = row / s; over F_p s is 1."""
-        if self.p is not None:
+        """(integer row, scale s) with vec = row / s; over F_p s is 1.
+
+        vec holds field scalars or exact constants: ints, and Fractions
+        where a constant is fractional, over Q; residues mod p over F_p,
+        as ``Field.exact`` leaves them.  An all-int vec is copied as it
+        is, with no per-entry conversion."""
+        vals = vec.values()
+        # the first entry settles a vector of field scalars at once
+        if (type(next(iter(vals), 0)) is int
+                and _INT.issuperset(map(type, vals))):
+            v, s = dict(vec), 1
+        elif self.p is not None:
             v, s = {j: x.v for j, x in vec.items()}, 1
         else:
             s = lcm(*[x.denominator for x in vec.values()])
@@ -425,7 +442,8 @@ class SpanReducer:
 def pivot_pairs(field, cols):
     """The pivot each column adds to the span of the columns before it.
 
-    cols are inserted in the order given; entry j is the row index that
+    cols (field scalars or exact constants, see ``SpanReducer._ints``)
+    are inserted in the order given; entry j is the row index that
     became a pivot when cols[j] was inserted, or None if cols[j] lies in the
     span of cols[:j].  Pivots are least row indices, so for every prefix of
     the columns and every prefix of the rows the number of pairs inside is

@@ -35,7 +35,7 @@ so the page differential d_r is literally "apply D to a representative and
 read the class off in the target block" (the zig-zag rule).  The keys of
 Tot^k run block by block in increasing p, so F^p Tot^k is the suffix of
 the indices from where block p starts, and the rows below F^{p+r} are a
-prefix.  Z_r(p, q) evaluates D on blocks p..p+r-1 only: D keeps F^{p+r}
+prefix.  Z_r(p, q) evaluates D on blocks p to p+r-1 only: D keeps F^{p+r}
 in F^{p+r}, so those columns restrict to zero and their unit vectors join
 the kernel as they are.
 
@@ -44,6 +44,12 @@ key is computed lazily, the first time it is needed, and cached on the
 ``SpectralSequence``; every other use of D (pairs, cycle spaces, boundaries,
 page differentials, total cohomology) combines these cached columns.  Build
 one ``SpectralSequence`` per bicomplex and reuse it to keep that saving.
+A column is the bicomplex's ``dtotal_key`` of its key, in exact constants
+(ints, and Fractions only where a structure constant is fractional, over
+Q; residues over F_p), so the pairing forms no field scalar; D of a vector
+sums the columns with its lifted coefficients and reduces once.  The
+bicomplex protocol is ``blocks``, ``block_of``, ``field``, ``qmax`` and
+``dtotal_key``.
 Pairs are cached per total degree, and cycle spaces, pages (with their
 class coordinates) and page differentials per (r, p, q).  A q-window on the
 underlying bicomplex must hold what D reaches: D on F^p Tot^k reaches the
@@ -51,7 +57,7 @@ blocks of q <= k + 1 - p, so the pairs, which take all of Tot^k, need
 k + 1 <= qmax, and a cycle space from column p needs only k + 1 - p <=
 qmax; outside that a ``WindowError`` is raised."""
 
-from .exactlinalg import (SpanReducer, subquotient, NO_SOLUTION, apply_map,
+from .exactlinalg import (SpanReducer, subquotient, NO_SOLUTION,
                           kernel_basis, pivot_pairs)
 
 
@@ -99,7 +105,8 @@ class SpectralSequence:
                               "above %d" % (k, max(p, 0), qmax))
 
     def _column(self, k, i):
-        """D of the i-th Tot^k basis key, as a Tot^{k+1} coordinate vector.
+        """D of the i-th Tot^k basis key, as a Tot^{k+1} coordinate vector
+        of exact constants (the bicomplex's ``dtotal_key``).
 
         Evaluated on first use only; the result is shared, so callers must
         not mutate it."""
@@ -108,13 +115,22 @@ class SpectralSequence:
         if col is None:
             keys, _ = self.tot_keys(k)
             _, pos1 = self.tot_keys(k + 1)
-            out = self.bc.apply_total({keys[i]: self.bc.field.one})
+            out = self.bc.dtotal_key(keys[i])
             col = cols[i] = {pos1[key]: c for key, c in out.items()}
         return col
 
     def _d_vec(self, v, k):
-        """D of a Tot^k coordinate vector, as a Tot^{k+1} coordinate vector."""
-        return apply_map(lambda i: self._column(k, i), v)
+        """D of a Tot^k coordinate vector of field scalars, as a Tot^{k+1}
+        coordinate vector of exact constants: the columns summed with the
+        lifted coefficients, and the sums reduced once."""
+        field = self.bc.field
+        lift = field.lift
+        acc = {}
+        for i, c in v.items():
+            c = lift(c)
+            for j, x in self._column(k, i).items():
+                acc[j] = acc.get(j, 0) + c * x
+        return field.exact(acc)
 
     # -- cycle spaces ---------------------------------------------------------
     def z_basis(self, r, p, q):
@@ -128,7 +144,7 @@ class SpectralSequence:
         k = p + q
         if k < 0:
             return []
-        # D on blocks p..p+r-1 only: the columns of F^{p+r} restrict to
+        # D on blocks p to p+r-1 only: the columns of F^{p+r} restrict to
         # zero, and kernel_basis would put their unit vectors last
         lo = hi = self._fp_start(k, p)
         basis = []

@@ -664,6 +664,35 @@ def test_rank_matches_the_row_form_reference(case, data):
     assert cols == before
 
 
+@settings(max_examples=150, deadline=None)
+@given(field_and_vectors(families=2))
+def test_exact_vectors_reduce_as_their_field_scalars(case):
+    # the exact form of a vector: ints, and Fractions where fractional, over
+    # Q; residues over F_p (what Field.lift gives, as Bicomplex.dtotal_key
+    # leaves D columns)
+    field, vecs, probes = case
+    exact = [{j: field.lift(x) for j, x in v.items()} for v in vecs]
+    red, ref = SpanReducer(field), SpanReducer(field)
+    for e, v in zip(exact, vecs):
+        assert red.insert(e) == ref.insert(v)
+        assert red.rows == ref.rows
+    for v in vecs + probes:
+        e = {j: field.lift(x) for j, x in v.items()}
+        assert _same(red.reduce(e), ref.reduce(v))
+        assert red.contains(e) == ref.contains(v)
+    assert pivot_pairs(field, exact) == pivot_pairs(field, vecs)
+    ker = kernel_basis(field, exact)
+    assert [list(v.items()) for v in ker] == \
+        [list(v.items()) for v in kernel_basis(field, vecs)]
+    assert all(_is_field_vector(field, v) for v in ker)
+    picked, coords = subquotient(field, NCOLS, exact[:2], exact[2:])
+    ref_picked, ref_coords = subquotient(field, NCOLS, vecs[:2], vecs[2:])
+    assert picked == ref_picked
+    for v in vecs + probes:
+        assert coords({j: field.lift(x) for j, x in v.items()}) == \
+            ref_coords(v)
+
+
 _DUNDERS = ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
             "__rmul__", "__truediv__", "__rtruediv__", "__neg__")
 
