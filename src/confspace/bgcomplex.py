@@ -143,6 +143,9 @@ class Bicomplex:
         product = self.carrier.lifted_product
         reduced = self.family == gr.HFAMILY
         factors = key[1]
+        pre = [0]   # degree prefixes of the factors
+        for i in factors:
+            pre.append(pre[-1] + degs[i])
         acc = {}
         for g2, esign, s, t in entries:
             if s == t:
@@ -151,7 +154,7 @@ class Bicomplex:
                 continue
             fs, ft = factors[s], factors[t]
             dt = degs[ft]
-            dst = sum(degs[factors[r]] for r in range(s + 1, t))
+            dst = pre[t] - pre[s + 1]
             head, mid, tail = factors[:s], factors[s + 1:t], factors[t + 1:]
             # merge the two factors in place
             e = -esign if dt * dst % 2 else esign
@@ -161,7 +164,7 @@ class Bicomplex:
             if not reduced:
                 continue
             f0, ds = factors[0], degs[fs]
-            d2s = sum(degs[factors[r]] for r in range(1, s))
+            d2s = pre[s] - pre[1]   # s >= 1: vertex 1 is isolated
             # absorb the source factor into the free slot, move the target
             # factor up
             e = esign if (ds * d2s + dt * dst) % 2 else -esign

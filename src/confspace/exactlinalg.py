@@ -29,7 +29,9 @@ class coordinates, preimages (``solve``), kernels (``kernel_basis``, from
 the reductions of the candidates it does not pick) and quotients
 (``quotient_basis``) are all read off it.  ``homology_dims``
 reads the cohomology of a complex of blocks off the ranks of its
-differentials, each ranked once.
+differentials, each ranked once: the duality check's graph-side E2 and the
+three- and four-point reports; the tensor-power E2 is read off the
+pairing of ``spectral`` instead.
 """
 
 from fractions import Fraction
@@ -194,9 +196,12 @@ class Field:
         the entries that are 0 in the field; key order is kept."""
         p = self.p
         if p is not None:
-            inv = pow(s, -1, p)
-            return {k: FpElement(p, r) for k, x in acc.items()
-                    if (r := x * inv % p)}
+            # FpElement reduces each entry, once; its residue is the 0 test
+            if s != 1:
+                inv = pow(s, -1, p)
+                return {k: e for k, x in acc.items()
+                        if (e := FpElement(p, x * inv)).v}
+            return {k: e for k, x in acc.items() if (e := FpElement(p, x)).v}
         # one-argument Fraction costs half what Fraction(x, 1) does
         if s == 1:
             return {k: Fraction(x) for k, x in acc.items() if x}

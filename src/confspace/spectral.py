@@ -49,7 +49,9 @@ A column is the bicomplex's ``dtotal_key`` of its key, in exact constants
 Q; residues over F_p), so the pairing forms no field scalar; D of a vector
 sums the columns with its lifted coefficients and reduces once.  The
 bicomplex protocol is ``blocks``, ``block_of``, ``field``, ``qmax`` and
-``dtotal_key``.
+``dtotal_key``.  ``bgcomplex.Bicomplex`` serves it, and so does the
+tensor-power complex re-keyed as a bicomplex with d'' = 0
+(``ctcomplex._D1View``), whose second page is the tensor-power E2.
 Pairs are cached per total degree, and cycle spaces, pages (with their
 class coordinates) and page differentials per (r, p, q).  A q-window on the
 underlying bicomplex must hold what D reaches: D on F^p Tot^k reaches the

@@ -1,20 +1,20 @@
 """Tensor-power first-page complex: quotient dims, d1, known point counts."""
 
-import sys
 from collections import Counter
 from itertools import combinations
 from math import factorial
 
 import pytest
 
-from confspace.exactlinalg import (QQ, Field, apply_map, quotient_basis, rank,
-                                   vec_iadd)
-from confspace import catalog, exactlinalg
+from confspace.exactlinalg import (QQ, Field, apply_map, homology_dims,
+                                   quotient_basis, rank, vec_iadd)
+from confspace import catalog
 from confspace import graphs as gr
 from confspace.cli import main
 from confspace.algebra import sign
 from confspace.bgcomplex import build_AG
 from confspace.ctcomplex import CTComplex
+from confspace.duality import theorem1_check
 
 
 class AmbientOracle:
@@ -301,35 +301,63 @@ def test_stored_keys_are_the_quotient_basis(nm, n):
                 {i: alg.field.one}, key
 
 
-def count_rank_calls(monkeypatch):
-    """Count the calls of exactlinalg.rank made through every confspace
-    module that binds it; returns the list the calls are recorded in."""
-    orig = exactlinalg.rank
-    calls = []
+def count_d1_key_calls(monkeypatch):
+    """Count the evaluations of CTComplex.d1_key per key; returns the
+    Counter they are recorded in."""
+    orig = CTComplex.d1_key
+    calls = Counter()
 
-    def counted(field, cols):
-        calls.append(len(cols))
-        return orig(field, cols)
+    def counted(self, key):
+        calls[key] += 1
+        return orig(self, key)
 
-    for name, mod in list(sys.modules.items()):
-        if name.startswith("confspace") and getattr(mod, "rank", None) is orig:
-            monkeypatch.setattr(mod, "rank", counted)
+    monkeypatch.setattr(CTComplex, "d1_key", counted)
     return calls
 
 
-def test_e2_ranks_each_d1_once(monkeypatch):
-    ct = CTComplex(catalog.load("t2"), 3)
-    calls = count_rank_calls(monkeypatch)
+def test_d1_key_runs_once_per_key(monkeypatch):
+    # e2_dims, d1_matrix and the duality check all read the columns cached
+    # on the complex's one spectral sequence
+    a = catalog.load("t2")
+    ct = CTComplex(a, 3)
+    calls = count_d1_key_calls(monkeypatch)
     ct.e2_dims()
-    sources = [(p, h) for (p, h) in ct.blocks() if p >= 1 and ct.dim(p, h)]
-    assert len(calls) == len(sources) == 8
+    for (p, h) in ct.blocks():
+        ct.d1_matrix(p, h)
+    theorem1_check(a, 3, ct=ct)
+    assert set(calls.values()) == {1}
+    assert len(calls) == len(ct.basis.block_of)
 
 
-def test_ct_e2_command_ranks_each_d1_once(monkeypatch, capsys):
-    calls = count_rank_calls(monkeypatch)
+def test_ct_e2_command_clears_d1_columns(monkeypatch, capsys):
+    # a pivot row of the degree below is cleared: its d1 is never evaluated
+    calls = count_d1_key_calls(monkeypatch)
     assert main(["ct-e2", "--catalog", "s2xs2", "--n", "4",
                  "--format", "json"]) == 0
-    assert len(calls) == 15
+    keys = len(CTComplex(catalog.load("s2xs2"), 4).basis.block_of)
+    assert set(calls.values()) == {1}
+    assert 0 < len(calls) < keys
+
+
+def _reference_e2_dims(ct):
+    """Dims of ker d1 / im d1 with each d1 block ranked on its own, as
+    ``homology_dims`` ranks them."""
+    dims = {b: ct.dim(*b) for b in ct.blocks()}
+    return homology_dims(ct.field, dims, (
+        ((p, h), (p - 1, h + ct.m), ct.d1_matrix(p, h))
+        for (p, h) in dims if p >= 1))
+
+
+@pytest.mark.parametrize("nm,n,field", [
+    pytest.param(nm, n, field, id="%s-n%d-%s" % (nm, n, field.name))
+    for nm in ("s2", "s3", "t2", "cp2", "s2xs2") for n in (1, 2, 3, 4)
+    for field in (QQ, Field(3), Field(101))
+] + [pytest.param(nm, 5, QQ, id="%s-n5-Q" % nm) for nm in ("s2", "t2", "cp2")])
+def test_e2_dims_match_block_ranks(nm, n, field):
+    # the pairing of the re-keyed view against ranking every d1 block;
+    # e2_dims goes first, so its cleared columns are still unevaluated
+    ct = CTComplex(catalog.load(nm, field=field), n)
+    assert ct.e2_dims() == _reference_e2_dims(ct)
 
 
 def test_basis_is_distinct_target_monomials():
