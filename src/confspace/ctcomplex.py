@@ -30,9 +30,8 @@ algebra's lifted product table (``lifted_product``, kept on the algebra and
 shared with the graph-side basis), as d1 does: the relations take its
 products as field scalars made once per product and sign, and the merge,
 the projections onto the quotient and d1 sum over exact constants.
-``Field.exact`` keeps the nonzero constants of a merge or a d1 image, and
-``Field.scalars`` makes a projection field scalars once per coordinate,
-only where it is not 0.
+``Field.exact`` keeps the nonzero constants of a merge, a projection or a
+d1 image, so none of them forms a field scalar.
 
 Blocks are keyed (p, h): p the number of x factors and h the internal
 degree.  The differential d1 replaces one x factor x_{st} by the diagonal
@@ -57,8 +56,10 @@ in exact constants) as its D, and each complex makes one
 ``SpectralSequence`` of it, on first use.  ``e2_dims`` reads E2(-p, h + p m)
 off its pairing: the pivot rows of the degree below are cleared, so their
 columns are never evaluated, and no field scalar is formed.  ``d1_matrix``
-reads the sequence's cached columns and makes them field scalars once.  So
-d1 is evaluated at most once per key and complex.
+is the sequence's cached columns of one block, re-indexed to the target
+block and still in exact constants, which the duality check's adjointness
+test composes with the pairing.  So d1 is evaluated at most once per key
+and complex.
 """
 
 from functools import cached_property
@@ -83,7 +84,6 @@ class CTComplex:
         self._build_ambient()
         self._quot = {}        # (p, h) -> (reps, project)
         self._merged = {}      # ambient key -> merge(key), exact constants
-        self._d1 = {}          # (p, h) -> d1 columns, field scalars
         self._removal = {}     # graph -> d1 table, per edge
         # the diagonal class as (u, v, |u|, |v|, lifted coefficient)
         degs, lift = self.alg.degrees, self.field.lift
@@ -198,8 +198,8 @@ class CTComplex:
         coordinate vectors of the block keys, and project maps an element
         over ambient keys of (p, h) to its sparse quotient coordinates by
         merging each key: the lifted coefficients times the merge constants
-        are summed over exact constants, and ``Field.scalars`` makes them
-        field scalars once per coordinate that is not 0 in the field."""
+        are summed over exact constants, and ``Field.exact`` keeps the
+        coordinates that are not 0 in the field."""
         if (p, h) not in self._quot:
             pos = self.basis.pos.get((p, h), {})
             lift = self.field.lift
@@ -212,7 +212,7 @@ class CTComplex:
                     for k, x in merge(key).items():
                         i = pos[k]
                         acc[i] = acc.get(i, 0) + c * x
-                return self.field.scalars(acc)
+                return self.field.exact(acc)
 
             reps = [{i: self.field.one} for i in range(len(pos))]
             self._quot[(p, h)] = reps, project
@@ -286,23 +286,12 @@ class CTComplex:
 
     def d1_matrix(self, p, h):
         """Columns of d1 on quotient blocks: (p, h) -> (p - 1, h + m), the
-        sequence's cached D columns made field scalars once, re-indexed
-        from Tot^{k+1} to the target block."""
-        if (p, h) not in self._d1:
-            # perfbench/tracer.py counts block quotients through this call
-            # only; the next benchmark change can drop it with that hook
-            self.quotient(p - 1, h + self.m)
-            ss = self._ss
-            k = h + p * (self.m - 1)   # the total degree P + Q of the view
-            _, pos = ss.tot_keys(k)
-            tgt = self._blocks.get((p - 1, h + self.m))
-            start = ss.tot_keys(k + 1)[1][tgt[0]] if tgt else 0
-            scalars = self.field.scalars
-            self._d1[(p, h)] = [
-                scalars({j - start: c
-                         for j, c in ss._column(k, pos[key]).items()})
-                for key in self._blocks.get((p, h), ())]
-        return self._d1[(p, h)]
+        sequence's cached D columns in exact constants, re-indexed to the
+        target block (``SpectralSequence.block_columns``)."""
+        # perfbench/tracer.py counts block quotients through this call
+        # only; the next benchmark change can drop it with that hook
+        self.quotient(p - 1, h + self.m)
+        return self._ss.block_columns(-p, h + p * self.m)
 
     def e2_dims(self):
         """Dims of ker d1 / im d1 on every quotient block: E2(-p, h + p m)

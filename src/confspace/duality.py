@@ -14,13 +14,22 @@ An ambient tensor-power key T (x) mu pairs as its merge along the
 components of mu.  The pairing kills every block relation, is perfect on
 the quotients, and intertwines the two differentials up to a sign that is
 constant on each block; ``theorem1_check`` verifies all of this and reports
-the discovered signs and the resulting second-page duality of dimensions."""
+the discovered signs and the resulting second-page duality of dimensions.
+
+The check runs in exact constants, as the D columns of ``spectral`` do:
+the pairing rows multiply the lifted Poincare pairing table with int
+signs, d1 is ``CTComplex.d1_matrix`` (the tensor side's cached columns),
+and d' and the graph-side E2 are read off one ``SpectralSequence`` of the
+graph side, whose D is d' since the carrier has no differential.  So each
+d' key is evaluated at most once, and only the adjointness ratio of each
+block's first entry forms a field scalar."""
 
 from itertools import product
 from math import prod
 
-from .exactlinalg import apply_map, homology_dims, rank, transpose
+from .exactlinalg import rank, transpose
 from .algebra import sign
+from .spectral import SpectralSequence
 from . import graphs as gr
 
 
@@ -32,7 +41,8 @@ class Pairing:
     def __init__(self, ct, bar):
         """ct: tensor-power complex; bar: no-duplicate-target bicomplex on
         the same algebra and n, with zero internal differential.  Factors
-        pair through ct's Poincare pairing table, ``ct.pd.pairing``."""
+        pair through ct's Poincare pairing table, ``ct.pd.pairing``, lifted
+        once to exact constants."""
         if ct.alg is not bar.carrier:
             raise ValueError("the two complexes must share the algebra")
         if bar.family != gr.NODUPTARGET:
@@ -42,6 +52,10 @@ class Pairing:
         self.alg = ct.alg
         self.m = ct.m
         self.n = ct.n
+        lift = self.alg.field.lift
+        self._pd = [[(b, lift(x)) for b, x in terms]
+                    for terms in ct.pd.pairing]
+        self._ss = SpectralSequence(bar)   # its D is d': d'' = 0 on bar
         self._mat = {}   # (p, h) -> pairing rows, read again by adjointness
 
     def dual_block(self, p, h):
@@ -49,51 +63,50 @@ class Pairing:
 
     def pair_keys(self, ct_key, bar_key):
         """Scalar pairing of one ambient tensor-power key with one graph
-        key: the pairing of its merge."""
+        key: the pairing of its merge, as a field scalar."""
         g, factors = bar_key
-        zero = self.alg.field.zero
         if ct_key[1] != g.edges:
-            return zero
-        return sum((c * self._dual(key).get(factors, zero)
-                    for key, c in self.ct.merge(ct_key).items()), zero)
+            return self.alg.field.zero
+        return self.alg.field.of(sum(
+            c * self._dual(key).get(factors, 0)
+            for key, c in self.ct.merge(ct_key).items()))
 
     def _dual(self, key):
         """{factors: < key ; factors e_g >} over the factor tuples that pair
-        nonzero with the basis key (g, combo)."""
+        nonzero with the basis key (g, combo): products of the lifted
+        pairing table with an int sign, not yet reduced."""
         g, combo = key
         degs = self.alg.degrees
-        f = self.alg.field
         # suspension sign of the edge monomial: trivial for even m, needed
         # for the adjointness sign to be constant on blocks when m is odd;
         # from four points on the targets of g can be out of order, and
         # each inversion among them costs another (-1)^m
         targets = g.targets()
-        total = f.of(sign(self.m * (sum(targets) + sum(
+        e = self.m * (sum(targets) + sum(
             1 for a in range(len(targets)) for b in range(a + 1, len(targets))
-            if targets[a] > targets[b]))))
+            if targets[a] > targets[b]))
         # pair factor by factor with the interleaving sign; a partner b_i of
         # c_i has degree m - |c_i|, so the sign depends on the combo only
         l = len(combo)
-        e2 = 0
         for i in range(l):
             for j in range(i + 1, l):
-                e2 += (self.m - degs[combo[i]]) * degs[combo[j]]
-        s = total * f.of(sign(e2))
+                e += (self.m - degs[combo[i]]) * degs[combo[j]]
+        s = sign(e)
         return {tuple(b for b, _ in terms): prod((x for _, x in terms), start=s)
-                for terms in product(*(self.ct.pd.pairing[ci] for ci in combo))}
+                for terms in product(*(self._pd[ci] for ci in combo))}
 
     def matrix(self, p, h):
         """Rows of the pairing matrix, one per block basis key, each over the
         basis of the dual graph block: nonzero only on graph keys with the
-        same graph.  The pairing of an ambient key is the tensor power of the
-        Poincare pairing (invertible, with signs) applied to its merge, so a
-        symbol relation pairs nontrivially exactly when it projects to a
-        nonzero quotient vector; DualityError is raised then, since the
-        pairing is not defined on the quotient.  Every symbol relation of
-        the block is checked: the relations are read off the lifted product
-        table, and each projection is summed over exact constants and
-        tested for zero in the field (mod p over F_p) before any field
-        scalar is formed."""
+        same graph, in exact constants (``Field.exact``).  The pairing of an
+        ambient key is the tensor power of the Poincare pairing (invertible,
+        with signs) applied to its merge, so a symbol relation pairs
+        nontrivially exactly when it projects to a nonzero quotient vector;
+        DualityError is raised then, since the pairing is not defined on
+        the quotient.  Every symbol relation of the block is checked: the
+        relations are read off the lifted product table, and each
+        projection is summed over exact constants and tested for zero in
+        the field (mod p over F_p)."""
         if (p, h) not in self._mat:
             _, project = self.ct.r_quotient(p, h)
             for v in self.ct.relation_vectors(p, h):
@@ -101,9 +114,10 @@ class Pairing:
                     raise DualityError(
                         "relation pairs nontrivially at (%d, %d)" % (p, h))
             pos = self.bar.pos.get(self.dual_block(p, h), {})
+            exact = self.alg.field.exact
             self._mat[(p, h)] = [
-                dict(sorted((pos[(key[0], bs)], x)
-                            for bs, x in self._dual(key).items()))
+                exact(dict(sorted((pos[(key[0], bs)], x)
+                                  for bs, x in self._dual(key).items())))
                 for key in self.ct.basis.blocks.get((p, h), ())]
         return self._mat[(p, h)]
 
@@ -114,8 +128,9 @@ def theorem1_check(alg, n, ct=None, bar=None):
     Checks, per block: relations pair to zero, the induced pairing on the
     quotient is perfect, and the two differentials are adjoint up to a sign
     constant on the block.  The graph side is ct's own basis unless bar is
-    given.  Returns a dict with the discovered signs and the matching
-    second-page dimensions on both sides."""
+    given.  Returns a dict with the discovered signs, each 1, -1 or None
+    (no entry to compare), and the matching second-page dimensions on both
+    sides."""
     from .ctcomplex import CTComplex
 
     ct = ct or CTComplex(alg, n)
@@ -145,31 +160,34 @@ def theorem1_check(alg, n, ct=None, bar=None):
             continue
         lhs = _compose_pair_d1(pr, p, h)
         rhs = _compose_dprime_pair(pr, p, h)
-        # both sides' rows are sparse: no entry is stored as zero
+        # both sides' rows are sparse: no entry is stored as zero.  sigma
+        # is the ratio of the first entry; every entry x against its
+        # partner y must then have x - sigma y = 0 in the field
         sigma = None
         for row, partner in zip(lhs, rhs):
             if row.keys() != partner.keys():
                 raise DualityError("adjointness support mismatch at (%d, %d)"
                                    % (p, h))
-            for j, x in row.items():
-                r = x / partner[j]
-                if sigma is None:
-                    sigma = r
-                elif sigma != r:
-                    raise DualityError("adjointness sign not constant at (%d, %d)"
-                                       % (p, h))
-        if sigma is not None and sigma * sigma != f.one:
-            raise DualityError("adjointness ratio %r is not a sign" % (sigma,))
+            if sigma is None and row:
+                j = next(iter(row))
+                sigma = f.lift(f.of(row[j]) / f.of(partner[j]))
+            if f.exact({j: x - sigma * partner[j] for j, x in row.items()}):
+                raise DualityError("adjointness sign not constant at (%d, %d)"
+                                   % (p, h))
+        if sigma is not None:
+            if f.exact({0: sigma * sigma - 1}):
+                raise DualityError("adjointness ratio %r is not a sign"
+                                   % (f.of(sigma),))
+            # a residue p - 1 over F_p is the sign -1
+            sigma = -1 if f.exact({0: sigma - 1}) else 1
         signs[(p, h)] = sigma
     # second-page dimension duality; the carrier has no differential
-    # (poincare_data refuses one), so d'' = 0 and the graph-side E2 is H(d')
-    dims = {b: len(keys) for b, keys in bar.blocks.items()}
-    bar_e2 = homology_dims(f, dims, (
-        ((p, q), (p + 1, q), bar.dprime_matrix(p, q)) for (p, q) in dims))
+    # (poincare_data refuses one), so d'' = 0 and the graph-side E2 is H(d'),
+    # counted off the pairing of the graph side's sequence
     dual_pairs = []
     for (p, h), d in ct.e2_dims().items():
         q2 = pr.dual_block(p, h)
-        db = bar_e2.get(q2, 0)
+        db = pr._ss.e_dim(2, *q2)
         if d or db:
             dual_pairs.append(((p, h), q2, d, db))
         if d != db:
@@ -178,16 +196,28 @@ def theorem1_check(alg, n, ct=None, bar=None):
     return {"signs": signs, "e2_pairs": dual_pairs}
 
 
+def _compose(f, image, vec):
+    """sum_i vec[i] image(i) for exact constants, reduced once."""
+    acc = {}
+    for i, c in vec.items():
+        for j, x in image(i).items():
+            acc[j] = acc.get(j, 0) + c * x
+    return f.exact(acc)
+
+
 def _compose_pair_d1(pr, p, h):
     """Rows of (z, w) -> < d1 z ; w >, one per source quotient basis
     element, over the graph block dual to the d1 target."""
     d1 = pr.ct.d1_matrix(p, h)
     ptgt = pr.matrix(p - 1, h + pr.m)
-    return [apply_map(ptgt.__getitem__, col) for col in d1]
+    return [_compose(pr.alg.field, ptgt.__getitem__, col) for col in d1]
 
 
 def _compose_dprime_pair(pr, p, h):
-    """Rows of (z, w) -> < z ; d' w > over the same index sets."""
+    """Rows of (z, w) -> < z ; d' w > over the same index sets: d' out of
+    the graph block dual to the d1 target, read off the graph side's
+    sequence."""
     psrc = pr.matrix(p, h)
-    drows = transpose(pr.bar.dprime_matrix(*pr.dual_block(p - 1, h + pr.m)))
-    return [apply_map(lambda i: drows.get(i, {}), prow) for prow in psrc]
+    drows = transpose(pr._ss.block_columns(*pr.dual_block(p - 1, h + pr.m)))
+    return [_compose(pr.alg.field, lambda i: drows.get(i, {}), prow)
+            for prow in psrc]

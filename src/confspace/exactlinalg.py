@@ -29,8 +29,8 @@ class coordinates, preimages (``solve``), kernels (``kernel_basis``, from
 the reductions of the candidates it does not pick) and quotients
 (``quotient_basis``) are all read off it.  ``homology_dims``
 reads the cohomology of a complex of blocks off the ranks of its
-differentials, each ranked once: the duality check's graph-side E2 and the
-three- and four-point reports; the tensor-power E2 is read off the
+differentials, each ranked once: the three- and four-point reports; the
+tensor-power E2 and the duality check's graph-side E2 are read off the
 pairing of ``spectral`` instead.
 """
 

@@ -42,8 +42,10 @@ the kernel as they are.
 D columns are evaluated at most once per bicomplex: D of each Tot^k basis
 key is computed lazily, the first time it is needed, and cached on the
 ``SpectralSequence``; every other use of D (pairs, cycle spaces, boundaries,
-page differentials, total cohomology) combines these cached columns.  Build
-one ``SpectralSequence`` per bicomplex and reuse it to keep that saving.
+page differentials, total cohomology, and ``block_columns``, the d' of a
+bicomplex with d'' = 0 that the duality check composes with its pairing)
+combines these cached columns.  Build one ``SpectralSequence`` per
+bicomplex and reuse it to keep that saving.
 A column is the bicomplex's ``dtotal_key`` of its key, in exact constants
 (ints, and Fractions only where a structure constant is fractional, over
 Q; residues over F_p), so the pairing forms no field scalar; D of a vector
@@ -120,6 +122,17 @@ class SpectralSequence:
             out = self.bc.dtotal_key(keys[i])
             col = cols[i] = {pos1[key]: c for key, c in out.items()}
         return col
+
+    def block_columns(self, p, q):
+        """D of each key of block (p, q), over block (p + 1, q): the cached
+        columns, re-indexed from where that block starts in Tot^{k+1}.  For
+        a bicomplex with d'' = 0, whose D out of (p, q) lies in that block:
+        its d', the page-1 differential."""
+        k = p + q
+        _, pos = self.tot_keys(k)
+        start = self._fp_start(k + 1, p + 1)
+        return [{j - start: c for j, c in self._column(k, pos[key]).items()}
+                for key in self.bc.blocks.get((p, q), ())]
 
     def _d_vec(self, v, k):
         """D of a Tot^k coordinate vector of field scalars, as a Tot^{k+1}

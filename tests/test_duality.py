@@ -1,15 +1,16 @@
 """Perfect pairing between the tensor-power complex and the graph quotient."""
 
+from collections import Counter
 from itertools import product
 
 import pytest
 
-from confspace.exactlinalg import QQ, Field
+from confspace.exactlinalg import QQ, Field, homology_dims
 from confspace import graphs as gr
 from confspace import catalog
 from confspace.algebra import sign
 from confspace.ctcomplex import CTComplex
-from confspace.bgcomplex import build_AG
+from confspace.bgcomplex import Bicomplex, build_AG
 from confspace.duality import Pairing, theorem1_check, DualityError
 
 
@@ -310,3 +311,55 @@ def test_pairing_matrix_square_and_full_rank():
         assert all(j < d for row in rows for j in row)
         # the rows taken as columns: the transpose has the same rank
         assert rank(a.field, rows) == d
+
+
+# -- one page engine per side ---------------------------------------------------
+
+@pytest.mark.parametrize("p", [None, 101], ids=["Q", "F101"])
+def test_theorem1_check_evaluates_each_key_once(monkeypatch, p):
+    # d' and d1 are the cached D columns of each side's spectral sequence:
+    # no key image is evaluated twice, columns the graph side's pairing
+    # clears and adjointness does not read are never evaluated, and no
+    # field scalar is formed from a column or a pairing row
+    a = catalog.load("t2", field=Field(p))
+    ct = CTComplex(a, 4)
+    dprime, d1 = Counter(), Counter()
+    scalars = []
+    dprime_key, d1_key = Bicomplex.dprime_key, CTComplex.d1_key
+    field_scalars = Field.scalars
+
+    def counted_dprime(self, key):
+        dprime[key] += 1
+        return dprime_key(self, key)
+
+    def counted_d1(self, key):
+        d1[key] += 1
+        return d1_key(self, key)
+
+    def counted_scalars(self, *args):
+        scalars.append(args)
+        return field_scalars(self, *args)
+
+    monkeypatch.setattr(Bicomplex, "dprime_key", counted_dprime)
+    monkeypatch.setattr(CTComplex, "d1_key", counted_d1)
+    monkeypatch.setattr(Field, "scalars", counted_scalars)
+    assert theorem1_check(a, 4, ct=ct)["e2_pairs"]
+    assert set(dprime.values()) == {1} and set(d1.values()) == {1}
+    assert set(dprime) <= set(ct.basis.block_of)
+    assert len(dprime) < len(ct.basis.block_of)
+    assert not scalars
+
+
+@pytest.mark.parametrize("field", [QQ, Field(101)], ids=["Q", "F101"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("nm", ["s2", "s3", "t2", "cp2", "s2xs2", "cs_s5"])
+def test_graph_side_e2_matches_ranked_dprime(nm, n, field):
+    # the graph-side E2 the duality check reads off its sequence's pairing,
+    # against H(d') with each d' block ranked on its own
+    a, pr = make_pairing(nm, n, field)
+    bar = pr.bar
+    dims = {b: len(keys) for b, keys in bar.blocks.items()}
+    want = homology_dims(field, dims, (
+        ((p, q), (p + 1, q), bar.dprime_matrix(p, q)) for (p, q) in dims))
+    assert pr._ss.page(2) == want
+    assert any(want.values())

@@ -230,6 +230,24 @@ def test_duality_report(nm, n):
     assert out["details"]["second_page"]
 
 
+@pytest.mark.parametrize("nm,n", [
+    pytest.param(nm, n, id="%s-n%d" % (nm, n))
+    for nm in ("s2", "s3", "t2", "cp2", "s2xs2", "cs_s5") for n in (2, 3, 4)])
+def test_duality_payload_over_large_prime_is_the_q_payload(nm, n):
+    # the adjointness signs are (-1)^(p-1) over every field and print as
+    # 1 or -1, not as residues; F3 is left out of the byte comparison
+    # (cp2 has 3-torsion in E2 at three and four points) but not of the
+    # sign text
+    q = json.dumps(rp.check_duality(catalog.load(nm), n))
+    fp = json.dumps(rp.check_duality(catalog.load(nm, field=Field(101)), n))
+    assert fp == q
+    out = rp.check_duality(catalog.load(nm, field=Field(3)), n)
+    assert out["verdict"] == "pass"
+    signs = set(out["details"]["adjointness_signs"].values())
+    assert signs <= {None, "1", "-1"}
+    assert ("-1" in signs) == (n > 2)   # d1 out of two edges
+
+
 def test_anchors():
     out = rp.check_anchors()
     assert out["verdict"] == "pass"
