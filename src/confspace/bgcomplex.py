@@ -22,10 +22,11 @@ Key images of d' and d'' are summed over exact constants.  ``dprime_key``
 and ``dsecond_key`` return them through ``Field.exact``: ints, and
 Fractions only where a structure constant is fractional, over Q; residues
 over F_p.  ``dtotal_key``, D of one key, is their union, and the spectral
-sequence pairs these exact columns with no field scalar formed.  The
-field-scalar views (``apply_dprime``, ``apply_dsecond``, ``apply_total``,
-the block matrices and the edge summands) convert each key image once,
-through ``Field.scalars``.  d' reads, per graph, the edges whose addition
+sequence pairs these exact columns with no field scalar formed; a
+``spectral.DView`` with ``dprime_key`` as its D pairs d' alone.  The
+field-scalar views (``apply_dprime``, ``apply_dsecond``, ``apply_total``
+and the edge summands) convert each key image once, through
+``Field.scalars``.  d' reads, per graph, the edges whose addition
 stays in the family, each with its enlarged graph, insertion sign and the
 components it joins, built once here; one ``_edge_image`` sums the merge
 term of every family and the two absorb terms of the reduced kind.  The
@@ -57,8 +58,6 @@ class Bicomplex:
         self.pos = {}      # (p, q) -> {key: index}
         self.block_of = {}  # key -> (p, q)
         self._build_basis()
-        self._dp_cols = {}
-        self._ds_cols = {}
         self._edges = {}   # graph -> its edge table
 
     # -- basis --------------------------------------------------------------
@@ -249,24 +248,6 @@ class Bicomplex:
     def from_block(self, vec, p, q):
         keys = self.blocks.get((p, q), [])
         return {keys[i]: c for i, c in vec.items()}
-
-    def _block_columns(self, cache, on_key, p, q, tgt):
-        """Columns of a differential out of block (p, q), over block tgt;
-        built once, then shared, so callers must not mutate them."""
-        if (p, q) not in cache:
-            cache[(p, q)] = [self.as_block(on_key(k), *tgt)
-                             for k in self.blocks.get((p, q), [])]
-        return cache[(p, q)]
-
-    def dprime_matrix(self, p, q):
-        """Columns of d' : (p, q) -> (p + 1, q)."""
-        return self._block_columns(self._dp_cols, self._dprime_scalars, p, q,
-                                   (p + 1, q))
-
-    def dsecond_matrix(self, p, q):
-        """Columns of d'' : (p, q) -> (p, q + 1)."""
-        return self._block_columns(self._ds_cols, self._dsecond_scalars, p,
-                                   q, (p, q + 1))
 
     @property
     def pmax(self):

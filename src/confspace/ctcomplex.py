@@ -51,8 +51,8 @@ their components, read off the degree prefixes of the factors.
 E2 comes from the pairing of ``spectral``, as the graph side's pages do.
 Re-keyed as (P, Q) = (-p, h + p m), d1 raises P by one and keeps Q, so the
 complex is a bicomplex with d'' = 0, of total degree P + Q = h + p (m - 1).
-``_D1View`` is that bicomplex on the same key lists, with d1 (``d1_key``,
-in exact constants) as its D, and each complex makes one
+A ``spectral.DView`` of the same key lists so re-keyed, with d1 (``d1_key``,
+in exact constants) as its D, is that bicomplex, and each complex makes one
 ``SpectralSequence`` of it, on first use.  ``e2_dims`` reads E2(-p, h + p m)
 off its pairing: the pivot rows of the degree below are cleared, so their
 columns are never evaluated, and no field scalar is formed.  ``d1_matrix``
@@ -66,7 +66,7 @@ from functools import cached_property
 
 from .algebra import sign, poincare_data
 from .bgcomplex import build_AG
-from .spectral import SpectralSequence
+from .spectral import DView, SpectralSequence
 from . import graphs as gr
 
 
@@ -280,9 +280,13 @@ class CTComplex:
     # -- second page -----------------------------------------------------------
     @cached_property
     def _ss(self):
-        """The spectral sequence of the re-keyed view, made on first use;
-        its D columns are the d1 columns, each evaluated at most once."""
-        return SpectralSequence(_D1View(self))
+        """The spectral sequence of the blocks re-keyed to (-p, h + p m),
+        made on first use: its D columns are the d1 columns, each evaluated
+        at most once."""
+        m = self.m
+        return SpectralSequence(DView(
+            {(-p, h + p * m): keys for (p, h), keys in self._blocks.items()},
+            self.field, self.d1_key))
 
     def d1_matrix(self, p, h):
         """Columns of d1 on quotient blocks: (p, h) -> (p - 1, h + m), the
@@ -299,23 +303,3 @@ class CTComplex:
         ss, m = self._ss, self.m
         return {(p, h): ss.e_dim(2, -p, h + p * m) for (p, h) in self.blocks()}
 
-
-class _D1View:
-    """A CTComplex as a bicomplex with d'' = 0, for ``SpectralSequence``:
-    block (p, h) is keyed (P, Q) = (-p, h + p m), so d1 raises P by one and
-    keeps Q, and its D is d1 (``dtotal_key``).  The blocks are the
-    complex's own key lists; there is no q-window."""
-
-    qmax = None
-
-    def __init__(self, ct):
-        self._ct = ct
-        self.field = ct.field
-        m = ct.m
-        self.blocks = {(-p, h + p * m): keys
-                       for (p, h), keys in ct._blocks.items()}
-        self.block_of = {key: b for b, keys in self.blocks.items()
-                         for key in keys}
-
-    def dtotal_key(self, key):
-        return self._ct.d1_key(key)

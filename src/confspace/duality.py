@@ -19,17 +19,18 @@ the discovered signs and the resulting second-page duality of dimensions.
 The check runs in exact constants, as the D columns of ``spectral`` do:
 the pairing rows multiply the lifted Poincare pairing table with int
 signs, d1 is ``CTComplex.d1_matrix`` (the tensor side's cached columns),
-and d' and the graph-side E2 are read off one ``SpectralSequence`` of the
-graph side, whose D is d' since the carrier has no differential.  So each
-d' key is evaluated at most once, and only the adjointness ratio of each
-block's first entry forms a field scalar."""
+and d' and the graph-side E2 are read off one ``SpectralSequence`` of a
+``DView`` of the graph side with d' as its D: the carrier has no
+differential, so d'' is never evaluated.  So each d' key is evaluated at
+most once, and only the adjointness ratio of each block's first entry forms
+a field scalar."""
 
 from itertools import product
 from math import prod
 
 from .exactlinalg import rank, transpose
 from .algebra import sign
-from .spectral import SpectralSequence
+from .spectral import DView, SpectralSequence
 from . import graphs as gr
 
 
@@ -55,7 +56,9 @@ class Pairing:
         lift = self.alg.field.lift
         self._pd = [[(b, lift(x)) for b, x in terms]
                     for terms in ct.pd.pairing]
-        self._ss = SpectralSequence(bar)   # its D is d': d'' = 0 on bar
+        # d' alone is D: d'' = 0 on bar
+        self._ss = SpectralSequence(DView(bar.blocks, bar.field,
+                                          bar.dprime_key, bar.qmax))
         self._mat = {}   # (p, h) -> pairing rows, read again by adjointness
 
     def dual_block(self, p, h):

@@ -27,11 +27,9 @@ index past every row index, so that every reduced row records the
 combination of candidates it is (the recorded reduction R = D V); classes,
 class coordinates, preimages (``solve``), kernels (``kernel_basis``, from
 the reductions of the candidates it does not pick) and quotients
-(``quotient_basis``) are all read off it.  ``homology_dims``
-reads the cohomology of a complex of blocks off the ranks of its
-differentials, each ranked once: the three- and four-point reports; the
-tensor-power E2 and the duality check's graph-side E2 are read off the
-pairing of ``spectral`` instead.
+(``quotient_basis``) are all read off it.  No homology is ranked here:
+every page dimension, the reports' and the duality check's among them, is
+read off the pairing of ``spectral``.
 """
 
 from fractions import Fraction
@@ -467,21 +465,6 @@ def rank(field, cols):
     # either way but the fill-in is not; config_space_dims(t2, 6) took 3.7 s
     # in this order, 13.6 s first to last (Python 3.11.7, 2 shared vCPUs)
     return sum(j is not None for j in pivot_pairs(field, list(cols)[::-1]))
-
-
-def homology_dims(field, dims, maps):
-    """{x: dims[x] - rank out of x - rank into x} over the indices of dims.
-
-    dims maps each chain group of a complex to its dimension; maps yields
-    (source, target, columns) once per differential, and each is ranked
-    once.  A source or target that is not in dims is passed over."""
-    out = dict(dims)
-    for src, tgt, cols in maps:
-        r = rank(field, cols)
-        for x in (src, tgt):
-            if x in out:
-                out[x] -= r
-    return out
 
 
 NO_SOLUTION = None  # what coords and solve return off the span

@@ -239,7 +239,9 @@ def d2_zigzag(bc, u):
     v = bc.apply_dprime(u)
     if not v:
         return {}, {}
-    cols = bc.dsecond_matrix(p + 1, q - 1)
+    # the d'' columns out of (p + 1, q - 1), in exact constants
+    cols = [bc.as_block(bc.dsecond_key(k), p + 1, q)
+            for k in bc.blocks.get((p + 1, q - 1), ())]
     rhs = bc.as_block(vec_scale(v, bc.field.of(-1)), p + 1, q)
     x = solve(bc.field, cols, rhs)
     if x is NO_SOLUTION:

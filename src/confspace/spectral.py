@@ -50,10 +50,12 @@ A column is the bicomplex's ``dtotal_key`` of its key, in exact constants
 (ints, and Fractions only where a structure constant is fractional, over
 Q; residues over F_p), so the pairing forms no field scalar; D of a vector
 sums the columns with its lifted coefficients and reduces once.  The
-bicomplex protocol is ``blocks``, ``block_of``, ``field``, ``qmax`` and
-``dtotal_key``.  ``bgcomplex.Bicomplex`` serves it, and so does the
-tensor-power complex re-keyed as a bicomplex with d'' = 0
-(``ctcomplex._D1View``), whose second page is the tensor-power E2.
+bicomplex protocol is ``blocks``, ``field``, ``qmax`` and ``dtotal_key``.
+``bgcomplex.Bicomplex`` serves it, and ``DView`` serves it for a block
+dict with one chosen key map as D: d' alone of a graph bicomplex, whose
+second page is H(d') (the three- and four-point reports and the duality
+check's graph side), or the tensor-power complex re-keyed with d1 as D
+(``ctcomplex``), whose second page is the tensor-power E2.
 Pairs are cached per total degree, and cycle spaces, pages (with their
 class coordinates) and page differentials per (r, p, q).  A q-window on the
 underlying bicomplex must hold what D reaches: D on F^p Tot^k reaches the
@@ -61,12 +63,27 @@ blocks of q <= k + 1 - p, so the pairs, which take all of Tot^k, need
 k + 1 <= qmax, and a cycle space from column p needs only k + 1 - p <=
 qmax; outside that a ``WindowError`` is raised."""
 
+from bisect import bisect_right
+from operator import itemgetter
+
 from .exactlinalg import (SpanReducer, subquotient, NO_SOLUTION,
                           kernel_basis, pivot_pairs)
 
 
 class WindowError(ValueError):
     pass
+
+
+class DView:
+    """The bicomplex of a block dict {(p, q): keys} whose D is d_key, one
+    key's image as exact constants over keys of the blocks; qmax is the
+    q-window the blocks were built under, if any."""
+
+    def __init__(self, blocks, field, d_key, qmax=None):
+        self.blocks = blocks
+        self.field = field
+        self.dtotal_key = d_key
+        self.qmax = qmax
 
 
 class SpectralSequence:
@@ -99,6 +116,12 @@ class SpectralSequence:
         Tot^k indices from there."""
         keys, _ = self.tot_keys(k)
         return next((i for p1, i in self._starts[k] if p1 >= p), len(keys))
+
+    def _column_of(self, k, i):
+        """p of the block that holds the i-th Tot^k key: the last block
+        starting at or before i."""
+        starts = self._starts[k]
+        return starts[bisect_right(starts, i, key=itemgetter(1)) - 1][0]
 
     def _check_window(self, k, p):
         """D on F^p Tot^k lands in the blocks of F^p Tot^{k+1}, of
@@ -217,8 +240,7 @@ class SpectralSequence:
         if k not in self._gaps:
             self._check_window(k, 0)
             keys, _ = self.tot_keys(k)
-            keys1, _ = self.tot_keys(k + 1)
-            block_of = self.bc.block_of
+            self.tot_keys(k + 1)  # where the pivot rows' blocks start
             # degree k - 1 lies inside the window too; its pivot rows are
             # cleared (see above): their columns would add no pair, and they
             # are never evaluated
@@ -231,9 +253,9 @@ class SpectralSequence:
             out, into = {}, {}
             for i, j in zip(order, pivots):
                 if j is not None:
-                    src, tgt = block_of[keys[i]], block_of[keys1[j]]
-                    out.setdefault(src, []).append(tgt[0] - src[0])
-                    into.setdefault(tgt, []).append(tgt[0] - src[0])
+                    p, p1 = self._column_of(k, i), self._column_of(k + 1, j)
+                    out.setdefault((p, k - p), []).append(p1 - p)
+                    into.setdefault((p1, k + 1 - p1), []).append(p1 - p)
             self._gaps[k] = (out, into, set(pivots) - {None})
         return self._gaps[k]
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from confspace.exactlinalg import (
     Field, FpElement, QQ, rank, kernel_basis, solve, NO_SOLUTION,
     quotient_basis, SpanReducer, apply_map, transpose, vec_add, vec_scale,
-    homology_dims, pivot_pairs, subquotient,
+    pivot_pairs, subquotient,
 )
 from confspace import exactlinalg
 
@@ -99,28 +99,6 @@ def test_solve_leaves_its_columns_unchanged():
         solve(QQ, cols, rhs)
         assert cols == before
         assert [list(c) for c in cols] == [list(c) for c in before]
-
-
-def test_homology_dims_of_a_toy_complex(monkeypatch):
-    # C0 -> C1 -> C2 = 0, and C3 -> C4 where C4 is not an index of dims
-    calls = []
-
-    def counted(field, cols):
-        calls.append(cols)
-        return rank(field, cols)
-
-    monkeypatch.setattr(exactlinalg, "rank", counted)
-    dims = {3: 1, 0: 1, 1: 2, 2: 0}
-    maps = iter([
-        (0, 1, [{0: QQ.one, 1: QQ.of(-1)}]),
-        (1, 2, [{}, {}]),
-        (3, 4, [{0: QQ.of(2)}]),
-    ])
-    h = homology_dims(QQ, dims, maps)
-    assert h == {3: 0, 0: 0, 1: 1, 2: 0}
-    assert list(h) == [3, 0, 1, 2]
-    assert len(calls) == 3
-    assert dims == {3: 1, 0: 1, 1: 2, 2: 0}
 
 
 def test_transpose_and_apply_map():

@@ -1,6 +1,7 @@
 """Report checkers: verdicts, known dimension tables, json-stability."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,7 @@ from confspace import catalog
 from confspace import graphs as gr
 from confspace import reports as rp
 from confspace.algebra import TruncatedFreeCDGA, poincare_data
-from confspace.bgcomplex import build_AG, build_C
+from confspace.bgcomplex import Bicomplex, build_AG, build_C
 from confspace.ctcomplex import CTComplex
 from confspace.exactlinalg import QQ, Field
 from confspace.spectral import SpectralSequence, total_cohomology
@@ -221,6 +222,53 @@ def test_three_point_sequence(nm):
 def test_four_point_corner(nm):
     out = rp.check_four_point_corner(catalog.load(nm))
     assert out["verdict"] == "pass"
+
+
+# carriers with a differential: d'' is nonzero on their reduced complexes,
+# so a corner read off D instead of d' alone gives other dims (heis3 would
+# give {1: 4, 2: 10, 3: 10, 4: 2})
+CORNER_TABLES = {
+    "heis3": {1: 3, 2: 9, 3: 9, 4: 3},
+    "heis3_s2": {1: 3, 2: 10, 3: 15, 4: 15, 5: 10, 6: 3},
+    "cs_heis3_s2": {1: 3, 2: 11, 3: 19, 4: 19, 5: 12, 6: 1},
+}
+
+
+@pytest.mark.parametrize("p", [None, 101], ids=["Q", "F101"])
+@pytest.mark.parametrize("nm", sorted(CORNER_TABLES))
+def test_four_point_corner_on_carriers_with_a_differential(nm, p):
+    alg = catalog.load(nm, field=Field(p))
+    cok = CORNER_TABLES[nm]
+    assert rp.kahler_differentials(alg) == cok
+    out = rp.check_four_point_corner(alg)
+    assert out["verdict"] == "pass"
+    assert out["details"]["per_degree"] == {
+        q: (2 * d, 2 * d) for q, d in cok.items()}
+
+
+def test_four_point_corner_evaluates_d_prime_once(monkeypatch):
+    # both reports' d' is the cached D of a sequence of d' alone: each key
+    # image is evaluated at most once, d'' never, and no field scalar is
+    # formed
+    alg = catalog.load("heis3")
+    calls = Counter()
+    for name in ("dprime_key", "dsecond_key"):
+        def counted(self, key, _name=name, _orig=getattr(Bicomplex, name)):
+            calls[(_name, key)] += 1
+            return _orig(self, key)
+        monkeypatch.setattr(Bicomplex, name, counted)
+    scalars = []
+    orig = Field.scalars
+
+    def counted_scalars(self, *args):
+        scalars.append(args)
+        return orig(self, *args)
+
+    monkeypatch.setattr(Field, "scalars", counted_scalars)
+    assert rp.check_four_point_corner(alg)["verdict"] == "pass"
+    assert calls and set(calls.values()) == {1}
+    assert {name for name, _ in calls} == {"dprime_key"}
+    assert not scalars
 
 
 @pytest.mark.parametrize("nm,n", [("s2", 2), ("s3", 3), ("cp2", 2)])

@@ -36,7 +36,6 @@ class ToyBicomplex:
         self.field = QQ
         self.qmax = None
         self.blocks = {(0, 0): ["x"], (2, -1): ["y"]}
-        self.block_of = {"x": (0, 0), "y": (2, -1)}
         self.pmax = 2
 
     def dtotal_key(self, key):
