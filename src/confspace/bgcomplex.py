@@ -23,10 +23,10 @@ and ``dsecond_key`` return them through ``Field.exact``: ints, and
 Fractions only where a structure constant is fractional, over Q; residues
 over F_p.  ``dtotal_key``, D of one key, is their union, and the spectral
 sequence pairs these exact columns with no field scalar formed; a
-``spectral.DView`` with ``dprime_key`` as its D pairs d' alone.  The
-field-scalar views (``apply_dprime``, ``apply_dsecond``, ``apply_total``
-and the edge summands) convert each key image once, through
-``Field.scalars``.  d' reads, per graph, the edges whose addition
+``spectral.DView`` with ``dprime_key`` as its D pairs d' alone.
+``Bicomplex.apply`` takes any of these key maps to an element, in field
+scalars: ``Field.combine`` sums the exact images and ``Field.scalars``
+converts the sum once.  d' reads, per graph, the edges whose addition
 stays in the family, each with its enlarged graph, insertion sign and the
 components it joins, built once here; one ``_edge_image`` sums the merge
 term of every family and the two absorb terms of the reduced kind.  The
@@ -36,7 +36,6 @@ shared by every bicomplex on it.  ``as_block`` and ``from_block`` convert
 elements over keys to and from coordinate vectors over a block.
 """
 
-from .exactlinalg import apply_map, vec_iadd
 from .algebra import sign
 from . import graphs as gr
 
@@ -179,13 +178,6 @@ class Bicomplex:
                 acc[k2] = acc.get(k2, 0) + e * c
         return acc
 
-    def _pair_term(self, key, i, j):
-        """Multiplication by the edge generator e_{ij} on one key: element
-        dict over keys (the single-edge summand of d'), in field scalars."""
-        entry = self._edge_table(key[0]).get((i, j))
-        return self.field.scalars(
-            self._edge_image(key, (entry,) if entry else ()))
-
     def dprime_key(self, key):
         """d' of one key as exact constants (``Field.exact``): ints, or
         Fractions where a structure constant is fractional, over Q;
@@ -217,21 +209,11 @@ class Bicomplex:
         in different blocks, so D is their union."""
         return self.dprime_key(key) | self.dsecond_key(key)
 
-    # -- differentials in field scalars -------------------------------------
-    def _dprime_scalars(self, key):
-        return self.field.scalars(self.dprime_key(key))
-
-    def _dsecond_scalars(self, key):
-        return self.field.scalars(self.dsecond_key(key))
-
-    def apply_dprime(self, el):
-        return apply_map(self._dprime_scalars, el)
-
-    def apply_dsecond(self, el):
-        return apply_map(self._dsecond_scalars, el)
-
-    def apply_total(self, el):
-        return vec_iadd(self.apply_dprime(el), self.apply_dsecond(el))
+    def apply(self, key_map, el):
+        """key_map (``dprime_key``, ``dsecond_key``, ``dtotal_key`` or any
+        map of a key to exact constants) on an element over keys, in field
+        scalars: the exact images combined, then converted once."""
+        return self.field.scalars(self.field.combine(key_map, el))
 
     # -- block maps -----------------------------------------------------------
     def as_block(self, el, p, q):
@@ -280,21 +262,28 @@ def edge_multiply(bc, el, i, j):
         raise ValueError("edge multiplication lives on the graph-family side")
     if not 1 <= i < j <= bc.n:
         raise ValueError("bad edge %r for n=%d" % ((i, j), bc.n))
-    return apply_map(lambda key: bc._pair_term(key, i, j), el)
+
+    def on_key(key):
+        entry = bc._edge_table(key[0]).get((i, j))
+        return bc._edge_image(key, (entry,) if entry else ())
+
+    return bc.apply(on_key, el)
 
 
 def phi_bar(c_bc):
     """Embedding of the reduced bicomplex into the no-duplicate-target
     quotient.  Returns a function mapping elements (dicts over reduced keys)
-    to elements over quotient keys."""
+    to elements over quotient keys, in field scalars: the carrier's lifted
+    products summed with int signs, and the sum converted once."""
     carrier = c_bc.carrier
     f = carrier.field
     degs = carrier.degrees
+    product = carrier.lifted_product
 
     def on_key(key):
         g, factors = key
         l = len(factors)
-        out = {}
+        acc = {}
         unit = carrier.unit
         for mask in range(1 << (l - 1)):
             subset = [r + 1 for r in range(l - 1) if mask >> r & 1]
@@ -307,14 +296,15 @@ def phi_bar(c_bc):
                 for idx_j in range(1, idx_i):
                     if idx_j not in inset:
                         e += degs[factors[idx_i]] * degs[factors[idx_j]]
-            head = {factors[0]: f.one}
+            head = {factors[0]: 1}
             for idx in subset:
-                head = carrier.multiply(head, {factors[idx]: f.one})
-            coeff = f.of(sign(k + e))
+                b = factors[idx]
+                head = f.combine(lambda a: dict(product(a, b)), head)
+            s = sign(k + e)
             for h, c in head.items():
-                tup = (h,) + tuple(unit if r in inset else factors[r]
-                                   for r in range(1, l))
-                vec_iadd(out, {(g, tup): coeff * c})
-        return out
+                k2 = (g, (h,) + tuple(unit if r in inset else factors[r]
+                                      for r in range(1, l)))
+                acc[k2] = acc.get(k2, 0) + s * c
+        return acc
 
-    return lambda el: apply_map(on_key, el)
+    return lambda el: f.scalars(f.combine(on_key, el))

@@ -204,6 +204,7 @@ class CTComplex:
             pos = self.basis.pos.get((p, h), {})
             lift = self.field.lift
 
+            # inline, not Field.combine: that cost this relation-check loop 20%
             def project(el):
                 merge = self.merge
                 acc = {}

@@ -21,9 +21,10 @@ the pairing rows multiply the lifted Poincare pairing table with int
 signs, d1 is ``CTComplex.d1_matrix`` (the tensor side's cached columns),
 and d' and the graph-side E2 are read off one ``SpectralSequence`` of a
 ``DView`` of the graph side with d' as its D: the carrier has no
-differential, so d'' is never evaluated.  So each d' key is evaluated at
-most once, and only the adjointness ratio of each block's first entry forms
-a field scalar."""
+differential, so d'' is never evaluated.  Both adjointness compositions
+are ``Field.combine`` of those rows and columns.  So each d' key is
+evaluated at most once, and only the adjointness ratio of each block's
+first entry forms a field scalar."""
 
 from itertools import product
 from math import prod
@@ -199,21 +200,12 @@ def theorem1_check(alg, n, ct=None, bar=None):
     return {"signs": signs, "e2_pairs": dual_pairs}
 
 
-def _compose(f, image, vec):
-    """sum_i vec[i] image(i) for exact constants, reduced once."""
-    acc = {}
-    for i, c in vec.items():
-        for j, x in image(i).items():
-            acc[j] = acc.get(j, 0) + c * x
-    return f.exact(acc)
-
-
 def _compose_pair_d1(pr, p, h):
     """Rows of (z, w) -> < d1 z ; w >, one per source quotient basis
     element, over the graph block dual to the d1 target."""
     d1 = pr.ct.d1_matrix(p, h)
     ptgt = pr.matrix(p - 1, h + pr.m)
-    return [_compose(pr.alg.field, ptgt.__getitem__, col) for col in d1]
+    return [pr.alg.field.combine(ptgt.__getitem__, col) for col in d1]
 
 
 def _compose_dprime_pair(pr, p, h):
@@ -222,5 +214,5 @@ def _compose_dprime_pair(pr, p, h):
     sequence."""
     psrc = pr.matrix(p, h)
     drows = transpose(pr._ss.block_columns(*pr.dual_block(p - 1, h + pr.m)))
-    return [_compose(pr.alg.field, lambda i: drows.get(i, {}), prow)
+    return [pr.alg.field.combine(lambda i: drows.get(i, {}), prow)
             for prow in psrc]

@@ -6,11 +6,13 @@ exact field, so no floating point appears anywhere in this package.  Vectors
 are sparse ``{index: scalar}`` dicts, either of field scalars (``Fraction``
 over Q, ``FpElement`` over F_p) or of exact constants: ints, and Fractions
 only where a constant is fractional, over Q; residues mod p over F_p.
-``Field`` owns the exact constants: ``lift`` takes a scalar to one,
-``exact`` drops sums of them that are 0 in the field (reducing them mod p),
-and ``scalars`` is the one place such sums become field scalars.  A linear
+``Field`` owns the exact constants: ``lift`` takes a scalar to one (and
+leaves one unchanged), ``exact`` drops sums of them that are 0 in the field
+(reducing them mod p), ``combine`` applies a map given by exact images of
+basis vectors, summing the lifted products and reducing once, and
+``scalars`` is the one place such sums become field scalars.  A linear
 map is the list of its columns, each such a dict over the rows;
-``apply_map`` applies a map given by the images of basis vectors, and
+``apply_map`` applies a map whose images hold field scalars, and
 ``transpose`` is the one place columns become rows, for the duality check's
 adjointness test.
 Every elimination runs through one kernel, ``SpanReducer``: an incremental
@@ -184,7 +186,10 @@ class Field:
     def lift(self, c):
         """The exact constant of a scalar of this field, which ``of`` turns
         back into it: the residue over F_p; over Q an int where the scalar
-        is integral, else the Fraction."""
+        is integral, else the Fraction.  An exact constant is returned
+        unchanged (over F_p an int is already a residue)."""
+        if type(c) is int:
+            return c
         if self.p is not None:
             return c.v
         return c.numerator if c.denominator == 1 else c
@@ -212,6 +217,18 @@ class Field:
         if p is None:
             return {k: x for k, x in acc.items() if x}
         return {k: r for k, x in acc.items() if (r := x % p)}
+
+    def combine(self, image, vec):
+        """sum_i vec[i] image(i) in exact constants: image(i) holds exact
+        constants and vec field scalars or exact constants; the lifted
+        products are summed and the sums reduced once (``exact``)."""
+        lift = self.lift
+        acc = {}
+        for i, c in vec.items():
+            c = lift(c)
+            for j, x in image(i).items():
+                acc[j] = acc.get(j, 0) + c * x
+        return self.exact(acc)
 
     def __eq__(self, other):
         return isinstance(other, Field) and self.p == other.p
@@ -263,8 +280,9 @@ def vec_scale(v, c):
 
 
 def apply_map(image, vec):
-    """sum_i vec[i] image(i): vec under the linear map that sends the i-th
-    basis vector to the sparse vector image(i)."""
+    """sum_i vec[i] image(i) for images that hold field scalars (the
+    carrier's ``d_basis``, class representatives); images in exact
+    constants go through ``Field.combine``."""
     out = {}
     for i, c in vec.items():
         # images hold field scalars already, so a unit adds them as they are

@@ -234,9 +234,9 @@ def d2_zigzag(bc, u):
         return {}, {}
     key = next(iter(u))
     p, q = bc.block_of[key]
-    if bc.apply_dsecond(u):
+    if bc.apply(bc.dsecond_key, u):
         raise NotDefined("element is not a vertical cocycle")
-    v = bc.apply_dprime(u)
+    v = bc.apply(bc.dprime_key, u)
     if not v:
         return {}, {}
     # the d'' columns out of (p + 1, q - 1), in exact constants
@@ -247,7 +247,7 @@ def d2_zigzag(bc, u):
     if x is NO_SOLUTION:
         raise NotDefined("the horizontal image is not vertically exact")
     u1 = bc.from_block(x, p + 1, q - 1)
-    image = bc.apply_dprime(u1)
+    image = bc.apply(bc.dprime_key, u1)
     return u1, image
 
 

@@ -49,8 +49,9 @@ bicomplex and reuse it to keep that saving.
 A column is the bicomplex's ``dtotal_key`` of its key, in exact constants
 (ints, and Fractions only where a structure constant is fractional, over
 Q; residues over F_p), so the pairing forms no field scalar; D of a vector
-sums the columns with its lifted coefficients and reduces once.  The
-bicomplex protocol is ``blocks``, ``field``, ``qmax`` and ``dtotal_key``.
+is their ``Field.combine``: the columns summed with its lifted
+coefficients, and the sums reduced once.  The bicomplex protocol is
+``blocks``, ``field``, ``qmax`` and ``dtotal_key``.
 ``bgcomplex.Bicomplex`` serves it, and ``DView`` serves it for a block
 dict with one chosen key map as D: d' alone of a graph bicomplex, whose
 second page is H(d') (the three- and four-point reports and the duality
@@ -159,16 +160,9 @@ class SpectralSequence:
 
     def _d_vec(self, v, k):
         """D of a Tot^k coordinate vector of field scalars, as a Tot^{k+1}
-        coordinate vector of exact constants: the columns summed with the
-        lifted coefficients, and the sums reduced once."""
-        field = self.bc.field
-        lift = field.lift
-        acc = {}
-        for i, c in v.items():
-            c = lift(c)
-            for j, x in self._column(k, i).items():
-                acc[j] = acc.get(j, 0) + c * x
-        return field.exact(acc)
+        coordinate vector of exact constants: ``Field.combine`` of the
+        cached columns."""
+        return self.bc.field.combine(lambda i: self._column(k, i), v)
 
     # -- cycle spaces ---------------------------------------------------------
     def z_basis(self, r, p, q):

@@ -2,11 +2,13 @@
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from confspace.exactlinalg import QQ, Field, vec_add, vec_iadd
+from confspace.exactlinalg import QQ, Field, apply_map, vec_add, vec_iadd
 from confspace import graphs as gr
 from confspace import catalog
 from confspace.algebra import Algebra, Overflow, sign
@@ -127,7 +129,7 @@ def test_edge_multiply_matches_single_summand():
     bc = build_AG(a, 3, gr.FULL)
     key = (gr.Graph(3), (idx(a, "a1"), idx(a, "a2"), 0))
     el = {key: QQ.one}
-    assert edge_multiply(bc, el, 1, 2) == bc._pair_term(key, 1, 2)
+    assert edge_multiply(bc, el, 1, 2) == EdgeOracle(bc).pair_term(key, 1, 2)
 
 
 def component_index(g, vertex):
@@ -301,6 +303,69 @@ def test_key_images_match_per_edge_oracle(make):
                         oracle.pair_term(key, i, j), (key, i, j)
 
 
+def reference_apply(bc, key_map, el):
+    """Reference for ``Bicomplex.apply``: each key image converted to field
+    scalars on its own, then summed by ``apply_map``."""
+    return apply_map(lambda key: bc.field.scalars(key_map(key)), el)
+
+
+@lru_cache(maxsize=None)
+def apply_case(nm, p):
+    """A graph-family bicomplex over heis3, or a windowed reduced one over
+    the truncated stb_s2xs2; both carriers have a differential."""
+    field = Field(p)
+    if nm == "heis3":
+        return build_AG(catalog.load(nm, field=field), 3, gr.NODUPTARGET)
+    return build_C(catalog.load(nm, field=field, truncate=12), 4, qmax=10)
+
+
+@pytest.mark.parametrize("name", ["dprime_key", "dsecond_key", "dtotal_key"])
+@pytest.mark.parametrize("p", [None, 3, 101], ids=["Q", "F3", "F101"])
+@pytest.mark.parametrize("nm", ["heis3", "stb_s2xs2"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_apply_matches_the_per_key_path(nm, p, name, data):
+    bc = apply_case(nm, p)
+    key_map = getattr(bc, name)
+    f = bc.field
+
+    def element(keys):
+        picked = data.draw(st.lists(st.sampled_from(keys), min_size=1,
+                                    max_size=6))
+        el = {k: f.of(data.draw(st.integers(-4, 4))) for k in picked}
+        return {k: c for k, c in el.items() if c}
+
+    # b = d(w) on a multi-key w: d(b) = d(d(w)) = 0, so the images of the
+    # keys of b cancel across keys; w's block keeps b inside the q-window
+    blocks = sorted(pq for pq in bc.blocks
+                    if bc.qmax is None or pq[1] + 1 <= bc.qmax)
+    w = element(bc.blocks[data.draw(st.sampled_from(blocks))])
+    b = reference_apply(bc, key_map, w)
+    assert bc.apply(key_map, b) == reference_apply(bc, key_map, b) == {}
+    # plus keys of a block b reaches, so the sum mixes both
+    near = sorted({bc.block_of[k] for k in b}) or blocks
+    el = vec_iadd(element(bc.blocks[data.draw(st.sampled_from(near))]), b)
+    assert bc.apply(key_map, el) == reference_apply(bc, key_map, el)
+
+
+def test_apply_forms_field_scalars_once(monkeypatch):
+    bc = apply_case("heis3", None)
+    calls = []
+    orig = Field.scalars
+
+    def counted_scalars(self, *args):
+        calls.append(args)
+        return orig(self, *args)
+
+    monkeypatch.setattr(Field, "scalars", counted_scalars)
+    el = {k: QQ.of(i + 1) for i, k in enumerate(bc.blocks[(1, 3)][:5])}
+    assert len(el) == 5
+    for key_map in (bc.dprime_key, bc.dsecond_key, bc.dtotal_key):
+        calls.clear()
+        bc.apply(key_map, el)
+        assert len(calls) == 1
+
+
 def test_overflowing_product_is_never_kept():
     # x^3 * x^2 = x^5 has degree 10, past the truncation bound 8
     c = catalog.load("stb_s2xs2", truncate=8)
@@ -393,16 +458,17 @@ def check_square_zero(bc):
     for (p, q), keys in sorted(bc.blocks.items()):
         for key in keys:
             el = {key: bc.field.one}
-            dp = bc.apply_dprime(el)
-            if bc.apply_dprime(dp):
+            dp = bc.apply(bc.dprime_key, el)
+            if bc.apply(bc.dprime_key, dp):
                 raise AssertionError("d'd' != 0 at %r" % (key,))
             if in_window(q + 2):
-                ds = bc.apply_dsecond(el)
-                if bc.apply_dsecond(ds):
+                ds = bc.apply(bc.dsecond_key, el)
+                if bc.apply(bc.dsecond_key, ds):
                     raise AssertionError("d''d'' != 0 at %r" % (key,))
             if in_window(q + 1):
-                ds = bc.apply_dsecond(el)
-                mix = vec_add(bc.apply_dsecond(dp), bc.apply_dprime(ds))
+                ds = bc.apply(bc.dsecond_key, el)
+                mix = vec_add(bc.apply(bc.dsecond_key, dp),
+                              bc.apply(bc.dprime_key, ds))
                 if mix:
                     raise AssertionError("d'd'' + d''d' != 0 at %r" % (key,))
             cnt += 1
@@ -450,8 +516,8 @@ def test_phi_bar_is_chain_map(nm, n):
     for keys in cbc.blocks.values():
         for key in keys:
             el = {key: QQ.one}
-            lhs = phi(cbc.apply_total(el))
-            rhs = bbc.apply_total(phi(el))
+            lhs = phi(cbc.apply(cbc.dtotal_key, el))
+            rhs = bbc.apply(bbc.dtotal_key, phi(el))
             assert lhs == rhs, cbc.show_key(key)
 
 
@@ -465,7 +531,8 @@ def test_phi_bar_chain_map_with_differential():
             continue
         for key in keys:
             el = {key: QQ.one}
-            assert phi(cbc.apply_total(el)) == bbc.apply_total(phi(el))
+            assert phi(cbc.apply(cbc.dtotal_key, el)) == \
+                bbc.apply(bbc.dtotal_key, phi(el))
 
 
 def test_phi_bar_injective_on_blocks():

@@ -40,6 +40,41 @@ def test_field_of_takes_its_own_scalars():
         F5.of(FpElement(7, 1))
 
 
+@pytest.mark.parametrize("field", [QQ, Field(3), Field(101)],
+                         ids=["Q", "F3", "F101"])
+def test_lift_leaves_exact_constants_unchanged(field):
+    # ints are exact constants over every field (residues over F_p), and a
+    # fractional constant over Q; each comes back as the same object
+    consts = [0, 1, 2, -7, 10 ** 30]
+    if field.p is None:
+        consts.append(Fraction(-3, 4))
+    for c in consts:
+        assert field.lift(c) is c
+    for n in (0, 1, -2, 7, Fraction(5, 2)):
+        s = field.of(n)
+        assert field.of(field.lift(s)) == s
+        assert field.lift(field.lift(s)) == field.lift(s)
+
+
+@pytest.mark.parametrize("field", [QQ, Field(3), Field(101)],
+                         ids=["Q", "F3", "F101"])
+def test_combine_sums_lifted_products_and_reduces_once(field):
+    images = [{0: 2, 1: 1}, {0: 1, 2: Fraction(1, 2) if field.p is None else 5},
+              {1: -1}]
+    vec = {0: field.of(2), 1: field.of(-4), 2: 2}
+    got = field.combine(images.__getitem__, vec)
+    # the same sum, term by term in field scalars
+    want = {}
+    for i, c in vec.items():
+        for j, x in images[i].items():
+            want[j] = want.get(j, field.zero) + field.of(c) * field.of(x)
+    assert field.scalars(got) == {j: x for j, x in want.items() if x}
+    # 2*2 - 4*1 = 0 cancels across keys, and no entry 0 in the field stays
+    assert 0 not in got
+    assert all(map(field.of, got.values()))
+    assert field.combine(images.__getitem__, {}) == {}
+
+
 def test_field_primality_is_exact_and_fast():
     # trial division once took minutes on a 61-bit prime
     t0 = time.perf_counter()

@@ -172,8 +172,8 @@ def test_d2_zigzag_matches_formula_class():
     u = quadruple_tensor(bc, H, "[x]", "[x]", "[y]", "[y]")
     u1, img = d2_zigzag(bc, u)
     # the correction solves away the vertical leak
-    assert bc.apply_dsecond(u1) == \
-        {k: -c for k, c in bc.apply_dprime(u).items()}
+    assert bc.apply(bc.dsecond_key, u1) == \
+        {k: -c for k, c in bc.apply(bc.dprime_key, u).items()}
     ss = SpectralSequence(bc)
     zz = ss.project_class(img, 2, 2, 7)
     assert zz and list(zz.values()) == [QQ.one]
@@ -195,7 +195,7 @@ def test_d2_zigzag_trivial_on_formal_carrier():
     Hf = cohomology(a, 4)
     bc = build_C(a, 4)
     u = quadruple_tensor(bc, Hf, "[a]", "[a]", "[a]", "[a]")
-    assert not bc.apply_dprime(u)
+    assert not bc.apply(bc.dprime_key, u)
     assert d2_zigzag(bc, u) == ({}, {})
 
 

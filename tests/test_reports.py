@@ -32,6 +32,27 @@ def test_reduced_embedding(nm, n):
     assert out["details"]["reduced"] == out["details"]["quotient"]
 
 
+# total cohomology of both sides on carriers with d'' != 0, which the
+# chain-map clause compares along with d'
+EMBEDDING_DIMS = {
+    ("heis3", 3): {0: 0, 1: 0, 2: 5, 3: 17, 4: 30, 5: 37, 6: 32, 7: 18,
+                   8: 6, 9: 1},
+    ("heis3_s2", 2): {0: 0, 1: 2, 2: 7, 3: 15, 4: 23, 5: 27, 6: 25, 7: 18,
+                      8: 10, 9: 4, 10: 1},
+}
+
+
+@pytest.mark.parametrize("p", [None, 101], ids=["Q", "F101"])
+@pytest.mark.parametrize("nm,n", sorted(EMBEDDING_DIMS))
+def test_reduced_embedding_on_carriers_with_a_differential(nm, n, p):
+    dims = EMBEDDING_DIMS[(nm, n)]
+    assert rp.check_reduced_embedding(catalog.load(nm, field=Field(p)),
+                                      n) == {
+        "check": "reduced-embedding", "inputs": {"algebra": nm, "n": n},
+        "verdict": "pass",
+        "details": {"failure": None, "reduced": dims, "quotient": dims}}
+
+
 def test_reduced_embedding_names_the_first_failing_key(monkeypatch):
     # with every image left alive by the edges at vertex 1, the report
     # names the first key of the first block and checks no later key

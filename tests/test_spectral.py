@@ -240,7 +240,7 @@ def test_toy_page_dims_from_pairs_match_page_bases():
 
 def _uncleared_pairs(bc, k):
     """(out, into) of D on Tot^k as paired without clearing: every column,
-    evaluated afresh through apply_total, goes in by decreasing p, each block
+    evaluated afresh through apply(dtotal_key, .), goes in by decreasing p, each block
     in its own order."""
     ss = SpectralSequence(bc)  # read for the row order only
     keys, _ = ss.tot_keys(k)
@@ -248,7 +248,8 @@ def _uncleared_pairs(bc, k):
     block_of = bc.block_of
     order = sorted(range(len(keys)), key=lambda i: -block_of[keys[i]][0])
     cols = [{pos1[key]: c
-             for key, c in bc.apply_total({keys[i]: bc.field.one}).items()}
+             for key, c in bc.apply(bc.dtotal_key,
+                                    {keys[i]: bc.field.one}).items()}
             for i in order]
     out, into = {}, {}
     for i, j in zip(order, pivot_pairs(bc.field, cols)):
@@ -385,7 +386,8 @@ def test_narrow_window_gives_the_wide_second_page(nm, q, p):
     wide = SpectralSequence(build_C(alg, 4, qmax=q + 2))
     narrow = SpectralSequence(build_C(alg, 4, qmax=q))
     assert rep_elements(narrow, 2, 2, q - 1) == rep_elements(wide, 2, 2, q - 1)
-    images = [wide.bc.apply_total(x) for x in rep_elements(wide, 2, 0, q)]
+    images = [wide.bc.apply(wide.bc.dtotal_key, x)
+              for x in rep_elements(wide, 2, 0, q)]
     classes = [wide.project_class(y, 2, 2, q - 1) for y in images]
     assert any(classes)
     assert [narrow.project_class(y, 2, 2, q - 1) for y in images] == classes
@@ -547,7 +549,8 @@ def test_exact_columns_are_the_scalar_differential(make, p):
         _, pos1 = ss.tot_keys(k + 1)
 
         def scalar_d(v):
-            out = bc.apply_total({keys[i]: c for i, c in v.items()})
+            out = bc.apply(bc.dtotal_key,
+                           {keys[i]: c for i, c in v.items()})
             return {pos1[key]: c for key, c in out.items()}
 
         for i, key in enumerate(keys):
