@@ -61,7 +61,7 @@ def check_reduced_embedding(alg, n):
                 ok, bad = False, ("not injective", c.show_key(key))
                 break
             # chain map
-            lhs = phi(c.apply(c.dtotal_key, el))
+            lhs = phi(f.combine(c.dtotal_key, el))
             rhs = bar.apply(bar.dtotal_key, img)
             if lhs != rhs:
                 ok, bad = False, ("not a chain map", c.show_key(key))
