@@ -230,8 +230,11 @@ class Algebra(_GradedBasis):
             for j in range(n):
                 ij = self.products[(i, j)]
                 for k in range(n):
+                    jk = self.products[(j, k)]
+                    if not ij and not jk:
+                        continue   # both sides are 0
                     left = self.multiply(ij, {k: f.one})
-                    right = self.multiply({i: f.one}, self.products[(j, k)])
+                    right = self.multiply({i: f.one}, jk)
                     if left != right:
                         raise AxiomViolation("associativity", (i, j, k))
         if self.differential is not None:

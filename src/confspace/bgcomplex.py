@@ -21,7 +21,8 @@ Three variants:
 Key images of d' and d'' are summed over exact constants.  ``dprime_key``
 and ``dsecond_key`` return them through ``Field.exact``: ints, and
 Fractions only where a structure constant is fractional, over Q; residues
-over F_p.  ``dtotal_key``, D of one key, is their union, and the spectral
+over F_p.  ``dtotal_key``, D of one key, is their union, or d' alone on a
+carrier with no differential (read once per bicomplex), and the spectral
 sequence pairs these exact columns with no field scalar formed; a
 ``spectral.DView`` with ``dprime_key`` as its D pairs d' alone.
 ``Bicomplex.apply`` takes any of these key maps to an element, in field
@@ -58,6 +59,7 @@ class Bicomplex:
         self.block_of = {}  # key -> (p, q)
         self._build_basis()
         self._edges = {}   # graph -> its edge table
+        self._has_d2 = carrier.has_differential   # else d'' is zero
 
     # -- basis --------------------------------------------------------------
     def _build_basis(self):
@@ -206,7 +208,10 @@ class Bicomplex:
 
     def dtotal_key(self, key):
         """D = d' + d'' of one key as exact constants: the two images lie
-        in different blocks, so D is their union."""
+        in different blocks, so D is their union; d' alone when the carrier
+        has no differential, where d'' is zero."""
+        if not self._has_d2:
+            return self.dprime_key(key)
         return self.dprime_key(key) | self.dsecond_key(key)
 
     def apply(self, key_map, el):

@@ -159,18 +159,13 @@ class Field:
             if not _is_prime(p):
                 raise FieldError("p = %r is not prime" % (p,))
         self.p = p
+        # built once and shared: the scalars are immutable
+        self.zero = Fraction(0) if p is None else FpElement(p, 0)
+        self.one = Fraction(1) if p is None else FpElement(p, 1)
 
     @property
     def name(self):
         return "Q" if self.p is None else "F%d" % self.p
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.p is None else FpElement(self.p, 0)
-
-    @property
-    def one(self):
-        return Fraction(1) if self.p is None else FpElement(self.p, 1)
 
     def of(self, n):
         """Scalar from an integer, a Fraction, or a scalar of this field."""

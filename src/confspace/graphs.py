@@ -11,8 +11,11 @@ matter:
 
 Edge monomials e_{ij} behave like exterior generators in lexicographic
 normal order; ``add_edge`` returns the sign of inserting a new generator.
+Graphs are interned in a weak table (hash-consing): equal graphs are one
+object, compared and hashed by identity, and freed with their last user.
 """
 
+import weakref
 from itertools import combinations, product
 
 
@@ -27,28 +30,37 @@ ZERO = "zero"  # add_edge result when the edge is already present
 
 
 class Graph:
-    """Immutable graph on vertices {1..n}; edges stored sorted lexicographically."""
+    """Immutable graph on vertices {1..n}; edges stored sorted lexicographically.
 
-    __slots__ = ("n", "edges", "_components", "_hash")
+    Graphs are interned: ``Graph(n, edges)`` returns the one live object for
+    n and the sorted edges, so equal graphs are identical and basis keys
+    hash and compare by identity.  The table holds its graphs weakly, so a
+    graph lives only as long as something else (a bicomplex's keys) holds it."""
 
-    def __init__(self, n, edges=()):
+    __slots__ = ("n", "edges", "_components", "__weakref__")
+    _live = weakref.WeakValueDictionary()   # (n, sorted edges) -> graph
+
+    def __new__(cls, n, edges=()):
         edges = tuple(sorted(edges))
+        key = (n, edges)
+        g = cls._live.get(key)
+        if g is not None:
+            return g
         for (i, j) in edges:
             if not (1 <= i < j <= n):
                 raise ValueError("bad edge %r for n=%d" % ((i, j), n))
         if len(set(edges)) != len(edges):
             raise ValueError("duplicate edges")
-        self.n = n
-        self.edges = edges
-        self._components = None
-        # every basis-key dict operation hashes the graph again
-        self._hash = hash((n, edges))
+        g = super().__new__(cls)
+        g.n = n
+        g.edges = edges
+        g._components = None
+        cls._live[key] = g
+        return g
 
-    def __eq__(self, other):
-        return isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        # a copy or unpickled graph is the interned one
+        return Graph, (self.n, self.edges)
 
     def __repr__(self):
         return "Graph(%d, %r)" % (self.n, list(self.edges))

@@ -43,6 +43,17 @@ def test_broken_associativity_rejected():
         Algebra("bad", QQ, basis, 0, products)
 
 
+def test_one_sided_associativity_failure_rejected():
+    # (xy)z = 0 but x(yz) = xu = t: the check may skip a triple only when
+    # both xy and yz are zero, for then both sides are; every failing
+    # triple here has exactly one of the two products zero
+    basis = [("1", 0), ("x", 2), ("y", 2), ("z", 2), ("u", 4), ("t", 6)]
+    products = {(2, 3): {4: QQ.one}, (1, 4): {5: QQ.one}}
+    with pytest.raises(AxiomViolation) as e:
+        Algebra("bad", QQ, basis, 0, products)
+    assert e.value.axiom == "associativity"
+
+
 def test_degree_additivity_enforced():
     basis = [("1", 0), ("x", 2)]
     with pytest.raises(AxiomViolation):

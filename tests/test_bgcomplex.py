@@ -1,5 +1,6 @@
 """Graph-indexed bicomplexes: differentials, squares, the reduced embedding."""
 
+import gc
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -442,6 +443,36 @@ def test_dsecond_internal_koszul_sign():
     # d(t (x) t) picks up a sign in the second slot
     out = bc.dsecond_key((g0, (t, t)))
     assert out == {(g0, (xy, t)): QQ.one, (g0, (t, xy)): QQ.of(-1)}
+
+
+def test_dtotal_is_dprime_on_carriers_without_differential():
+    # dtotal_key skips d'' on these carriers: every d_basis is empty, so
+    # d'' is zero on every key, with or without the skip
+    names = [nm for nm in catalog.names() if nm.isidentifier()]
+    formal = [c for c in map(catalog.load, names + ["s1", "s3", "torus(3)"])
+              if not c.has_differential]
+    assert len(formal) == 9
+    for c in formal:
+        assert all(not c.d_basis(i) for i in range(c.dim))
+        for bc in (build_AG(c, 3, gr.FULL), build_C(c, 3)):
+            for key in bc.block_of:
+                assert bc.dsecond_key(key) == {}
+                assert bc.dtotal_key(key) == bc.dprime_key(key)
+
+
+def test_graphs_die_with_their_bicomplex():
+    # the intern table is weak: once the bicomplex is gone, none of the
+    # graphs it made (its keys' and its edge tables') stays in the table
+    gc.collect()
+    before = set(gr.Graph._live)
+    bc = build_C(catalog.load("s2xs2"), 5)
+    for key in bc.block_of:
+        bc.dtotal_key(key)
+    made = {(g.n, g.edges) for g, _ in bc.block_of} - before
+    assert len(made) == 24
+    del bc, key
+    gc.collect()
+    assert not made & set(gr.Graph._live)
 
 
 # -- square-zero ------------------------------------------------------------

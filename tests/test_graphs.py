@@ -1,5 +1,7 @@
 """Graph families, component bookkeeping, edge-insertion signs."""
 
+import copy
+import pickle
 from itertools import combinations
 from math import factorial
 
@@ -103,8 +105,47 @@ def test_add_edge_anticommutes(base, e1, e2):
 
 
 def test_graph_value_semantics():
-    assert gr.Graph(3, [(1, 2)]) == gr.Graph(3, [(1, 2)])
-    assert hash(gr.Graph(3, [(1, 2)])) == hash(gr.Graph(3, [(1, 2)]))
+    # both graphs are held, so the second cannot reuse the first's address
+    a = gr.Graph(3, [(1, 2)])
+    b = gr.Graph(3, [(1, 2)])
+    assert a is b
+    assert a == b
+    assert hash(a) == hash(b)
+
+
+def test_graph_interned_for_any_edge_order():
+    edges = [(1, 2), (2, 4), (1, 3)]
+    g = gr.Graph(4, edges)
+    assert all(gr.Graph(4, list(es)) is g
+               for es in [reversed(edges), sorted(edges), tuple(edges)])
+    assert g.edges == ((1, 2), (1, 3), (2, 4))
+    assert gr.Graph(5, edges) is not g
+    assert gr.Graph(4, edges[:2]) is not g
+
+
+def test_add_edge_returns_the_interned_graph():
+    g = gr.Graph(4, [(2, 4)])
+    target = gr.Graph(4, [(1, 3), (2, 4)])
+    g2, _ = gr.add_edge(g, 1, 3)
+    assert g2 is target
+    g3, _ = gr.add_edge(gr.Graph(4, [(1, 3)]), 2, 4)
+    assert g3 is target
+
+
+def test_bad_edges_raise_on_every_call():
+    # a rejected edge set is never interned, so each call validates it again
+    for _ in range(3):
+        for n, edges in [(3, [(1, 4)]), (3, [(2, 1)]), (3, [(1, 1)]),
+                         (3, [(1, 2), (1, 2)]), (2, [(0, 1)])]:
+            with pytest.raises(ValueError):
+                gr.Graph(n, edges)
+
+
+def test_copies_of_a_graph_are_the_interned_graph():
+    g = gr.Graph(3, [(1, 3)])
+    assert copy.copy(g) is g
+    assert copy.deepcopy({(g, (0,)): 1}) == {(g, (0,)): 1}
+    assert pickle.loads(pickle.dumps(g)) is g
 
 
 def test_vertex_guard():

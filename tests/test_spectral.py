@@ -465,7 +465,8 @@ def test_pages_evaluate_each_key_once(dkey_calls):
     bc = build_AG(catalog.load("t2"), 3, gr.NODUPTARGET)
     out = pages(bc, bc.pmax + 1)
     assert 0 < dkey_calls["dprime_key"] <= bc.total_dim()
-    assert 0 < dkey_calls["dsecond_key"] <= bc.total_dim()
+    # t2 has no differential: D is d' alone and d'' is never evaluated
+    assert dkey_calls["dsecond_key"] == 0
     e2 = {(0, 2): 3, (0, 3): 10, (0, 4): 12, (0, 5): 6, (0, 6): 1,
           (1, 1): 2, (1, 2): 4, (1, 3): 2}
     assert {pq: d for pq, d in out[1].items() if d} == {
@@ -484,7 +485,7 @@ def test_pages_never_evaluate_cleared_columns(dkey_calls):
     betti = {2: 5, 3: 14, 4: 14, 5: 6, 6: 1}
     cleared = (bc.total_dim() - sum(betti.values())) // 2
     assert dkey_calls["dprime_key"] == bc.total_dim() - cleared
-    assert dkey_calls["dsecond_key"] == bc.total_dim() - cleared
+    assert dkey_calls["dsecond_key"] == 0
 
 
 def test_pages_add_each_edge_once_per_graph(monkeypatch):
@@ -508,7 +509,22 @@ def test_total_cohomology_evaluates_each_key_once(dkey_calls):
     assert total_cohomology(bc, 0, 6) == \
         {0: 0, 1: 0, 2: 5, 3: 14, 4: 14, 5: 6, 6: 1}
     assert 0 < dkey_calls["dprime_key"] <= bc.total_dim()
+    assert dkey_calls["dsecond_key"] == 0
+
+
+def test_pages_with_a_differential_evaluate_both_parts_of_each_column(
+        dkey_calls):
+    # heis3 has d c = ab: D is d' + d'', each evaluated once per uncleared
+    # column, and the cleared ones, (total_dim - sum of Betti numbers) / 2,
+    # never
+    bc = build_AG(catalog.load("heis3"), 3, gr.NODUPTARGET)
+    pages(bc, bc.pmax + 1)
+    betti = {2: 5, 3: 17, 4: 30, 5: 37, 6: 32, 7: 18, 8: 6, 9: 1}
+    cleared = (bc.total_dim() - sum(betti.values())) // 2
     assert 0 < dkey_calls["dsecond_key"] <= bc.total_dim()
+    assert dkey_calls["dsecond_key"] == bc.total_dim() - cleared
+    assert dkey_calls["dprime_key"] == bc.total_dim() - cleared
+    assert total_cohomology(bc, 0, 9) == {0: 0, 1: 0} | betti
 
 
 # -- D columns are exact constants ---------------------------------------------
