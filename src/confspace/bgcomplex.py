@@ -33,8 +33,10 @@ components it joins, built once here; one ``_edge_image`` sums the merge
 term of every family and the two absorb terms of the reduced kind.  The
 products it sums, and the differentials d'' sums, are the carrier's lifted
 tables (``lifted_product`` and ``lifted_d``), kept on the carrier and so
-shared by every bicomplex on it.  ``as_block`` and ``from_block`` convert
-elements over keys to and from coordinate vectors over a block.
+shared by every bicomplex on it.  ``block_of``, the one index of the
+basis, gives each key's block and its position there; ``as_block`` reads
+it to turn an element over keys into a coordinate vector over a block, and
+``from_block`` turns one back.
 """
 
 from .algebra import sign
@@ -54,9 +56,8 @@ class Bicomplex:
         self.n = n
         self.family = family
         self.qmax = qmax
-        self.blocks = {}   # (p, q) -> list of keys
-        self.pos = {}      # (p, q) -> {key: index}
-        self.block_of = {}  # key -> (p, q)
+        self.blocks = {}    # (p, q) -> list of keys
+        self.block_of = {}  # key -> (p, q, its index in blocks[(p, q)])
         self._build_basis()
         self._edges = {}   # graph -> its edge table
         self._has_d2 = carrier.has_differential   # else d'' is zero
@@ -93,9 +94,8 @@ class Bicomplex:
             for tup, q in stack:
                 key = (g, tup)
                 blk = self.blocks.setdefault((p, q), [])
-                self.pos.setdefault((p, q), {})[key] = len(blk)
+                self.block_of[key] = (p, q, len(blk))
                 blk.append(key)
-                self.block_of[key] = (p, q)
 
     def block_dim(self, p, q):
         return len(self.blocks.get((p, q), ()))
@@ -224,12 +224,12 @@ class Bicomplex:
     def as_block(self, el, p, q):
         """el, an element over the keys of block (p, q), as a coordinate
         vector over that block: the inverse of ``from_block``."""
-        pos = self.pos.get((p, q), {})
         out = {}
         for key, c in el.items():
-            if key not in pos:
+            p1, q1, i = self.block_of.get(key, (None, None, None))
+            if (p1, q1) != (p, q):
                 raise KeyError("element leaves block (%d, %d): %r" % (p, q, key))
-            out[pos[key]] = c
+            out[i] = c
         return out
 
     def from_block(self, vec, p, q):
@@ -241,7 +241,7 @@ class Bicomplex:
         return max((p for (p, _) in self.blocks), default=0)
 
     def total_dim(self):
-        return sum(len(b) for b in self.blocks.values())
+        return len(self.block_of)
 
     def show_key(self, key):
         g, factors = key

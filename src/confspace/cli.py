@@ -278,7 +278,7 @@ _SUITES = {
     "three-point-sequence": ("", reports.check_three_point_sequence),
     "four-point-corner": ("", reports.check_four_point_corner),
     "duality": ("n", reports.check_duality),
-    "anchors": ("none", None),
+    "anchors": ("none", reports.check_anchors),
     "formal-negative": ("", reports.check_formal_negative),
 }
 
@@ -448,7 +448,7 @@ def cmd_check(args):
         raise InputError("%s does not apply to check %s"
                          % (", ".join(unread), args.suite))
     if arity == "none":
-        report = reports.check_anchors()
+        report = fn()
     else:
         obj = _load(args)
         if arity == "n":
@@ -538,9 +538,10 @@ def _build_parser():
         description="configuration-space bicomplex workbench")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def command(name, algebra=True, n=True, qmax=False):
+    def command(name, run, algebra=True, n=True, qmax=False):
         # each command registers only the options it reads
         p = sub.add_parser(name)
+        p.set_defaults(run=run)
         if algebra:
             p.add_argument("--input", help="algebra file")
             p.add_argument("--catalog", help="catalog algebra name")
@@ -556,32 +557,26 @@ def _build_parser():
         p.add_argument("--format", choices=("table", "json"), default="table")
         return p
 
-    pages = command("pages", qmax=True)
+    pages = command("pages", cmd_pages, qmax=True)
     pages.add_argument("--page", type=int, help="last page to show")
     pages.add_argument("--kind", choices=("full", "bar", "j"), default="bar")
-    command("ct-e2")
-    command("total", qmax=True).add_argument(
+    command("ct-e2", cmd_ct_e2)
+    command("total", cmd_total, qmax=True).add_argument(
         "--kind", choices=("full", "bar", "j", "c"), default="bar")
-    command("check").add_argument("suite", help="suite name")
-    command("massey", n=False).add_argument(
+    command("check", cmd_check).add_argument("suite", help="suite name")
+    command("massey", cmd_massey, n=False).add_argument(
         "classes", nargs="*", help="class labels")
-    command("d2").add_argument("classes", nargs="*", help="class labels")
-    command("catalog", algebra=False, n=False)
+    command("d2", cmd_d2).add_argument(
+        "classes", nargs="*", help="class labels")
+    command("catalog", cmd_catalog, algebra=False, n=False)
     return ap
-
-
-_DISPATCH = {
-    "pages": cmd_pages, "ct-e2": cmd_ct_e2, "total": cmd_total,
-    "check": cmd_check, "massey": cmd_massey, "d2": cmd_d2,
-    "catalog": cmd_catalog,
-}
 
 
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     t0 = time.time()
     try:
-        payload, code = _DISPATCH[args.command](args)
+        payload, code = args.run(args)
     except (ValueError, cat.CatalogError, AxiomViolation,
             Overflow, OSError) as e:
         print("error: %s" % e, file=sys.stderr)

@@ -201,7 +201,7 @@ class CTComplex:
         are summed over exact constants, and ``Field.exact`` keeps the
         coordinates that are not 0 in the field."""
         if (p, h) not in self._quot:
-            pos = self.basis.pos.get((p, h), {})
+            block_of = self.basis.block_of
             lift = self.field.lift
 
             # inline, not Field.combine: that cost this relation-check loop 20%
@@ -211,11 +211,11 @@ class CTComplex:
                 for key, c in el.items():
                     c = lift(c)
                     for k, x in merge(key).items():
-                        i = pos[k]
+                        i = block_of[k][2]
                         acc[i] = acc.get(i, 0) + c * x
                 return self.field.exact(acc)
 
-            reps = [{i: self.field.one} for i in range(len(pos))]
+            reps = [{i: self.field.one} for i in range(self.dim(p, h))]
             self._quot[(p, h)] = reps, project
         return self._quot[(p, h)]
 

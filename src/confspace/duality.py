@@ -117,10 +117,10 @@ class Pairing:
                 if project(v):
                     raise DualityError(
                         "relation pairs nontrivially at (%d, %d)" % (p, h))
-            pos = self.bar.pos.get(self.dual_block(p, h), {})
+            block_of = self.bar.block_of
             exact = self.alg.field.exact
             self._mat[(p, h)] = [
-                exact(dict(sorted((pos[(key[0], bs)], x)
+                exact(dict(sorted((block_of[(key[0], bs)][2], x)
                                   for bs, x in self._dual(key).items())))
                 for key in self.ct.basis.blocks.get((p, h), ())]
         return self._mat[(p, h)]

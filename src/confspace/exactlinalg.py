@@ -115,7 +115,8 @@ class FpElement:
         return self.v != 0
 
     def __repr__(self):
-        return "%d" % self.v
+        # the symmetric residue, so -1 prints as it does over Q
+        return "%d" % (self.v - self.p if 2 * self.v > self.p else self.v)
 
 
 # Miller-Rabin with the prime bases up to 41 is exact below this bound, the

@@ -233,7 +233,7 @@ def d2_zigzag(bc, u):
     if not u:
         return {}, {}
     key = next(iter(u))
-    p, q = bc.block_of[key]
+    p, q, _ = bc.block_of[key]
     if bc.apply(bc.dsecond_key, u):
         raise NotDefined("element is not a vertical cocycle")
     v = bc.apply(bc.dprime_key, u)
@@ -259,7 +259,7 @@ def d2_certificate(bc, u, predicted):
     pair (zig-zag class, predicted class) of E_2(p + 2, q - 1) coordinates;
     the prediction holds when the two are equal, and the second-page
     differential of [u] is nonzero when the first is."""
-    p, q = bc.block_of[next(iter(u))]
+    p, q, _ = bc.block_of[next(iter(u))]
     _, image = d2_zigzag(bc, u)
     ss = SpectralSequence(bc)
     return (ss.project_class(image, 2, p + 2, q - 1),
@@ -316,12 +316,9 @@ def thm3_detector(H):
     findings = []
     for (ia, ib, ic, id_) in product(cand, repeat=4):
         a, b, c, d = ({t: f.one} for t in (ia, ib, ic, id_))
-        if any(any(H.multiply(u, v).values())
-               for u, v in ((a, b), (a, c), (a, d), (b, c), (b, d), (c, d))):
-            continue
         try:
-            mbcd = triple_massey(H, b, c, d)
             tensors = d2_formula(H, a, b, c, d)
+            mbcd = triple_massey(H, b, c, d)
         except NotDefined:
             continue
         core = mbcd.class_modulo_indeterminacy()

@@ -64,8 +64,26 @@ def test_q_window_prunes_basis(build, nm, n, args, qmax):
     assert set(bc.blocks) == {(p, q) for (p, q) in full.blocks if q <= qmax}
     for blk, keys in bc.blocks.items():
         assert keys == full.blocks[blk]
-        assert bc.pos[blk] == full.pos[blk]
+        assert all(bc.block_of[k] == full.block_of[k] for k in keys)
     assert bc.total_dim() < full.total_dim()
+
+
+@pytest.mark.parametrize("qmax", [None, 6], ids=["unwindowed", "windowed"])
+def test_block_of_gives_each_keys_block_and_position(qmax):
+    bc = build_C(catalog.load("heis3"), 4, qmax=qmax)
+    for (p, q), keys in bc.blocks.items():
+        for i, key in enumerate(keys):
+            assert bc.block_of[key] == (p, q, i)
+    assert bc.total_dim() == sum(map(len, bc.blocks.values()))
+    # as_block inverts from_block, and refuses a key of another block
+    (p, q), keys = max(bc.blocks.items(), key=lambda kv: len(kv[1]))
+    vec = {i: QQ.of(i + 1) for i in range(len(keys))}
+    assert bc.as_block(bc.from_block(vec, p, q), p, q) == vec
+    other = next(k for k, loc in bc.block_of.items() if loc[:2] != (p, q))
+    with pytest.raises(KeyError):
+        bc.as_block({other: QQ.one}, p, q)
+    with pytest.raises(KeyError):
+        bc.as_block({(gr.Graph(4), ()): QQ.one}, p, q)
 
 
 # -- d' on explicit keys ----------------------------------------------------
@@ -344,7 +362,7 @@ def test_apply_matches_the_per_key_path(nm, p, name, data):
     b = reference_apply(bc, key_map, w)
     assert bc.apply(key_map, b) == reference_apply(bc, key_map, b) == {}
     # plus keys of a block b reaches, so the sum mixes both
-    near = sorted({bc.block_of[k] for k in b}) or blocks
+    near = sorted({bc.block_of[k][:2] for k in b}) or blocks
     el = vec_iadd(element(bc.blocks[data.draw(st.sampled_from(near))]), b)
     assert bc.apply(key_map, el) == reference_apply(bc, key_map, el)
 
@@ -573,8 +591,7 @@ def test_phi_bar_injective_on_blocks():
     bbc = build_AG(a, 3, gr.NODUPTARGET)
     phi = phi_bar(cbc)
     for (p, q), keys in cbc.blocks.items():
-        pos = bbc.pos[(p, q)]
         red = SpanReducer(QQ)
         for key in keys:
             img = phi({key: QQ.one})
-            assert red.insert({pos[k]: c for k, c in img.items()})
+            assert red.insert(bbc.as_block(img, p, q))

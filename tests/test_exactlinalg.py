@@ -40,6 +40,15 @@ def test_field_of_takes_its_own_scalars():
         F5.of(FpElement(7, 1))
 
 
+@pytest.mark.parametrize("p", [3, 101])
+def test_fp_elements_print_as_symmetric_residues(p):
+    # -1 prints as -1, as over Q; the residues past p/2 print negative
+    f, h = Field(p), (p - 1) // 2
+    assert [repr(f.of(v)) for v in (1, p - 1, h, h + 1)] == \
+        ["1", "-1", str(h), str(-h)]
+    assert "%s" % f.of(-2) == ("1" if p == 3 else "-2")
+
+
 @pytest.mark.parametrize("field", [QQ, Field(3), Field(101)],
                          ids=["Q", "F3", "F101"])
 def test_lift_leaves_exact_constants_unchanged(field):

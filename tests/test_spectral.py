@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from confspace.exactlinalg import QQ, Field, kernel_basis, pivot_pairs, rank
+from confspace.exactlinalg import (QQ, Field, apply_map, kernel_basis,
+                                   pivot_pairs, rank)
 from confspace import graphs as gr
 from confspace import catalog
 from confspace.algebra import TruncatedFreeCDGA
@@ -254,7 +255,7 @@ def _uncleared_pairs(bc, k):
     out, into = {}, {}
     for i, j in zip(order, pivot_pairs(bc.field, cols)):
         if j is not None:
-            src, tgt = block_of[keys[i]], block_of[keys1[j]]
+            src, tgt = block_of[keys[i]][:2], block_of[keys1[j]][:2]
             out.setdefault(src, []).append(tgt[0] - src[0])
             into.setdefault(tgt, []).append(tgt[0] - src[0])
     return out, into
@@ -602,33 +603,61 @@ def test_pairing_forms_no_field_scalar(monkeypatch):
 
 # -- two constructions of the second page agree --------------------------------
 
-def _second_page_failures(bc, blocks):
-    """{(p, q): (dim E2, dim E3, rank d2 out, rank d2 in)} over the given
-    blocks where dim E3 = dim E2 - rank d2 out - rank d2 in fails; the
-    dimensions are read off the pairing, the ranks off the page bases."""
+def _page_failures(bc, blocks, r=2):
+    """{(p, q): (dim E_r, dim E_{r+1}, rank d_r out, rank d_r in)} over the
+    given blocks where dim E_{r+1} = dim E_r - rank d_r out - rank d_r in
+    fails; the dimensions are read off the pairing, the ranks off the page
+    bases.  Where d_r out of (p, q) lands in a given block, d_r after d_r
+    must be the zero matrix."""
     ss = SpectralSequence(bc)
     bad = {}
     for (p, q) in blocks:
-        e2 = ss.e_dim(2, p, q)
-        assert len(ss.e_block(2, p, q)[0]) == e2, (p, q)
-        out = rank(bc.field, ss.d_matrix(2, p, q))
-        into = (rank(bc.field, ss.d_matrix(2, p - 2, q + 1))
-                if (p - 2, q + 1) in bc.blocks else 0)
-        e3 = ss.e_dim(3, p, q)
-        if e3 != e2 - out - into:
-            bad[(p, q)] = (e2, e3, out, into)
+        er = ss.e_dim(r, p, q)
+        assert len(ss.e_block(r, p, q)[0]) == er, (p, q)
+        d = ss.d_matrix(r, p, q)
+        out = rank(bc.field, d)
+        into = (rank(bc.field, ss.d_matrix(r, p - r, q + r - 1))
+                if (p - r, q + r - 1) in bc.blocks else 0)
+        if (p + r, q - r + 1) in blocks:
+            d_next = ss.d_matrix(r, p + r, q - r + 1)
+            assert all(apply_map(d_next.__getitem__, v) == {} for v in d), \
+                (p, q)
+        e_next = ss.e_dim(r + 1, p, q)
+        if e_next != er - out - into:
+            bad[(p, q)] = (er, e_next, out, into)
     return bad
 
 
-@pytest.mark.parametrize("nm,p,qmax", [("heis3", None, 7), ("heis3", 101, 7),
-                                        ("t2", None, 5)],
-                         ids=["heis3-Q", "heis3-F101", "t2-Q"])
+def _window_inside(bc):
+    """The blocks whose pages and page differentials the window holds."""
+    inside = [pq for pq in sorted(bc.blocks) if sum(pq) < bc.qmax]
+    assert inside
+    return inside
+
+
+# (carrier, prime or None for Q, qmax) of build_C at n=4
+REDUCED_PAGE_CASES = [("heis3", None, 7), ("heis3", 101, 7), ("t2", None, 5),
+                      ("heis3_s2", None, 6), ("cs_heis3_s2", None, 6),
+                      ("cp2", None, 7), ("s2xs2", None, 7), ("cs_s5", None, 8)]
+
+
+@pytest.mark.parametrize(
+    "nm,p,qmax", REDUCED_PAGE_CASES,
+    ids=["%s-%s" % (nm, "Q" if p is None else "F%d" % p)
+         for nm, p, _ in REDUCED_PAGE_CASES])
 def test_second_page_ranks_match_the_third_page(nm, p, qmax):
     bc = build_C(catalog.load(nm, field=Field(p)), 4, qmax=qmax)
-    # the blocks whose pages and second-page differentials the window holds
-    inside = [pq for pq in sorted(bc.blocks) if sum(pq) < qmax]
-    assert inside
-    assert _second_page_failures(bc, inside) == {}
+    assert _page_failures(bc, _window_inside(bc)) == {}
+
+
+@pytest.mark.parametrize("r", [2, 3])
+@pytest.mark.parametrize("p", [None, 101], ids=["Q", "F101"])
+def test_quotient_page_ranks_match_the_next_page(p, r):
+    # four columns, so d3 has room
+    bc = build_AG(catalog.load("heis3", field=Field(p)), 4, gr.NODUPTARGET,
+                  qmax=6)
+    assert bc.pmax == 3
+    assert _page_failures(bc, _window_inside(bc), r) == {}
 
 
 @pytest.mark.xfail(strict=True, reason=(
@@ -636,7 +665,7 @@ def test_second_page_ranks_match_the_third_page(nm, p, qmax):
     "of 2 from E2 to E3"))
 def test_headline_second_page_rank_matches_the_third_page():
     bc = build_C(catalog.load("stb_s2xs2"), 4, qmax=9)
-    assert _second_page_failures(bc, [(0, 8)]) == {}
+    assert _page_failures(bc, [(0, 8)]) == {}
 
 
 # -- known defect: boundaries may project to a nonzero class ------------------
