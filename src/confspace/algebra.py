@@ -12,22 +12,22 @@ Two concrete carriers share one graded basis (``field``, ``labels``,
   component above the bound raises :class:`Overflow` rather than being
   dropped.
 
-Elements are sparse dicts ``{basis_index: scalar}``.  The dicts that
-``mul_basis`` and ``d_basis`` return are shared with the carrier (the
-truncated CDGA keeps d of each basis monomial once computed), so callers
-must not mutate them.  A truncated carrier raises ``Overflow`` on every call
-whose result escapes the bound; no such result is ever kept.
-
-The graded basis also keeps the lifted tables both spectral sequences sum
-over: ``lifted_product`` and ``lifted_d`` give ``mul_basis`` and ``d_basis``
-as (index, ``Field.lift`` constant) pairs, built once per carrier and so
-shared by every complex on it.
+The carrier contract: tables in exact constants, elements in field
+scalars.  ``mul_basis`` and ``d_basis`` return the carrier's one table of
+structure constants, as ``Field.exact`` keeps them (ints, and Fractions
+only where fractional, over Q; residues over F_p), which both spectral
+sequences and the Massey products sum over.  The dicts are shared with the
+carrier (the truncated CDGA keeps each product and each d of a basis
+monomial once computed), so callers must not mutate them.  A truncated
+carrier raises ``Overflow`` on every call whose result escapes the bound;
+no such result is ever kept.  Elements are sparse dicts ``{basis_index:
+scalar}``: ``multiply`` and ``differentiate`` sum over the table and
+convert once with ``Field.scalars``.
 """
 
-from .exactlinalg import (
-    apply_map, kernel_basis, quotient_basis, subquotient, NO_SOLUTION,
-    vec_add, vec_iadd, vec_scale,
-)
+from functools import cached_property
+
+from .exactlinalg import kernel_basis, quotient_basis, subquotient, NO_SOLUTION
 
 
 class AxiomViolation(ValueError):
@@ -96,32 +96,15 @@ class _GradedBasis:
         self._by_degree = {}
         for i, d in enumerate(degrees):
             self._by_degree.setdefault(d, []).append(i)
-        self._lifted_mul = {}   # (a, b) -> lifted mul_basis(a, b)
-        self._lifted_d = {}     # a -> lifted d_basis(a)
 
     @property
     def dim(self):
         return len(self.labels)
 
-    def _lift(self, el):
-        lift = self.field.lift
-        return tuple((k, lift(c)) for k, c in el.items())
-
-    def lifted_product(self, a, b):
-        """mul_basis(a, b) as (index, exact constant) pairs, the constants
-        ``field.lift`` gives; kept per pair on first use, so a product that
-        raises Overflow is never kept."""
-        prod = self._lifted_mul.get((a, b))
-        if prod is None:
-            prod = self._lifted_mul[(a, b)] = self._lift(self.mul_basis(a, b))
-        return prod
-
-    def lifted_d(self, a):
-        """d_basis(a), lifted and kept like ``lifted_product``."""
-        d = self._lifted_d.get(a)
-        if d is None:
-            d = self._lifted_d[a] = self._lift(self.d_basis(a))
-        return d
+    @cached_property
+    def q_data(self):
+        """``indecomposables`` of this carrier, made on first use."""
+        return indecomposables(self)
 
     def basis_of_degree(self, d):
         return self._by_degree.get(d, [])
@@ -142,7 +125,8 @@ class Algebra(_GradedBasis):
         """basis: sequence of (label, degree).  products: dict
         (i, j) -> element; missing (j, i) entries are filled in by graded
         commutativity, missing unit products by unitality, anything else
-        defaults to zero."""
+        defaults to zero.  Each constant, an int, a Fraction or a scalar of
+        this field, is kept as the exact ``field.lift(field.of(c))``."""
         super().__init__(field, [lab for lab, _ in basis],
                          [deg for _, deg in basis], unit)
         self.name = name
@@ -150,25 +134,25 @@ class Algebra(_GradedBasis):
         n = len(self.labels)
         if len(set(self.labels)) != n:
             raise AxiomViolation("distinct labels", self.labels)
-        prods = {}
-        for (i, j), el in products.items():
-            prods[(i, j)] = {k: c for k, c in el.items() if c}
+
+        def exact(el):
+            return field.exact({k: field.lift(field.of(c))
+                                for k, c in el.items()})
+
+        prods = {ij: exact(el) for ij, el in products.items()}
         for i in range(n):
-            prods.setdefault((self.unit, i), {i: field.one})
-            prods.setdefault((i, self.unit), {i: field.one})
+            prods.setdefault((self.unit, i), {i: 1})
+            prods.setdefault((i, self.unit), {i: 1})
         for i in range(n):
             for j in range(n):
                 if (i, j) not in prods:
-                    if (j, i) in prods:
-                        s = koszul(self.degrees[i], self.degrees[j])
-                        prods[(i, j)] = vec_scale(prods[(j, i)],
-                                                  field.of(s))
-                    else:
-                        prods[(i, j)] = {}
+                    s = koszul(self.degrees[i], self.degrees[j])
+                    prods[(i, j)] = exact({k: s * c for k, c
+                                           in prods.get((j, i), {}).items()})
         self.products = prods
         self.differential = None
         if differential:
-            self.differential = {i: {k: c for k, c in el.items() if c}
+            self.differential = {i: exact(el)
                                  for i, el in differential.items() if el}
         self._check_axioms()
 
@@ -189,14 +173,12 @@ class Algebra(_GradedBasis):
         return self.differential is not None and any(self.differential.values())
 
     def multiply(self, u, v):
-        out = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                vec_iadd(out, self.mul_basis(i, j), a * b)
-        return out
+        f = self.field
+        return f.scalars(f.combine(
+            lambda i: f.combine(lambda j: self.products[(i, j)], v), u))
 
     def differentiate(self, u):
-        return apply_map(self.d_basis, u)
+        return self.field.scalars(self.field.combine(self.d_basis, u))
 
     @property
     def max_degree(self):
@@ -206,35 +188,35 @@ class Algebra(_GradedBasis):
     def _check_axioms(self):
         f = self.field
         degs = self.degrees
+        prods = self.products
         if degs[self.unit] != 0:
             raise AxiomViolation("unit in degree 0", self.unit)
         if len(self.basis_of_degree(0)) != 1:
             raise AxiomViolation("degree-0 component is one-dimensional",
                                  self.basis_of_degree(0))
         n = self.dim
-        for (i, j), el in self.products.items():
+        for (i, j), el in prods.items():
             for k in el:
                 if degs[k] != degs[i] + degs[j]:
                     raise AxiomViolation("degree additivity", (i, j, k))
         for i in range(n):
-            if self.products[(self.unit, i)] != {i: f.one}:
+            if prods[(self.unit, i)] != {i: 1}:
                 raise AxiomViolation("unit acts as identity", i)
         for i in range(n):
             for j in range(n):
                 s = koszul(degs[i], degs[j])
-                lhs = self.products[(j, i)]
-                rhs = vec_scale(self.products[(i, j)], f.of(s))
-                if lhs != rhs:
+                if prods[(j, i)] != f.exact({k: s * c for k, c
+                                             in prods[(i, j)].items()}):
                     raise AxiomViolation("graded commutativity", (i, j))
         for i in range(n):
             for j in range(n):
-                ij = self.products[(i, j)]
+                ij = prods[(i, j)]
                 for k in range(n):
-                    jk = self.products[(j, k)]
+                    jk = prods[(j, k)]
                     if not ij and not jk:
                         continue   # both sides are 0
-                    left = self.multiply(ij, {k: f.one})
-                    right = self.multiply({i: f.one}, jk)
+                    left = f.combine(lambda a: prods[(a, k)], ij)
+                    right = f.combine(lambda b: prods[(i, b)], jk)
                     if left != right:
                         raise AxiomViolation("associativity", (i, j, k))
         if self.differential is not None:
@@ -243,15 +225,18 @@ class Algebra(_GradedBasis):
                     if degs[k] != degs[i] + 1:
                         raise AxiomViolation("differential has degree +1", (i, k))
             for i in range(n):
-                if self.differentiate(self.d_basis(i)):
+                if f.combine(self.d_basis, self.d_basis(i)):
                     raise AxiomViolation("d o d = 0", i)
             for i in range(n):
                 for j in range(n):
-                    lhs = self.differentiate(self.products[(i, j)])
-                    rhs = vec_add(self.multiply(self.d_basis(i), {j: f.one}),
-                                  self.multiply({i: f.one}, self.d_basis(j)),
-                                  f.of(sign(degs[i])))
-                    if lhs != rhs:
+                    # d(i j) = d(i) j + (-1)^|i| i d(j)
+                    lhs = f.combine(self.d_basis, prods[(i, j)])
+                    rhs = f.combine(lambda a: prods[(a, j)], self.d_basis(i))
+                    s = sign(degs[i])
+                    for k, x in f.combine(lambda b: prods[(i, b)],
+                                          self.d_basis(j)).items():
+                        rhs[k] = rhs.get(k, 0) + s * x
+                    if lhs != f.exact(rhs):
                         raise AxiomViolation("Leibniz rule", (i, j))
 
 
@@ -364,8 +349,8 @@ class TruncatedFreeCDGA(_GradedBasis):
 
     Odd generators are exterior, even generators polynomial.  The monomial
     basis contains every degree <= bound; products and differentials are
-    evaluated exactly in the free algebra, and any nonzero component above
-    the bound raises Overflow."""
+    evaluated exactly in the free algebra, in exact constants, and any
+    nonzero component above the bound raises Overflow."""
 
     def __init__(self, name, field, generators, d_gens, bound):
         """generators: sequence of (label, degree > 0).  d_gens: dict
@@ -387,8 +372,9 @@ class TruncatedFreeCDGA(_GradedBasis):
             [_mono_degree(m, self.gen_degrees) for m in self._monomials],
             self._index[()])
         self.top = None
-        self._d = {}   # basis index -> d of that monomial, once computed
-        # differential on generators, as monomial dicts
+        self._mul = {}   # (i, j) -> product of monomials i and j, once made
+        self._d = {}     # basis index -> d of that monomial, once computed
+        # differential on generators, as monomial dicts of exact constants
         self.d_on_gens = {}
         for lab, terms in (d_gens or {}).items():
             g = self.gen_labels.index(lab)
@@ -397,10 +383,10 @@ class TruncatedFreeCDGA(_GradedBasis):
                 mono = tuple(sorted(self.gen_labels.index(x) for x in mono_labels))
                 if _mono_degree(mono, self.gen_degrees) != self.gen_degrees[g] + 1:
                     raise AxiomViolation("differential has degree +1", (lab, mono_labels))
-                vec_iadd(el, {mono: field.of(coeff)})
-            self.d_on_gens[g] = el
+                el[mono] = el.get(mono, 0) + field.lift(field.of(coeff))
+            self.d_on_gens[g] = field.exact(el)
         for g, dg in self.d_on_gens.items():
-            if self._d_monomials(dg):
+            if field.exact(self._d_monomials(dg)):
                 raise AxiomViolation("d o d = 0", self.gen_labels[g])
 
     def _enumerate(self, bound):
@@ -442,9 +428,10 @@ class TruncatedFreeCDGA(_GradedBasis):
         return self._index[mono]
 
     def _collect(self, acc):
-        """Monomial dict -> basis-index element; Overflow on escape."""
+        """Monomial dict of exact sums -> basis-index element of exact
+        constants (``Field.exact``); Overflow on escape."""
         out = {}
-        for mono, c in acc.items():
+        for mono, c in self.field.exact(acc).items():
             i = self._index.get(mono)
             if i is None:
                 raise Overflow(_mono_degree(mono, self.gen_degrees))
@@ -452,25 +439,31 @@ class TruncatedFreeCDGA(_GradedBasis):
         return out
 
     def mul_basis(self, i, j):
-        res = _mono_mul(self._monomials[i], self._monomials[j], self.gen_odd)
-        if res is None:
-            return {}
-        mono, s = res
-        return self._collect({mono: self.field.of(s)})
+        """Product of basis monomials i and j, computed on first use and
+        kept, like ``d_basis``."""
+        prod = self._mul.get((i, j))
+        if prod is None:
+            res = _mono_mul(self._monomials[i], self._monomials[j],
+                            self.gen_odd)
+            prod = self._mul[(i, j)] = {} if res is None else \
+                self._collect({res[0]: res[1]})
+        return prod
 
     def multiply(self, u, v):
+        lift = self.field.lift
         acc = {}
         for i, a in u.items():
+            a = lift(a)
             for j, b in v.items():
                 res = _mono_mul(self._monomials[i], self._monomials[j], self.gen_odd)
                 if res is not None:
                     mono, s = res
-                    vec_iadd(acc, {mono: self.field.of(s)}, a * b)
-        return self._collect(acc)
+                    acc[mono] = acc.get(mono, 0) + s * a * lift(b)
+        return self.field.scalars(self._collect(acc))
 
     def _d_monomials(self, el):
-        """Differential of a monomial dict, as a monomial dict (exact,
-        unbounded): the Leibniz rule applied generator by generator."""
+        """Differential of a monomial dict, as a monomial dict of exact sums
+        (unbounded): the Leibniz rule applied generator by generator."""
         acc = {}
         for mono, a in el.items():
             for pos, g in enumerate(mono):
@@ -489,7 +482,7 @@ class TruncatedFreeCDGA(_GradedBasis):
                     if r2 is None:
                         continue
                     m2, s2 = r2
-                    vec_iadd(acc, {m2: c * self.field.of(s0 * s1 * s2)}, a)
+                    acc[m2] = acc.get(m2, 0) + s0 * s1 * s2 * c * a
         return acc
 
     def d_basis(self, i):
@@ -498,12 +491,13 @@ class TruncatedFreeCDGA(_GradedBasis):
         whose differential escapes the bound raises on every call."""
         if i not in self._d:
             self._d[i] = self._collect(
-                self._d_monomials({self._monomials[i]: self.field.one}))
+                self._d_monomials({self._monomials[i]: 1}))
         return self._d[i]
 
     def differentiate(self, u):
-        return self._collect(self._d_monomials(
-            {self._monomials[i]: a for i, a in u.items()}))
+        lift = self.field.lift
+        return self.field.scalars(self._collect(self._d_monomials(
+            {self._monomials[i]: lift(a) for i, a in u.items()})))
 
 
 # ---------------------------------------------------------------------------
@@ -685,7 +679,7 @@ def connected_sum_model(alg, m):
     # commutativity and unitality, which Algebra fills in (copying each
     # element, and the differential, so alg is left as it is)
     products = dict(alg.products)
-    products[(n, n + 1)] = {alg.top: f.one}
+    products[(n, n + 1)] = {alg.top: 1}
     return Algebra("%s#(S2xS%d)" % (alg.name, m - 2), f, basis, alg.unit,
                    products, differential=alg.differential, top=alg.top)
 
@@ -705,25 +699,23 @@ def tensor_algebra(a, b, name=None):
             idx[(i, j)] = len(basis)
             basis.append((lab, a.degrees[i] + b.degrees[j]))
     unit = idx[(a.unit, b.unit)]
+    # the constructor reduces these sums of exact constants
     products = {}
     for (i1, j1), p in idx.items():
         for (i2, j2), q in idx.items():
-            s = f.of(koszul(b.degrees[j1], a.degrees[i2]))
-            left = a.mul_basis(i1, i2)
-            right = b.mul_basis(j1, j2)
+            s = koszul(b.degrees[j1], a.degrees[i2])
             el = {}
-            for k1, c1 in left.items():
-                for k2, c2 in right.items():
-                    vec_iadd(el, {idx[(k1, k2)]: s * c1 * c2})
+            for k1, c1 in a.mul_basis(i1, i2).items():
+                for k2, c2 in b.mul_basis(j1, j2).items():
+                    k = idx[(k1, k2)]
+                    el[k] = el.get(k, 0) + s * c1 * c2
             products[(p, q)] = el
     differential = {}
     for (i, j), p in idx.items():
-        el = {}
-        for k, c in a.d_basis(i).items():
-            vec_iadd(el, {idx[(k, j)]: c})
-        s = f.of(sign(a.degrees[i]))
+        el = {idx[(k, j)]: c for k, c in a.d_basis(i).items()}
+        s = sign(a.degrees[i])
         for k, c in b.d_basis(j).items():
-            vec_iadd(el, {idx[(i, k)]: s * c})
+            el[idx[(i, k)]] = el.get(idx[(i, k)], 0) + s * c
         if el:
             differential[p] = el
     top = None

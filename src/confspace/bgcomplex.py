@@ -31,11 +31,11 @@ converts the sum once.  d' reads, per graph, the edges whose addition
 stays in the family, each with its enlarged graph, insertion sign and the
 components it joins, built once here; one ``_edge_image`` sums the merge
 term of every family and the two absorb terms of the reduced kind.  The
-products it sums, and the differentials d'' sums, are the carrier's lifted
-tables (``lifted_product`` and ``lifted_d``), kept on the carrier and so
-shared by every bicomplex on it.  ``block_of``, the one index of the
-basis, gives each key's block and its position there; ``as_block`` reads
-it to turn an element over keys into a coordinate vector over a block, and
+products it sums, and the differentials d'' sums, are read off the
+carrier's one table of exact constants (``mul_basis`` and ``d_basis``),
+shared by every bicomplex on it.  ``block_of``, the one index of the basis,
+gives each key's block and its position there; ``as_block`` reads it to
+turn an element over keys into a coordinate vector over a block, and
 ``from_block`` turns one back.
 """
 
@@ -140,7 +140,7 @@ class Bicomplex:
         factors positive.  The raw sums: exact constants, some of them
         possibly 0 in the field."""
         degs = self.carrier.degrees
-        product = self.carrier.lifted_product
+        product = self.carrier.mul_basis
         reduced = self.family == gr.HFAMILY
         factors = key[1]
         pre = [0]   # degree prefixes of the factors
@@ -158,7 +158,7 @@ class Bicomplex:
             head, mid, tail = factors[:s], factors[s + 1:t], factors[t + 1:]
             # merge the two factors in place
             e = -esign if dt * dst % 2 else esign
-            for k, c in product(fs, ft):
+            for k, c in product(fs, ft).items():
                 k2 = (g2, head + (k,) + mid + tail)
                 acc[k2] = acc.get(k2, 0) + e * c
             if not reduced:
@@ -169,13 +169,13 @@ class Bicomplex:
             # factor up
             e = esign if (ds * d2s + dt * dst) % 2 else -esign
             rest = factors[1:s] + (ft,) + mid + tail
-            for k, c in product(f0, fs):
+            for k, c in product(f0, fs).items():
                 k2 = (g2, (k,) + rest)
                 acc[k2] = acc.get(k2, 0) + e * c
             # absorb the target factor into the free slot
             e = esign if dt * (d2s + ds + dst) % 2 else -esign
             rest = factors[1:t] + tail
-            for k, c in product(f0, ft):
+            for k, c in product(f0, ft).items():
                 k2 = (g2, (k,) + rest)
                 acc[k2] = acc.get(k2, 0) + e * c
         return acc
@@ -191,16 +191,16 @@ class Bicomplex:
         """d'' of one key as exact constants, like ``dprime_key``."""
         g, factors = key
         degs = self.carrier.degrees
-        lifted_d = self.carrier.lifted_d
+        d_basis = self.carrier.d_basis
         acc = {}
         # the sign of a slot is (-1)^(edges + degrees of the slots before it)
         pre = g.edge_count
         for slot, fi in enumerate(factors):
-            d = lifted_d(fi)
+            d = d_basis(fi)
             if d:
                 e = -1 if pre % 2 else 1
                 head, tail = factors[:slot], factors[slot + 1:]
-                for k, c in d:
+                for k, c in d.items():
                     k2 = (g, head + (k,) + tail)
                     acc[k2] = acc.get(k2, 0) + e * c
             pre += degs[fi]
@@ -278,12 +278,11 @@ def edge_multiply(bc, el, i, j):
 def phi_bar(c_bc):
     """Embedding of the reduced bicomplex into the no-duplicate-target
     quotient.  Returns a function mapping elements (dicts over reduced keys)
-    to elements over quotient keys, in field scalars: the carrier's lifted
+    to elements over quotient keys, in field scalars: the carrier's
     products summed with int signs, and the sum converted once."""
     carrier = c_bc.carrier
     f = carrier.field
     degs = carrier.degrees
-    product = carrier.lifted_product
 
     def on_key(key):
         g, factors = key
@@ -304,7 +303,7 @@ def phi_bar(c_bc):
             head = {factors[0]: 1}
             for idx in subset:
                 b = factors[idx]
-                head = f.combine(lambda a: dict(product(a, b)), head)
+                head = f.combine(lambda a: carrier.mul_basis(a, b), head)
             s = sign(k + e)
             for h, c in head.items():
                 k2 = (g, (h,) + tuple(unit if r in inset else factors[r]

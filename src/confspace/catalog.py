@@ -34,15 +34,9 @@ def to_algebra(carrier, name, top):
     """Expand any finite carrier into an explicit structure-constant Algebra
     (running the full axiom checks in the process)."""
     basis = list(zip(carrier.labels, carrier.degrees))
-    products = {}
-    for i in range(carrier.dim):
-        for j in range(carrier.dim):
-            products[(i, j)] = carrier.mul_basis(i, j)
-    differential = {}
-    for i in range(carrier.dim):
-        el = carrier.d_basis(i)
-        if el:
-            differential[i] = el
+    dims = range(carrier.dim)
+    products = {(i, j): carrier.mul_basis(i, j) for i in dims for j in dims}
+    differential = {i: el for i in dims if (el := carrier.d_basis(i))}
     return Algebra(name, carrier.field, basis, carrier.unit,
                    products, differential=differential or None, top=top)
 

@@ -26,10 +26,10 @@ forest G and factor per component, components ordered by least vertex, as
 blocks, and ``merge`` sends an ambient key (T, mu) to graph keys.  The
 ambient keys and the symbol relations are built on demand, only where they
 are asked for: the pairing checks the merge against them.  Both read the
-algebra's lifted product table (``lifted_product``, kept on the algebra and
-shared with the graph-side basis), as d1 does: the relations take its
-products as field scalars made once per product and sign, and the merge,
-the projections onto the quotient and d1 sum over exact constants.
+algebra's product table (``mul_basis``, exact constants, shared with the
+graph-side basis), as d1 does: the relations take its products as field
+scalars made once per product and sign, and the merge, the projections
+onto the quotient and d1 sum over exact constants.
 ``Field.exact`` keeps the nonzero constants of a merge, a projection or a
 d1 image, so none of them forms a field scalar.
 
@@ -135,17 +135,17 @@ class CTComplex:
         over the ambient keys of block (p, h - |a|) per positive basis
         element a.  a enters slot i with the Koszul sign
         (-1)^(|a| pre[i - 1]) of moving it past the earlier slots, pre the
-        degree prefixes of T.  The products with a are the algebra's lifted
-        ones, made field scalars once per pass and sign.  The two slots'
-        terms differ in slot s (a raises its degree), so no two add, and a
-        relation with no terms is dropped."""
+        degree prefixes of T.  The products with a are read off the
+        algebra's table, made field scalars once per pass and sign.  The two
+        slots' terms differ in slot s (a raises its degree), so no two add,
+        and a relation with no terms is dropped."""
         degs, of = self.alg.degrees, self.field.of
-        product = self.alg.lifted_product
+        product = self.alg.mul_basis
         out = []
         for a in self.alg.positive_indices():
             da = degs[a]
             # sign -> b -> the terms of a b with that sign, as field scalars
-            times = {e: [[(k, of(e * c)) for k, c in product(a, b) if c]
+            times = {e: [[(k, of(e * c)) for k, c in product(a, b).items()]
                          for b in range(self.alg.dim)] for e in (1, -1)}
             for tens, mu in self.ambient_keys(p, h - da):
                 pre = [0]
@@ -168,15 +168,15 @@ class CTComplex:
         component of mu, as {graph key (G, factors): exact constant}, G the
         graph of mu: the Koszul sign of grouping the slots of T by
         component, times the product of each component's slots, taken with
-        the algebra's lifted products: exact constants that ``Field.exact``
-        keeps, none 0 in the field and residues over F_p.  Computed once
+        the algebra's products: exact constants that ``Field.exact`` keeps,
+        none 0 in the field and residues over F_p.  Computed once
         per key."""
         out = self._merged.get(key)
         if out is None:
             tens, mu = key
             g, inversions = self._forest[mu]
             degs = self.alg.degrees
-            product = self.alg.lifted_product
+            product = self.alg.mul_basis
             terms = {(): sign(sum(degs[tens[a]] * degs[tens[b]]
                                   for a, b in inversions))}
             for comp in gr.components(g):
@@ -184,7 +184,7 @@ class CTComplex:
                 for v in comp[1:]:
                     acc = {}
                     for i, x in el.items():
-                        for k, y in product(i, tens[v - 1]):
+                        for k, y in product(i, tens[v - 1]).items():
                             acc[k] = acc.get(k, 0) + x * y
                     el = acc
                 terms = {fs + (i,): c * x for fs, c in terms.items()
@@ -251,7 +251,7 @@ class CTComplex:
     def d1_key(self, key):
         """d1 of a basis key (G, factors), over the basis keys of (p - 1,
         h + m), in the closed form of the module docstring, summed over
-        exact constants with the algebra's lifted products and returned as
+        exact constants with the algebra's products and returned as
         ``Field.exact`` leaves them: the D column the spectral sequence
         pairs.  The term
         u (x) v of the diagonal at edge (s, t) moves u past the factors up
@@ -260,7 +260,7 @@ class CTComplex:
         prefixes of the factors."""
         fs = key[1]
         degs = self.alg.degrees
-        product = self.alg.lifted_product
+        product = self.alg.mul_basis
         pre = [0]
         for i in fs:
             pre.append(pre[-1] + degs[i])
@@ -273,7 +273,7 @@ class CTComplex:
                 x = esign * c
                 if (du * pu + dv * pv) % 2:
                     x = -x
-                for k, y in product(f, u):
+                for k, y in product(f, u).items():
                     k2 = (g2, head + (k,) + mid + (v,) + tail)
                     acc[k2] = acc.get(k2, 0) + x * y
         return self.field.exact(acc)

@@ -17,7 +17,7 @@ constant on each block; ``theorem1_check`` verifies all of this and reports
 the discovered signs and the resulting second-page duality of dimensions.
 
 The check runs in exact constants, as the D columns of ``spectral`` do:
-the pairing rows multiply the lifted Poincare pairing table with int
+the pairing rows multiply the Poincare pairing table with int
 signs, d1 is ``CTComplex.d1_matrix`` (the tensor side's cached columns),
 and d' and the graph-side E2 are read off one ``SpectralSequence`` of a
 ``DView`` of the graph side with d' as its D: the carrier has no
@@ -43,8 +43,8 @@ class Pairing:
     def __init__(self, ct, bar):
         """ct: tensor-power complex; bar: no-duplicate-target bicomplex on
         the same algebra and n, with zero internal differential.  Factors
-        pair through ct's Poincare pairing table, ``ct.pd.pairing``, lifted
-        once to exact constants."""
+        pair through ct's Poincare pairing table, ``ct.pd.pairing``, in
+        exact constants."""
         if ct.alg is not bar.carrier:
             raise ValueError("the two complexes must share the algebra")
         if bar.family != gr.NODUPTARGET:
@@ -54,9 +54,6 @@ class Pairing:
         self.alg = ct.alg
         self.m = ct.m
         self.n = ct.n
-        lift = self.alg.field.lift
-        self._pd = [[(b, lift(x)) for b, x in terms]
-                    for terms in ct.pd.pairing]
         # d' alone is D: d'' = 0 on bar
         self._ss = SpectralSequence(DView(bar.blocks, bar.field,
                                           bar.dprime_key, bar.qmax))
@@ -77,8 +74,8 @@ class Pairing:
 
     def _dual(self, key):
         """{factors: < key ; factors e_g >} over the factor tuples that pair
-        nonzero with the basis key (g, combo): products of the lifted
-        pairing table with an int sign, not yet reduced."""
+        nonzero with the basis key (g, combo): products of the pairing
+        table with an int sign, not yet reduced."""
         g, combo = key
         degs = self.alg.degrees
         # suspension sign of the edge monomial: trivial for even m, needed
@@ -97,7 +94,7 @@ class Pairing:
                 e += (self.m - degs[combo[i]]) * degs[combo[j]]
         s = sign(e)
         return {tuple(b for b, _ in terms): prod((x for _, x in terms), start=s)
-                for terms in product(*(self._pd[ci] for ci in combo))}
+                for terms in product(*(self.ct.pd.pairing[ci] for ci in combo))}
 
     def matrix(self, p, h):
         """Rows of the pairing matrix, one per block basis key, each over the
@@ -108,9 +105,9 @@ class Pairing:
         nontrivially exactly when it projects to a nonzero quotient vector;
         DualityError is raised then, since the pairing is not defined on
         the quotient.  Every symbol relation of the block is checked: the
-        relations are read off the lifted product table, and each
-        projection is summed over exact constants and tested for zero in
-        the field (mod p over F_p)."""
+        relations are read off the product table, and each projection is
+        summed over exact constants and tested for zero in the field (mod
+        p over F_p)."""
         if (p, h) not in self._mat:
             _, project = self.ct.r_quotient(p, h)
             for v in self.ct.relation_vectors(p, h):

@@ -12,9 +12,8 @@ leaves one unchanged), ``exact`` drops sums of them that are 0 in the field
 basis vectors, summing the lifted products and reducing once, and
 ``scalars`` is the one place such sums become field scalars.  A linear
 map is the list of its columns, each such a dict over the rows;
-``apply_map`` applies a map whose images hold field scalars, and
-``transpose`` is the one place columns become rows, for the duality check's
-adjointness test.
+``transpose`` is the one place columns become rows, for the duality
+check's adjointness test.
 Every elimination runs through one kernel, ``SpanReducer``: an incremental
 row echelon form whose rows are stored as inserted, as ``{col: int}`` dicts,
 fraction-free and primitive over Q and residues mod p over F_p, so
@@ -246,10 +245,7 @@ _INT = frozenset((int,))  # the entry types of an all-int vector
 # sparse vectors: plain dicts {index: nonzero scalar}
 
 def vec_iadd(u, v, c=None):
-    """u += c*v in place (c defaults to 1) for sparse dict vectors; returns u.
-
-    Accumulating term by term with this is linear in the terms, where
-    ``u = vec_add(u, ...)`` copies the whole accumulator each time."""
+    """u += c*v in place (c defaults to 1); returns u."""
     for j, x in v.items():
         y = u.get(j)
         t = x if c is None else c * x
@@ -263,28 +259,6 @@ def vec_iadd(u, v, c=None):
             else:
                 del u[j]
     return u
-
-
-def vec_add(u, v, c=None):
-    """u + c*v (c defaults to 1) for sparse dict vectors."""
-    return vec_iadd(dict(u), v, c)
-
-
-def vec_scale(v, c):
-    if not c:
-        return {}
-    return {j: c * x for j, x in v.items()}
-
-
-def apply_map(image, vec):
-    """sum_i vec[i] image(i) for images that hold field scalars (the
-    carrier's ``d_basis``, class representatives); images in exact
-    constants go through ``Field.combine``."""
-    out = {}
-    for i, c in vec.items():
-        # images hold field scalars already, so a unit adds them as they are
-        vec_iadd(out, image(i), None if c == 1 else c)
-    return out
 
 
 def transpose(vecs):

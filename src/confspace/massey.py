@@ -18,9 +18,8 @@ boundaries."""
 from functools import cached_property
 from itertools import product
 
-from .exactlinalg import (SpanReducer, solve, NO_SOLUTION, apply_map,
-                          vec_iadd, vec_scale)
-from .algebra import sign, koszul, el_degree, indecomposables
+from .exactlinalg import SpanReducer, solve, NO_SOLUTION, vec_iadd
+from .algebra import sign, koszul, el_degree
 from .spectral import SpectralSequence
 from . import graphs as gr
 
@@ -54,7 +53,10 @@ class MasseyResult:
 
 def _rep(H, u):
     """Cocycle representative of an H element."""
-    return apply_map(H.representatives.__getitem__, u)
+    out = {}
+    for i, c in u.items():
+        vec_iadd(out, H.representatives[i], c)
+    return out
 
 
 def _as_class(H, u):
@@ -65,14 +67,8 @@ def _as_class(H, u):
 
 def q_residual(H, u):
     """Coordinates of a class in the indecomposable quotient."""
-    reps, project = _q_data(H)
+    reps, project = H.q_data
     return {i: c for i, c in enumerate(project(u)) if c}
-
-
-def _q_data(H):
-    if not hasattr(H, "_q_cache"):
-        H._q_cache = indecomposables(H)
-    return H._q_cache
 
 
 def triple_massey(H, a, b, c):
@@ -156,7 +152,7 @@ def obstruction_residual(H, tensor_el):
     psi(a (x) b) = a (x) b - (-1)^{|a||b|} b (x) a.  Returns a dict with
     keys ('kq', j) and ('qq', i, j) over Q coordinates."""
     f = H.field
-    reps, project = _q_data(H)
+    reps, project = H.q_data
     qdim = len(reps)
     qdeg = [el_degree(H, v) for v in reps]
     out = {}
@@ -192,6 +188,30 @@ def d2_formula(H, a, b, c, d):
     Requires all pairwise products of a, b, c, d to vanish.  Returns
     {'e2334': tensor, 'e2324': tensor} with tensors dicts over pairs of H
     class indices."""
+    return _d2_formula(H, a, b, c, d, _massey_memo(H))
+
+
+def _massey_memo(H):
+    """triple_massey on H, computed once per argument triple and kept: a
+    triple that raised NotDefined raises it again."""
+    memo = {}
+
+    def mp(*args):
+        key = tuple(tuple(sorted(u.items())) for u in args)
+        if key not in memo:
+            try:
+                memo[key] = triple_massey(H, *args)
+            except NotDefined as e:
+                memo[key] = e
+        if isinstance(memo[key], NotDefined):
+            raise memo[key].with_traceback(None)
+        return memo[key]
+
+    return mp
+
+
+def _d2_formula(H, a, b, c, d, massey):
+    """``d2_formula`` with its Massey products from a ``_massey_memo``."""
     f = H.field
     a, b, c, d = (_as_class(H, u) for u in (a, b, c, d))
     da, db, dc, dd = (el_degree(H, u) for u in (a, b, c, d))
@@ -200,7 +220,7 @@ def d2_formula(H, a, b, c, d):
             raise NotDefined("pairwise product is nonzero")
 
     def mp(u, v, w):
-        return triple_massey(H, u, v, w).class_el
+        return massey(u, v, w).class_el
 
     def tens(left, right, s):
         out = {}
@@ -242,7 +262,7 @@ def d2_zigzag(bc, u):
     # the d'' columns out of (p + 1, q - 1), in exact constants
     cols = [bc.as_block(bc.dsecond_key(k), p + 1, q)
             for k in bc.blocks.get((p + 1, q - 1), ())]
-    rhs = bc.as_block(vec_scale(v, bc.field.of(-1)), p + 1, q)
+    rhs = bc.as_block({k: -c for k, c in v.items()}, p + 1, q)
     x = solve(bc.field, cols, rhs)
     if x is NO_SOLUTION:
         raise NotDefined("the horizontal image is not vertically exact")
@@ -310,15 +330,16 @@ def thm3_detector(H):
     conditions hold or when the computed residual of the formula value is
     already nonzero."""
     f = H.field
-    qreps, project = _q_data(H)
+    qreps, project = H.q_data
     cand = [i for i in range(H.dim)
             if H.degrees[i] > 0 and any(project({i: f.one}))]
+    massey = _massey_memo(H)   # the quadruples share their products
     findings = []
     for (ia, ib, ic, id_) in product(cand, repeat=4):
         a, b, c, d = ({t: f.one} for t in (ia, ib, ic, id_))
         try:
-            tensors = d2_formula(H, a, b, c, d)
-            mbcd = triple_massey(H, b, c, d)
+            tensors = _d2_formula(H, a, b, c, d, massey)
+            mbcd = massey(b, c, d)
         except NotDefined:
             continue
         core = mbcd.class_modulo_indeterminacy()

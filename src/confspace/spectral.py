@@ -49,9 +49,9 @@ bicomplex and reuse it to keep that saving.
 A column is the bicomplex's ``dtotal_key`` of its key, in exact constants
 (ints, and Fractions only where a structure constant is fractional, over
 Q; residues over F_p), so the pairing forms no field scalar; D of a vector
-is their ``Field.combine``: the columns summed with its lifted
-coefficients, and the sums reduced once.  The bicomplex protocol is
-``blocks``, ``field``, ``qmax`` and ``dtotal_key``.
+is their ``Field.combine``: the columns summed with its coefficients
+taken as exact constants, and the sums reduced once.  The bicomplex
+protocol is ``blocks``, ``field``, ``qmax`` and ``dtotal_key``.
 ``bgcomplex.Bicomplex`` serves it, and ``DView`` serves it for a block
 dict with one chosen key map as D: d' alone of a graph bicomplex, whose
 second page is H(d') (the three- and four-point reports and the duality

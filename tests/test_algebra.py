@@ -6,13 +6,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from confspace.exactlinalg import QQ, Field, NO_SOLUTION, solve, vec_add
+from confspace.exactlinalg import (QQ, Field, FieldError, FpElement,
+                                   NO_SOLUTION, solve)
 from confspace.algebra import (
     Algebra, TruncatedFreeCDGA, AxiomViolation, DegeneratePairing, Overflow,
     CochainView, poincare_data, indecomposables, cohomology,
     connected_sum_model, tensor_algebra, el_degree, format_element,
 )
 from confspace import algebra, catalog
+
+from refvectors import vec_add
 
 ALGS = ["s2", "s3", "t2", "cp2", "s2xs2", "cs_s5"]
 
@@ -223,10 +226,12 @@ def test_d_basis_is_kept_but_overflow_is_not():
     assert (c.dim, escaping) == (224, 91)
 
 
-def _lifted_or_overflow(field, plain, args):
-    """plain(*args) lifted to (index, exact constant) pairs, or Overflow."""
+def _exact_or_overflow(field, table, args):
+    """{index: lift(of(c))} of table(*args) without its zeros in the field,
+    or Overflow."""
     try:
-        return tuple((k, field.lift(x)) for k, x in plain(*args).items())
+        return field.exact({k: field.lift(field.of(c))
+                            for k, c in table(*args).items()})
     except Overflow:
         return Overflow
 
@@ -235,26 +240,68 @@ def _lifted_or_overflow(field, plain, args):
                          ids=["Q", "F3", "F101"])
 @pytest.mark.parametrize("nm", ["s2xs2", "heis3", "cs_s5", "stb_s2xs2"])
 def test_lifted_tables_are_the_lifted_carrier(nm, field):
+    # each table holds exact constants, lift(of(.)) of the constants the
+    # carrier is built from (its rational ones); an escaping product
+    # raises on every call, so it is never kept
     kw = {"truncate": 8} if nm == "stb_s2xs2" else {}
     c = catalog.load(nm, field=field, **kw)
-    tables = [(c.lifted_d, c.d_basis, (a,)) for a in range(c.dim)] + [
-        (c.lifted_product, c.mul_basis, (a, b))
+    q = catalog.load(nm, **kw)
+    tables = [(c.d_basis, q.d_basis, (a,)) for a in range(c.dim)] + [
+        (c.mul_basis, q.mul_basis, (a, b))
         for a in range(c.dim) for b in range(c.dim)]
     escaping = 0
-    for lifted, plain, args in tables:
-        want = _lifted_or_overflow(field, plain, args)
+    for table, built, args in tables:
+        want = _exact_or_overflow(field, built, args)
         if want is Overflow:
-            # never kept: the second call raises as well
             escaping += 1
             for _ in range(2):
                 with pytest.raises(Overflow):
-                    lifted(*args)
+                    table(*args)
             continue
-        got = lifted(*args)
-        assert got == want and lifted(*args) is got, (nm, args)
-        # Field.scalars turns the lifted constants back into the table
-        assert field.scalars(dict(got)) == plain(*args), (nm, args)
+        got = table(*args)
+        assert got == want and table(*args) == got, (nm, args)
+        for x in got.values():
+            if field.p is None:
+                assert type(x) is int or (type(x) is Fraction
+                                          and x.denominator != 1)
+            else:
+                assert type(x) is int and 0 < x < field.p
+        # Field.scalars turns the table into the field-scalar elements
+        el = c.multiply(*({i: field.one} for i in args)) if len(args) == 2 \
+            else c.differentiate({args[0]: field.one})
+        assert field.scalars(got) == el, (nm, args)
     assert bool(escaping) == (nm == "stb_s2xs2")
+
+
+@pytest.mark.parametrize("field", [QQ, Field(3), Field(101)],
+                         ids=["Q", "F3", "F101"])
+def test_constants_of_every_kind_give_one_table(field):
+    # a b = 3 ab, a a = -ab, d x = -y/2: the same constants as ints (where
+    # integral), Fractions or scalars of the field, over Q and F_p (3 is 0
+    # over F3)
+    basis = [("1", 0), ("x", 1), ("y", 2), ("a", 2), ("b", 2), ("ab", 4)]
+    half = Fraction(1, 2)
+
+    def build(conv):
+        return Algebra("t", field, basis, 0,
+                       {(3, 4): {5: conv(3)}, (3, 3): {5: conv(-1)}},
+                       differential={1: {2: conv(-half)}})
+
+    ints = build(lambda c: c if isinstance(c, Fraction) else int(c))
+    tables = [(alg.products, alg.differential) for alg in
+              (ints, build(Fraction), build(field.of))]
+    # equal down to the type of each constant
+    assert repr(tables[0]) == repr(tables[1]) == repr(tables[2])
+    p = field.p
+    assert ints.mul_basis(3, 3) == {5: -1 if p is None else p - 1}
+    assert ints.mul_basis(3, 4) == ({} if p == 3 else {5: 3})
+    assert ints.d_basis(1) == {2: -half if p is None else (p - 1) // 2}
+
+
+def test_scalar_of_another_prime_raises():
+    basis = [("1", 0), ("a", 2), ("b", 2), ("ab", 4)]
+    with pytest.raises(FieldError):
+        Algebra("t", Field(3), basis, 0, {(1, 2): {3: FpElement(5, 1)}})
 
 
 def test_d_squared_nonzero_rejected():

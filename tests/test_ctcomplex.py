@@ -6,8 +6,7 @@ from math import factorial
 
 import pytest
 
-from confspace.exactlinalg import (QQ, Field, apply_map, quotient_basis,
-                                   rank, vec_iadd)
+from confspace.exactlinalg import QQ, Field, quotient_basis, rank, vec_iadd
 from confspace import catalog
 from confspace import graphs as gr
 from confspace.cli import main
@@ -15,6 +14,8 @@ from confspace.algebra import sign
 from confspace.bgcomplex import build_AG
 from confspace.ctcomplex import CTComplex
 from confspace.duality import theorem1_check
+
+from refvectors import apply_map
 
 
 class AmbientOracle:
@@ -24,7 +25,7 @@ class AmbientOracle:
     the quotient is by the symbol relations and by the three-term relations
     x_{st} x_{tu} + (-1)^m x_{tu} x_{su} + (-1)^m x_{su} x_{st} times
     anything.  Everything is taken term by term in field scalars, apart
-    from CTComplex's lifted tables: slot insertion multiplies with the
+    from the algebra's exact table: slot insertion multiplies with the
     algebra's own products, and d1 of a key inserts the diagonal class into
     the two slots of each edge, apart from the closed form CTComplex
     computes."""
@@ -259,7 +260,7 @@ def test_merge_quotient_matches_relation_elimination(nm, n, field):
     for nm in ("s2", "t2", "cp2", "cs_s5") for n in (1, 2, 3)
     for field in (QQ, Field(3))])
 def test_relation_vectors_match_the_oracle(nm, n, field):
-    # the relations built from lifted products against slot insertion in
+    # the relations built from the product table against slot insertion in
     # field scalars, on the monomials that are no-duplicate-target forests;
     # cs_s5 has odd m and classes of both parities, so both Koszul signs
     # occur

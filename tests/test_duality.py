@@ -164,11 +164,11 @@ def test_unsigned_merge_breaks_the_relation_check(monkeypatch, nm, block, p):
 
 
 def test_pairing_merges_each_key_once(monkeypatch):
-    # count the lifted products merge takes, not the ones the relations
-    # and d1 take
+    # count the table products merge reads, not the ones the relations
+    # and d1 read
     calls, merging = [0], [False]
     a = catalog.load("t2")
-    merge, product = CTComplex.merge, a.lifted_product
+    merge, product = CTComplex.merge, a.mul_basis
 
     def counted_merge(self, key):
         merging[0] = True
@@ -182,7 +182,7 @@ def test_pairing_merges_each_key_once(monkeypatch):
         return product(i, j)
 
     monkeypatch.setattr(CTComplex, "merge", counted_merge)
-    monkeypatch.setattr(a, "lifted_product", counted_product)
+    monkeypatch.setattr(a, "mul_basis", counted_product)
     ct = CTComplex(a, 3)
     keys = sum(ct.ambient_dim(p, h) for p in range(3) for h in ct._tensors)
     assert keys == 384

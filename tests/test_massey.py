@@ -2,9 +2,9 @@
 
 import pytest
 
-from confspace.exactlinalg import QQ, rank, vec_iadd, vec_scale
+from confspace.exactlinalg import QQ, rank, vec_iadd
 from confspace import graphs as gr
-from confspace import catalog
+from confspace import catalog, massey
 from confspace.algebra import cohomology, el_degree, sign
 from confspace.bgcomplex import build_C
 from confspace.spectral import SpectralSequence
@@ -13,6 +13,8 @@ from confspace.massey import (
     obstruction_residual, d2_formula, d2_zigzag, d2_certificate,
     quadruple_tensor, corner_element, thm3_detector,
 )
+
+from refvectors import vec_scale
 
 
 def one(H, label):
@@ -298,6 +300,25 @@ def test_detector_flags_tangent_bundle_quadruples():
         assert f["residual_nonzero"] or f["hypotheses_met"]
     # x is never independent of {x, y, <., ., .>} here
     assert all(not f["hypotheses_met"] for f in found)
+
+
+@pytest.mark.parametrize("run, calls", [
+    (lambda H: d2_formula(H, "[x]", "[x]", "[y]", "[y]"), 4),
+    (thm3_detector, 28)], ids=["d2_formula", "thm3_detector"])
+def test_each_massey_product_is_computed_once(monkeypatch, run, calls):
+    # d2_formula takes eight products of four distinct triples on
+    # x x y y; the detector takes 190 of 28 distinct triples on
+    # stb_s2xs2_h, those that are not defined among them
+    H = catalog.load("stb_s2xs2_h")
+    seen = []
+
+    def counted(H, *args):
+        seen.append(args)
+        return triple_massey(H, *args)
+
+    monkeypatch.setattr(massey, "triple_massey", counted)
+    run(H)
+    assert len(seen) == calls
 
 
 def test_detector_empty_on_formal_model():

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 
-from confspace.exactlinalg import (QQ, Field, apply_map, kernel_basis,
-                                   pivot_pairs, rank)
+from confspace.exactlinalg import QQ, Field, kernel_basis, pivot_pairs, rank
 from confspace import graphs as gr
 from confspace import catalog
 from confspace.algebra import TruncatedFreeCDGA
 from confspace.bgcomplex import build_AG, build_C
 from confspace.spectral import SpectralSequence, WindowError, total_cohomology
+
+from refvectors import apply_map
 
 
 def pages(bc, rmax):
