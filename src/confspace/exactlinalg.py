@@ -17,18 +17,22 @@ check's adjointness test.
 Every elimination runs through one kernel, ``SpanReducer``: an incremental
 row echelon form whose rows are stored as inserted, as ``{col: int}`` dicts,
 fraction-free and primitive over Q and residues mod p over F_p, so
-elimination does no scalar-object arithmetic.  It takes vectors of either
-kind, and an all-int one goes in as a copy, so the D columns of a
-bicomplex reach it with no field scalar formed; field scalars are formed
-only where its rows or reductions are read.  ``pivot_pairs`` reduces the
-columns of a map in the order given, and every rank is its number of
-pairs.  ``subquotient`` reduces a list of
+elimination does no scalar-object arithmetic.  ``insert`` reduces a new
+vector only until its least index is no pivot and stores it there (the
+persistence reduction); every other reduction clears every pivot.  It
+takes vectors of either kind, and an all-int one goes in as a copy, so
+the D columns of a bicomplex reach it with no field scalar formed; field
+scalars are formed only where its rows or reductions are read.
+``pivot_pairs`` reduces the columns of a map in the order given, and every
+rank is its number of pairs.  ``subquotient`` reduces a list of
 relations and then each of a list of candidates once, extended by its own
 index past every row index, so that every reduced row records the
 combination of candidates it is (the recorded reduction R = D V); classes,
-class coordinates, preimages (``solve``), kernels (``kernel_basis``, from
-the reductions of the candidates it does not pick) and quotients
-(``quotient_basis``) are all read off it.  No homology is ranked here:
+class coordinates and quotients (``quotient_basis``) are read off it.
+``column_reduction`` is its one reader for a column list with no
+relations: the kernel basis, from the reductions of the columns it does
+not pick, and the preimage map, one reduction per right-hand side;
+``kernel_basis`` and ``solve`` read it.  No homology is ranked here:
 every page dimension, the reports' and the duality check's among them, is
 read off the pairing of ``spectral``.
 """
@@ -279,7 +283,9 @@ class SpanReducer:
 
     Each row is stored as it is inserted, keyed by its pivot, its least
     index, and never changes after (no back-substitution, as in the
-    persistence reduction).  ``reduce`` clears pivots least first, so its
+    persistence reduction).  ``insert`` clears pivots least first only
+    while the least index is one, so the row it stores may hold entries at
+    later pivots.  ``reduce`` and ``contains`` clear every pivot, so the
     remainder is the unique one that is zero at every pivot; ``basis``
     builds the reduced row echelon form when it is read.
 
@@ -371,20 +377,26 @@ class SpanReducer:
             for j in v:
                 v[j] = v[j] * inv % p
 
-    def _reduce(self, v, s):
+    def _reduce(self, v, s, full=True):
         """Reduce the integer row v / s against the rows, in place; returns
         the new scale.  Pivots are cleared least first: a row has entries
         only from its pivot on, so a cleared pivot never comes back, and
-        the remainder is the one that is zero at every pivot."""
+        the remainder is the one that is zero at every pivot.  With full
+        false the heap holds every index of v, and the reduction stops at
+        the first least index that is no pivot (the persistence
+        reduction): v is then a new row with that pivot, and the pivots
+        the full reduction would go on to clear lie after it."""
         rows = self.rows
-        heap = [c for c in v if c in rows]
+        heap = [c for c in v if c in rows] if full else list(v)
         heapify(heap)
         while heap:
             c = heappop(heap)
             if c in v:
-                row = rows[c]
+                row = rows.get(c)
+                if row is None:
+                    break
                 for j in row:
-                    if j not in v and j in rows:
+                    if j not in v and (j in rows or not full):
                         heappush(heap, j)
                 s *= self._combine(v, v[c], row, row[c])
         return s
@@ -395,9 +407,10 @@ class SpanReducer:
         return self.field.scalars(v, s)
 
     def insert(self, vec):
-        """Add vec to the span; returns True if the dimension grew."""
+        """Add vec to the span; returns True if the dimension grew.  The
+        new row is stored as soon as its least index is no pivot."""
         v, s = self._ints(vec)
-        self._reduce(v, s)
+        self._reduce(v, s, full=False)
         if v:
             self._add(v)
         return bool(v)
@@ -451,12 +464,12 @@ def rank(field, cols):
     return sum(j is not None for j in pivot_pairs(field, cols))
 
 
-NO_SOLUTION = None  # what coords and solve return off the span
+NO_SOLUTION = None  # what coords and preimages return off the span
 
 
 def _tagged_reduction(field, dim, relations, candidates):
-    """(red, picked, dependent): the reduction ``subquotient`` and
-    ``kernel_basis`` read.
+    """(picked, coords, dependent): the reduction ``subquotient`` and
+    ``column_reduction`` read.
 
     Candidate j is copied in increasing index order (so neither the
     reduction nor the answer depends on the order its producer built it in)
@@ -464,10 +477,12 @@ def _tagged_reduction(field, dim, relations, candidates):
     reduced row records the combination of candidates it came from.
     Inserting only candidates independent of the span so far keeps every
     pivot below dim and the other candidates' coordinates at zero.  Each
-    tagged candidate is reduced once, in ints: red stores those it picks,
-    and dependent maps every other index j to its reduced int row, which
-    lies on the tags alone and records a combination of the candidates,
-    with a nonzero tag at dim + j, that lies in span(relations)."""
+    tagged candidate is reduced once, in ints, clearing every pivot: the
+    reduction stores those it picks, and dependent maps every other index
+    j to its reduced int row, which lies on the tags alone and records a
+    combination of the candidates, with a nonzero tag at dim + j, that
+    lies in span(relations).  coords is ``subquotient``'s, and also gives
+    NO_SOLUTION for a vector with an index at or past dim."""
     red = SpanReducer(field).extend(relations)
     picked, dependent = [], {}
     for j, cand in enumerate(candidates):
@@ -479,7 +494,19 @@ def _tagged_reduction(field, dim, relations, candidates):
             picked.append(j)
         else:
             dependent[j] = v
-    return red, picked, dependent
+
+    def coords(vec):
+        # reducing vec = sum c_j cand_j + relations clears every index
+        # below dim and leaves -c_j at dim + j; an index past dim would
+        # read as a tag
+        if any(i >= dim for i in vec):
+            return NO_SOLUTION
+        v = red.reduce(vec)
+        if any(i < dim for i in v):
+            return NO_SOLUTION
+        return {i - dim: -x for i, x in v.items()}
+
+    return picked, coords, dependent
 
 
 def subquotient(field, dim, relations, candidates):
@@ -493,49 +520,46 @@ def subquotient(field, dim, relations, candidates):
     when v is not in span(relations + candidates); it is one reduction.
     relations and candidates are only read: callers hand in shared caches.
     """
-    red, picked, _ = _tagged_reduction(field, dim, relations, candidates)
-
-    def coords(vec):
-        # reducing vec = sum c_j cand_j + relations clears every index
-        # below dim and leaves -c_j at dim + j
-        v = red.reduce(vec)
-        if any(i < dim for i in v):
-            return NO_SOLUTION
-        return {i - dim: -x for i, x in v.items()}
-
+    picked, coords, _ = _tagged_reduction(field, dim, relations, candidates)
     return picked, coords
 
 
-def solve(field, cols, rhs):
-    """A particular solution x of sum_j x_j cols[j] = rhs, or NO_SOLUTION.
+def column_reduction(field, cols):
+    """(kernel, preimage) of the map with columns cols, both read off one
+    tagged reduction of the columns (``subquotient`` with no relations,
+    its row indices read off cols); cols are only read.
 
-    cols are the columns of a map and rhs is a sparse dict over its rows.
-    x is supported on the columns independent of the columns before them,
-    so free variables are zero and the answer is deterministic.  The
-    one-shot form of ``subquotient``: callers that solve against the same
-    columns again keep its coords instead.
+    kernel is the basis of the null space, as sparse dict vectors over the
+    columns: one vector per column the reduction does not pick (a free
+    column), in increasing column order, 1 at that column, then minus its
+    coords on the picked columns, in increasing order.  This is the
+    canonical basis read off the reduced row echelon form of the map; the
+    tagged reduction of a free column is that vector scaled by its tag.
+
+    preimage(rhs) is a particular solution x of sum_j x_j cols[j] = rhs,
+    supported on the picked columns (free variables are zero), or
+    NO_SOLUTION when rhs is off the span or has an entry at a row that no
+    column reaches; each is one reduction.
     """
-    dim = 1 + max((i for v in (*cols, rhs) for i in v), default=-1)
-    return subquotient(field, dim, (), cols)[1](rhs)
+    dim = 1 + max((i for v in cols for i in v), default=-1)
+    _, preimage, dependent = _tagged_reduction(field, dim, (), cols)
+    one = field.one
+    kernel = [{f: one} | field.scalars({i - dim: v[i] for i in sorted(v)},
+                                       v[dim + f])
+              for f, v in dependent.items()]
+    return kernel, preimage
+
+
+def solve(field, cols, rhs):
+    """A particular solution x of sum_j x_j cols[j] = rhs, or NO_SOLUTION:
+    the preimage of ``column_reduction``, in one shot."""
+    return column_reduction(field, cols)[1](rhs)
 
 
 def kernel_basis(field, cols):
-    """Basis of the null space of the map with columns cols, as sparse dict
-    vectors over the columns.
-
-    One basis vector per column that ``subquotient`` does not pick (a free
-    column), in increasing column order: 1 at that column, then minus its
-    coords on the picked columns, in increasing order.  This is the
-    canonical basis read off the reduced row echelon form of the map.  The
-    tagged reduction of a free column is that vector, scaled by its own
-    tag, so each is read off it and no column is reduced twice.
-    """
-    dim = 1 + max((i for v in cols for i in v), default=-1)
-    _, _, dependent = _tagged_reduction(field, dim, (), cols)
-    one = field.one
-    return [{f: one} | field.scalars({i - dim: v[i] for i in sorted(v)},
-                                     v[dim + f])
-            for f, v in dependent.items()]
+    """Basis of the null space of the map with columns cols: the kernel of
+    ``column_reduction``."""
+    return column_reduction(field, cols)[0]
 
 
 def quotient_basis(field, ambient_dim, vectors):

@@ -13,12 +13,13 @@ away the vertical leak of the horizontal differential and read off the
 resulting corner class).  The zig-zag value is the authoritative one;
 ``d2_certificate`` is the one place that reads both off as second-page
 classes, so a predicted value is compared with it modulo the page
-boundaries."""
+boundaries.  It hands one ``SpectralSequence`` to ``d2_zigzag``, whose
+correction is the sequence's ``lift``, so the two share one reduction."""
 
 from functools import cached_property
 from itertools import product
 
-from .exactlinalg import SpanReducer, solve, NO_SOLUTION, vec_iadd
+from .exactlinalg import SpanReducer, NO_SOLUTION, vec_iadd
 from .algebra import sign, koszul, el_degree
 from .spectral import SpectralSequence
 from . import graphs as gr
@@ -244,44 +245,47 @@ def _d2_formula(H, a, b, c, d, massey):
     return {"e2334": e2334, "e2324": e2324}
 
 
-def d2_zigzag(bc, u):
+def d2_zigzag(ss, u):
     """Second-page differential of a block element of a bicomplex by the
-    zig-zag rule.  u must be killed by the vertical differential; returns
-    (u1, image) with u1 the correction and image = d'(u1) two columns over.
-    Raises NotDefined when the vertical leak is not exact (the class does
-    not survive to the second page)."""
+    zig-zag rule, on the bicomplex's ``SpectralSequence`` ss.  u must be
+    killed by the vertical differential; returns (u1, image) with u1 the
+    correction and image = d'(u1) two columns over.  d'' and d' of u are
+    applied to u's own keys through the bicomplex; u1 is ss's ``lift``,
+    read off its cached reduction of the d'' columns one column over, and
+    d'(u1) is read off its cached D columns.  Raises NotDefined when the
+    vertical leak is not exact (the class does not survive to the second
+    page)."""
+    bc = ss.bc
     if not u:
         return {}, {}
-    key = next(iter(u))
-    p, q, _ = bc.block_of[key]
+    p, q, _ = bc.block_of[next(iter(u))]
     if bc.apply(bc.dsecond_key, u):
         raise NotDefined("element is not a vertical cocycle")
     v = bc.apply(bc.dprime_key, u)
     if not v:
         return {}, {}
-    # the d'' columns out of (p + 1, q - 1), in exact constants
-    cols = [bc.as_block(bc.dsecond_key(k), p + 1, q)
-            for k in bc.blocks.get((p + 1, q - 1), ())]
-    rhs = bc.as_block({k: -c for k, c in v.items()}, p + 1, q)
-    x = solve(bc.field, cols, rhs)
-    if x is NO_SOLUTION:
+    u1 = ss.lift(v, p, q)
+    if u1 is NO_SOLUTION:
         raise NotDefined("the horizontal image is not vertically exact")
-    u1 = bc.from_block(x, p + 1, q - 1)
-    image = bc.apply(bc.dprime_key, u1)
+    # D(u1) is d'(u1), in column p + 2, and d''(u1) = -v below it
+    image = {key: c for key, c in ss.apply_d(u1, p + q).items()
+             if bc.block_of[key][0] == p + 2}
     return u1, image
 
 
 def d2_certificate(bc, u, predicted):
-    """Second-page classes of d2_zigzag(bc, u) and of a predicted value.
+    """Second-page classes of the zig-zag image of u (``d2_zigzag``) and of
+    a predicted value.
 
     u is a nonzero block element at (p, q) that survives to the second page;
     predicted is a total-complex element of Z_2(p + 2, q - 1).  Returns the
     pair (zig-zag class, predicted class) of E_2(p + 2, q - 1) coordinates;
     the prediction holds when the two are equal, and the second-page
-    differential of [u] is nonzero when the first is."""
+    differential of [u] is nonzero when the first is.  One
+    ``SpectralSequence`` serves the zig-zag and both projections."""
     p, q, _ = bc.block_of[next(iter(u))]
-    _, image = d2_zigzag(bc, u)
     ss = SpectralSequence(bc)
+    _, image = d2_zigzag(ss, u)
     return (ss.project_class(image, 2, p + 2, q - 1),
             ss.project_class(predicted, 2, p + 2, q - 1))
 

@@ -37,7 +37,12 @@ Tot^k run block by block in increasing p, so F^p Tot^k is the suffix of
 the indices from where block p starts, and the rows below F^{p+r} are a
 prefix.  Z_r(p, q) evaluates D on blocks p to p+r-1 only: D keeps F^{p+r}
 in F^{p+r}, so those columns restrict to zero and their unit vectors join
-the kernel as they are.
+the kernel as they are.  The rest of the kernel is read off one
+``exactlinalg.column_reduction`` of the restricted columns, kept per
+(r, p, q) with its preimage map.  The zig-zag reads that map too: for u
+in block (p, q) with d''u = 0, ``lift`` finds x in block (p+1, q-1) with
+D(u + x) in F^{p+2} from the reduction of Z_1(p+1, q-1), the one the
+boundaries of E_2(p+2, q-1) take their cycles from.
 
 D columns are evaluated at most once per bicomplex: D of each Tot^k basis
 key is computed lazily, the first time it is needed, and cached on the
@@ -57,8 +62,9 @@ dict with one chosen key map as D: d' alone of a graph bicomplex, whose
 second page is H(d') (the three- and four-point reports and the duality
 check's graph side), or the tensor-power complex re-keyed with d1 as D
 (``ctcomplex``), whose second page is the tensor-power E2.
-Pairs are cached per total degree, and cycle spaces, pages (with their
-class coordinates) and page differentials per (r, p, q).  A q-window on the
+Pairs are cached per total degree, and cycle spaces (with their column
+reductions), pages (with their class coordinates) and page differentials
+per (r, p, q).  A q-window on the
 underlying bicomplex must hold what D reaches: D on F^p Tot^k reaches the
 blocks of q <= k + 1 - p, so the pairs, which take all of Tot^k, need
 k + 1 <= qmax, and a cycle space from column p needs only k + 1 - p <=
@@ -68,7 +74,7 @@ from bisect import bisect_right
 from operator import itemgetter
 
 from .exactlinalg import (SpanReducer, subquotient, NO_SOLUTION,
-                          kernel_basis, pivot_pairs)
+                          column_reduction, pivot_pairs)
 
 
 class WindowError(ValueError):
@@ -94,6 +100,7 @@ class SpectralSequence:
         self._starts = {}  # k -> [(p, index of the first key of block p)]
         self._cols = {}    # k -> {Tot^k index: D of it, over Tot^{k+1}}
         self._gaps = {}    # k -> pair gaps of D on Tot^k, see _pairs
+        self._red = {}     # (r, p, q) -> column_reduction, see _reduction
         self._z = {}
         self._e = {}
         self._d = {}
@@ -164,9 +171,35 @@ class SpectralSequence:
         cached columns."""
         return self.bc.field.combine(lambda i: self._column(k, i), v)
 
+    def apply_d(self, el, k):
+        """D of an element over Tot^k keys, as an element over Tot^{k+1}
+        keys in field scalars: ``_d_vec`` of the cached columns, converted
+        once, as ``Bicomplex.apply`` gives D with ``dtotal_key``."""
+        _, pos = self.tot_keys(k)
+        keys1, _ = self.tot_keys(k + 1)
+        y = self._d_vec({pos[key]: c for key, c in el.items()}, k)
+        return {keys1[j]: c for j, c in self.bc.field.scalars(y).items()}
+
     # -- cycle spaces ---------------------------------------------------------
+    def _reduction(self, r, p, q):
+        """``column_reduction`` of the map whose kernel is Z_r(p, q) inside
+        F^p: D on blocks p to p+r-1 of Tot^{p+q}, restricted to the rows
+        below F^{p+r}, with column i the (lo + i)-th key, lo where F^p
+        starts.  Reduced once per (r, p, q), for r >= 1 and p + q >= 0."""
+        key = (r, p, q)
+        if key not in self._red:
+            k = p + q
+            self._check_window(k, p)
+            lo, hi = self._fp_start(k, p), self._fp_start(k, p + r)
+            rows = self._fp_start(k + 1, p + r)
+            cols = [{j: c for j, c in self._column(k, i).items() if j < rows}
+                    for i in range(lo, hi)]
+            self._red[key] = column_reduction(self.bc.field, cols)
+        return self._red[key]
+
     def z_basis(self, r, p, q):
-        """Basis of Z_r(p, q) as Tot^{p+q} coordinate vectors.
+        """Basis of Z_r(p, q) as Tot^{p+q} coordinate vectors: the kernel
+        of ``_reduction(r, p, q)``, then the unit vectors of F^{p+r}.
 
         Negative p is allowed: F^p is the whole complex there, but the
         cycle condition D x in F^{p+r} keeps the true index."""
@@ -177,21 +210,38 @@ class SpectralSequence:
         if k < 0:
             return []
         # D on blocks p to p+r-1 only: the columns of F^{p+r} restrict to
-        # zero, and kernel_basis would put their unit vectors last
+        # zero, and the kernel would put their unit vectors last
         lo = hi = self._fp_start(k, p)
         basis = []
         if r > 0:
-            self._check_window(k, p)
+            kernel, _ = self._reduction(r, p, q)
             hi = self._fp_start(k, p + r)
-            rows = self._fp_start(k + 1, p + r)
-            cols = [{j: c for j, c in self._column(k, i).items() if j < rows}
-                    for i in range(lo, hi)]
-            basis = [{lo + i: c for i, c in v.items()}
-                     for v in kernel_basis(self.bc.field, cols)]
+            basis = [{lo + i: c for i, c in v.items()} for v in kernel]
         one = self.bc.field.one
         basis += [{i: one} for i in range(hi, len(self.tot_keys(k)[0]))]
         self._z[key] = basis
         return basis
+
+    def lift(self, y, p, q):
+        """x over the keys of block (p + 1, q - 1) with y + D x in F^{p+2},
+        or NO_SOLUTION.
+
+        y is an element over Tot^{p+q+1} keys, D u for some u in block
+        (p, q) (its part in F^{p+2} is not read); then D(u + x) lies in
+        F^{p+2}, the lift of the zig-zag rule.  x is the preimage of the
+        cached ``_reduction(1, p + 1, q - 1)``, so no column of F^p
+        Tot^{p+q} is evaluated."""
+        k = p + q
+        _, pos1 = self.tot_keys(k + 1)
+        rows = self._fp_start(k + 1, p + 2)
+        _, preimage = self._reduction(1, p + 1, q - 1)
+        low = {pos1[key]: -c for key, c in y.items()}
+        x = preimage({j: c for j, c in low.items() if j < rows})
+        if x is NO_SOLUTION:
+            return x
+        keys, _ = self.tot_keys(k)
+        lo = self._fp_start(k, p + 1)
+        return {keys[lo + i]: c for i, c in x.items()}
 
     def _boundary_span(self, r, p, q):
         red = SpanReducer(self.bc.field)

@@ -507,6 +507,30 @@ def test_rows_are_stored_as_inserted_and_pivots_match_the_reference(case):
         assert all(red.rows[c] == row for c, row in before.items())
 
 
+@pytest.mark.parametrize("field", [QQ, F3, F101], ids=["Q", "F3", "F101"])
+def test_insert_stops_at_a_least_index_that_is_no_pivot(field, monkeypatch):
+    # the persistence reduction: a vector whose least index is no pivot is
+    # stored as it is, and one whose least index is a pivot is reduced only
+    # until its least index is none
+    red = SpanReducer(field).extend(sparse_rows(field, [[1, 0, 1, 0],
+                                                        [0, 0, 1, 1]]))
+    calls = _recording(monkeypatch, SpanReducer, "_combine")
+    assert red.insert(sparse_rows(field, [[0, 1, 1, 2]])[0])
+    assert calls == []
+    assert red.rows[1] == {1: 1, 2: 1, 3: 2}
+    # pivot 0 is cleared, then the least index 1 is no pivot: pivot 2 stays
+    red = SpanReducer(field).extend(sparse_rows(field, [[1, 0, 1, 0],
+                                                        [0, 0, 1, 1]]))
+    assert red.insert(sparse_rows(field, [[1, 1, 0, 0]])[0])
+    assert len(calls) == 1
+    assert red.rows[1] == {1: 1, 2: field.p - 1 if field.p else -1}
+    # spans and remainders are those of the full reduction
+    assert red.basis() == sparse_rows(field, [[1, 0, 0, -1], [0, 1, 0, 1],
+                                              [0, 0, 1, 1]])
+    assert red.reduce(sparse_rows(field, [[0, 1, 0, 0, 1]])[0]) == \
+        sparse_rows(field, [[0, 0, 0, -1, 1]])[0]
+
+
 @settings(max_examples=150, deadline=None)
 @given(field_and_vectors())
 def test_kernel_solve_quotient_match_reference(case):
@@ -564,7 +588,7 @@ def test_kernel_of_every_z_basis_map_of_the_headline_page(field,
     # E2(2, 7) of the four-point reduced complex of the CDGA behind d2
     from confspace import catalog, spectral
     from confspace.bgcomplex import build_C
-    calls = _recording(monkeypatch, spectral, "kernel_basis")
+    calls = _recording(monkeypatch, spectral, "column_reduction")
     alg = catalog.load("stb_s2xs2", field=field)
     spectral.SpectralSequence(build_C(alg, 4, qmax=10)).e_block(2, 2, 7)
     assert sum(len(cols) for _, cols in calls) > 300

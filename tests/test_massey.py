@@ -1,12 +1,18 @@
 """Massey products, residuals, and the second-page obstruction machinery."""
 
+from collections import Counter
+from itertools import product
+
 import pytest
 
-from confspace.exactlinalg import QQ, rank, vec_iadd
+from confspace.exactlinalg import (QQ, Field, NO_SOLUTION, rank, solve,
+                                   vec_iadd)
+from confspace import exactlinalg
 from confspace import graphs as gr
 from confspace import catalog, massey
 from confspace.algebra import cohomology, el_degree, sign
-from confspace.bgcomplex import build_C
+from confspace.bgcomplex import Bicomplex, build_C
+from confspace.cli import _cohomology_of, _resolve_class
 from confspace.spectral import SpectralSequence
 from confspace.massey import (
     NotDefined, triple_massey, matrix_massey, q_residual,
@@ -172,11 +178,11 @@ def test_d2_formula_tensor_on_tangent_bundle():
 def test_d2_zigzag_matches_formula_class():
     H, bc = stb_setup()
     u = quadruple_tensor(bc, H, "[x]", "[x]", "[y]", "[y]")
-    u1, img = d2_zigzag(bc, u)
+    ss = SpectralSequence(bc)
+    u1, img = d2_zigzag(ss, u)
     # the correction solves away the vertical leak
     assert bc.apply(bc.dsecond_key, u1) == \
         {k: -c for k, c in bc.apply(bc.dprime_key, u).items()}
-    ss = SpectralSequence(bc)
     zz = ss.project_class(img, 2, 2, 7)
     assert zz and list(zz.values()) == [QQ.one]
     pred = corner_element(bc, H, d2_formula(H, "[x]", "[x]", "[y]", "[y]"))
@@ -187,8 +193,8 @@ def test_d2_zigzag_zero_class_on_symmetric_quadruple():
     # <x, x, x> has a symmetric defining system: the second-page class dies
     H, bc = stb_setup()
     u = quadruple_tensor(bc, H, "[x]", "[x]", "[x]", "[x]")
-    _, img = d2_zigzag(bc, u)
     ss = SpectralSequence(bc)
+    _, img = d2_zigzag(ss, u)
     assert ss.project_class(img, 2, 2, 7) == {}
 
 
@@ -198,7 +204,7 @@ def test_d2_zigzag_trivial_on_formal_carrier():
     bc = build_C(a, 4)
     u = quadruple_tensor(bc, Hf, "[a]", "[a]", "[a]", "[a]")
     assert not bc.apply(bc.dprime_key, u)
-    assert d2_zigzag(bc, u) == ({}, {})
+    assert d2_zigzag(SpectralSequence(bc), u) == ({}, {})
 
 
 def test_d2_zigzag_rejects_non_cocycle():
@@ -208,7 +214,117 @@ def test_d2_zigzag_rejects_non_cocycle():
     it = c.labels.index("t")
     ix = c.labels.index("x")
     with pytest.raises(NotDefined):
-        d2_zigzag(bc, {(g0, (it, ix, ix, ix)): QQ.one})
+        d2_zigzag(SpectralSequence(bc), {(g0, (it, ix, ix, ix)): QQ.one})
+
+
+# -- the zig-zag against its one-solve reference ------------------------------
+
+def _reference_d2_zigzag(bc, u):
+    """The zig-zag as one ``solve`` against the d'' columns out of block
+    (p + 1, q - 1), each evaluated through the bicomplex, and d' of the
+    correction applied through it too: the body ``d2_zigzag`` replaced,
+    kept as its reference."""
+    if not u:
+        return {}, {}
+    p, q, _ = bc.block_of[next(iter(u))]
+    if bc.apply(bc.dsecond_key, u):
+        raise NotDefined("element is not a vertical cocycle")
+    v = bc.apply(bc.dprime_key, u)
+    if not v:
+        return {}, {}
+    cols = [bc.as_block(bc.dsecond_key(k), p + 1, q)
+            for k in bc.blocks.get((p + 1, q - 1), ())]
+    rhs = bc.as_block({k: -c for k, c in v.items()}, p + 1, q)
+    x = solve(bc.field, cols, rhs)
+    if x is NO_SOLUTION:
+        raise NotDefined("the horizontal image is not vertically exact")
+    u1 = bc.from_block(x, p + 1, q - 1)
+    return u1, bc.apply(bc.dprime_key, u1)
+
+
+def d2_setup(nm, word, field):
+    """(H, bc, u) as the d2 command builds them for the class labels of
+    word: the four-point reduced bicomplex under the quadruple's q-window
+    and u = a (x) b (x) c (x) d."""
+    H = _cohomology_of(catalog.load(nm, field=field))
+    cls = [_resolve_class(H, t) for t in word]
+    bc = build_C(H.ambient, 4, qmax=sum(el_degree(H, c) for c in cls))
+    return H, bc, quadruple_tensor(bc, H, *cls)
+
+
+D2_FIELDS = pytest.mark.parametrize(
+    "field", [QQ, Field(3), Field(101)], ids=["Q", "F3", "F101"])
+D2_CASES = ([("stb_s2xs2", "".join(w)) for w in product("xy", repeat=4)]
+            + [(nm, "aabb") for nm in ("heis3", "heis3_s2", "cs_heis3_s2")])
+
+
+@D2_FIELDS
+@pytest.mark.parametrize("nm,word", D2_CASES)
+def test_d2_zigzag_matches_the_solve_reference(nm, word, field):
+    _, bc, u = d2_setup(nm, word, field)
+    try:
+        want = _reference_d2_zigzag(bc, u)
+    except NotDefined as e:
+        with pytest.raises(NotDefined, match=str(e)):
+            d2_zigzag(SpectralSequence(bc), u)
+        return
+    got = d2_zigzag(SpectralSequence(bc), u)
+    # the same vectors, with the same key order
+    assert [list(x.items()) for x in got] == [list(x.items()) for x in want]
+    if nm == "stb_s2xs2":
+        assert got[0]
+
+
+@pytest.fixture
+def dkey_keys(monkeypatch):
+    """The keys Bicomplex.dprime_key / dsecond_key are called on while
+    active, as the dkey_calls fixture of test_spectral counts its calls."""
+    calls = {"dprime_key": [], "dsecond_key": []}
+
+    def recorded(name):
+        orig = getattr(Bicomplex, name)
+
+        def wrapper(self, key):
+            calls[name].append(key)
+            return orig(self, key)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(Bicomplex, name, recorded(name))
+    return calls
+
+
+def _system(cols):
+    """A column list up to a shift of its row indices: each column's
+    (row - least row of all, entry) pairs in increasing row order."""
+    low = min((i for c in cols for i in c), default=0)
+    return [sorted((i - low, x) for i, x in c.items()) for c in cols]
+
+
+@D2_FIELDS
+def test_d2_certificate_evaluates_each_key_and_reduces_the_lift_once(
+        field, dkey_keys, monkeypatch):
+    H, bc, u = d2_setup("stb_s2xs2", "xxyy", field)
+    predicted = corner_element(bc, H, d2_formula(H, *(
+        _resolve_class(H, t) for t in "xxyy")))
+    # the d'' system out of block (1, 7), over the rows of block (1, 8)
+    lift = _system([bc.as_block(bc.dsecond_key(k), 1, 8)
+                    for k in bc.blocks[(1, 7)]])
+    reductions = []
+    real = exactlinalg._tagged_reduction
+
+    def recorded(field, dim, relations, candidates):
+        reductions.append(_system(candidates))
+        return real(field, dim, relations, candidates)
+
+    monkeypatch.setattr(exactlinalg, "_tagged_reduction", recorded)
+    for calls in dkey_keys.values():
+        calls.clear()
+    zz, _ = d2_certificate(bc, u, predicted)
+    assert zz
+    for calls in dkey_keys.values():
+        assert calls and max(Counter(calls).values()) == 1
+    assert sum(r == lift for r in reductions) == 1
 
 
 def test_quadruple_tensor_keys():
