@@ -27,7 +27,8 @@ convert once with ``Field.scalars``.
 
 from functools import cached_property
 
-from .exactlinalg import kernel_basis, quotient_basis, subquotient, NO_SOLUTION
+from .exactlinalg import (column_reduction, quotient_basis, subquotient,
+                          NO_SOLUTION)
 
 
 class AxiomViolation(ValueError):
@@ -112,9 +113,8 @@ class _GradedBasis:
     def positive_indices(self):
         return [i for i, d in enumerate(self.degrees) if d > 0]
 
-    def element(self, label, coeff=None):
-        i = self.labels.index(label)
-        return {i: self.field.one if coeff is None else coeff}
+    def element(self, label):
+        return {self.labels.index(label): self.field.one}
 
 
 class Algebra(_GradedBasis):
@@ -287,9 +287,9 @@ def poincare_data(alg):
                     col[r] = val
                     pairing[i].append((j, val))
             cols.append(col)
-        _, coords = subquotient(f, len(rows_idx), (), cols)
+        _, preimage = column_reduction(f, cols)
         for r, i in enumerate(rows_idx):
-            x = coords({r: f.one})
+            x = preimage({r: f.one})
             if x is NO_SOLUTION:
                 raise DegeneratePairing(p)
             dual[i] = {cols_idx[c]: v for c, v in x.items()}
@@ -507,9 +507,9 @@ class CochainView:
     """Degreewise view of a carrier's underlying cochain complex.
 
     Each degree's slice positions, the columns of d out of it and their
-    reduction for ``solve_d`` are built on first use and kept, in every
-    degree the carrier has: ``max_degree`` bounds the cohomology computed,
-    not the degrees ``solve_d`` reaches.
+    ``d_reduction`` are built on first use and kept, in every degree the
+    carrier has: ``max_degree`` bounds the cohomology computed, not the
+    degrees ``solve_d`` reaches.
     A truncated carrier needs max_degree + 1 within its bound so cocycles
     in the top requested degree are detected correctly."""
 
@@ -520,7 +520,7 @@ class CochainView:
         self.max_degree = max_degree
         self._pos = {}     # degree -> {basis index: position in the slice}
         self._dcols = {}   # degree k -> columns of d: k -> k+1
-        self._dsolve = {}  # degree k -> subquotient coords over _dcols[k]
+        self._dred = {}    # degree k -> column_reduction of _dcols[k]
 
     def _slice_pos(self, k):
         if k not in self._pos:
@@ -543,16 +543,20 @@ class CochainView:
                               for i in self.carrier.basis_of_degree(k)]
         return self._dcols[k]
 
+    def d_reduction(self, k):
+        """(cocycles, preimage), the ``column_reduction`` of d: k -> k+1:
+        the kernel ``cohomology`` reads and the map ``solve_d`` reads."""
+        if k not in self._dred:
+            self._dred[k] = column_reduction(self.carrier.field,
+                                             self.d_columns(k))
+        return self._dred[k]
+
     def solve_d(self, target):
         """x with d(x) = target, or NO_SOLUTION.  target must be homogeneous."""
         if not target:
             return {}
         k = el_degree(self.carrier, target) - 1
-        if k not in self._dsolve:
-            self._dsolve[k] = subquotient(
-                self.carrier.field, len(self._slice_pos(k + 1)), (),
-                self.d_columns(k))[1]
-        x = self._dsolve[k](self.local(target, k + 1))
+        x = self.d_reduction(k)[1](self.local(target, k + 1))
         if x is NO_SOLUTION:
             return NO_SOLUTION
         return self.unlocal(x, k)
@@ -601,7 +605,7 @@ def cohomology(carrier, max_degree):
     # the classes are the cocycles independent modulo the boundaries
     classes = {}
     for k in range(max_degree + 1):
-        cocycles = kernel_basis(f, view.d_columns(k))
+        cocycles, _ = view.d_reduction(k)
         picked, coords = subquotient(
             f, len(carrier.basis_of_degree(k)),
             view.d_columns(k - 1) if k > 0 else (), cocycles)

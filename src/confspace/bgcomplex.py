@@ -34,9 +34,8 @@ term of every family and the two absorb terms of the reduced kind.  The
 products it sums, and the differentials d'' sums, are read off the
 carrier's one table of exact constants (``mul_basis`` and ``d_basis``),
 shared by every bicomplex on it.  ``block_of``, the one index of the basis,
-gives each key's block and its position there; ``as_block`` reads it to
-turn an element over keys into a coordinate vector over a block, and
-``from_block`` turns one back.
+gives each key's block and its position there; elements stay over keys,
+with no block maps to coordinate vectors.
 """
 
 from .algebra import sign
@@ -219,22 +218,6 @@ class Bicomplex:
         map of a key to exact constants) on an element over keys, in field
         scalars: the exact images combined, then converted once."""
         return self.field.scalars(self.field.combine(key_map, el))
-
-    # -- block maps -----------------------------------------------------------
-    def as_block(self, el, p, q):
-        """el, an element over the keys of block (p, q), as a coordinate
-        vector over that block: the inverse of ``from_block``."""
-        out = {}
-        for key, c in el.items():
-            p1, q1, i = self.block_of.get(key, (None, None, None))
-            if (p1, q1) != (p, q):
-                raise KeyError("element leaves block (%d, %d): %r" % (p, q, key))
-            out[i] = c
-        return out
-
-    def from_block(self, vec, p, q):
-        keys = self.blocks.get((p, q), [])
-        return {keys[i]: c for i, c in vec.items()}
 
     @property
     def pmax(self):

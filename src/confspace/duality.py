@@ -2,9 +2,9 @@
 
 For a Poincare duality algebra H with top degree m, the block (p, h) of the
 tensor-power complex pairs with the block (p, (n - p) m - h) of the
-no-duplicate-target graph quotient.  Both sides have the same basis, keys
-(G, factors) with one factor per component of the forest G (the
-tensor-power complex takes it from the graph side), and
+no-duplicate-target graph quotient.  Both sides share one basis, built
+once: ``CTComplex.basis``, keys (G, factors) with one factor per component
+of the forest G, which is ``Pairing``'s graph side; and
 
     < (c_1, ..., c_l) e_G ; (b_1, ..., b_l) e_G' > = 0 unless G = G';
     otherwise it pairs factor by factor, c_i against b_i, with the
@@ -32,7 +32,6 @@ from math import prod
 from .exactlinalg import rank, transpose
 from .algebra import sign
 from .spectral import DView, SpectralSequence
-from . import graphs as gr
 
 
 class DualityError(AssertionError):
@@ -40,23 +39,18 @@ class DualityError(AssertionError):
 
 
 class Pairing:
-    def __init__(self, ct, bar):
-        """ct: tensor-power complex; bar: no-duplicate-target bicomplex on
-        the same algebra and n, with zero internal differential.  Factors
-        pair through ct's Poincare pairing table, ``ct.pd.pairing``, in
-        exact constants."""
-        if ct.alg is not bar.carrier:
-            raise ValueError("the two complexes must share the algebra")
-        if bar.family != gr.NODUPTARGET:
-            raise ValueError("pairing is against the no-duplicate-target quotient")
+    def __init__(self, ct):
+        """ct: tensor-power complex; the graph side, ``bar``, is its basis
+        ``ct.basis``, with zero internal differential.  Factors pair through
+        ct's Poincare pairing table, ``ct.pd.pairing``, in exact constants."""
         self.ct = ct
-        self.bar = bar
+        self.bar = bar = ct.basis
         self.alg = ct.alg
         self.m = ct.m
         self.n = ct.n
         # d' alone is D: d'' = 0 on bar
         self._ss = SpectralSequence(DView(bar.blocks, bar.field,
-                                          bar.dprime_key, bar.qmax))
+                                          bar.dprime_key))
         self._mat = {}   # (p, h) -> pairing rows, read again by adjointness
 
     def dual_block(self, p, h):
@@ -123,26 +117,24 @@ class Pairing:
         return self._mat[(p, h)]
 
 
-def theorem1_check(alg, n, ct=None, bar=None):
+def theorem1_check(alg, n, ct=None):
     """Full duality verification for one algebra and point count.
 
     Checks, per block: relations pair to zero, the induced pairing on the
     quotient is perfect, and the two differentials are adjoint up to a sign
-    constant on the block.  The graph side is ct's own basis unless bar is
-    given.  Returns a dict with the discovered signs, each 1, -1 or None
-    (no entry to compare), and the matching second-page dimensions on both
-    sides."""
+    constant on the block.  The graph side is ``ct.basis``.  Returns a dict
+    with the discovered signs, each 1, -1 or None (no entry to compare), and
+    the matching second-page dimensions on both sides."""
     from .ctcomplex import CTComplex
 
     ct = ct or CTComplex(alg, n)
-    bar = bar or ct.basis
-    pr = Pairing(ct, bar)
+    pr = Pairing(ct)
     f = alg.field
     signs = {}
     for (p, h) in ct.blocks():
         q2 = pr.dual_block(p, h)
         dim_t = ct.dim(p, h)
-        dim_b = bar.block_dim(*q2)
+        dim_b = pr.bar.block_dim(*q2)
         if dim_t != dim_b:
             raise DualityError("block dims differ at (%d, %d): %d vs %d"
                                % (p, h, dim_t, dim_b))

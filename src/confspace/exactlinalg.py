@@ -31,8 +31,10 @@ combination of candidates it is (the recorded reduction R = D V); classes,
 class coordinates and quotients (``quotient_basis``) are read off it.
 ``column_reduction`` is its one reader for a column list with no
 relations: the kernel basis, from the reductions of the columns it does
-not pick, and the preimage map, one reduction per right-hand side;
-``kernel_basis`` and ``solve`` read it.  No homology is ranked here:
+not pick, and the preimage map, one reduction per right-hand side.
+``kernel_basis`` and ``solve`` read it, and so do the spectral sequence's
+cycle spaces, a carrier's cocycles and d-preimages (one per degree) and
+its Poincare dual bases.  No homology is ranked here:
 every page dimension, the reports' and the duality check's among them, is
 read off the pairing of ``spectral``.
 """

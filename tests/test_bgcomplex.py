@@ -15,7 +15,7 @@ from confspace import algebra, catalog
 from confspace.algebra import Algebra, Overflow, TruncatedFreeCDGA, sign
 from confspace.bgcomplex import build_AG, build_C, edge_multiply, phi_bar
 
-from refvectors import apply_map, vec_add
+from refvectors import apply_map, as_block, from_block, vec_add
 
 
 def idx(carrier, label):
@@ -80,12 +80,12 @@ def test_block_of_gives_each_keys_block_and_position(qmax):
     # as_block inverts from_block, and refuses a key of another block
     (p, q), keys = max(bc.blocks.items(), key=lambda kv: len(kv[1]))
     vec = {i: QQ.of(i + 1) for i in range(len(keys))}
-    assert bc.as_block(bc.from_block(vec, p, q), p, q) == vec
+    assert as_block(bc, from_block(bc, vec, p, q), p, q) == vec
     other = next(k for k, loc in bc.block_of.items() if loc[:2] != (p, q))
     with pytest.raises(KeyError):
-        bc.as_block({other: QQ.one}, p, q)
+        as_block(bc, {other: QQ.one}, p, q)
     with pytest.raises(KeyError):
-        bc.as_block({(gr.Graph(4), ()): QQ.one}, p, q)
+        as_block(bc, {(gr.Graph(4), ()): QQ.one}, p, q)
 
 
 # -- d' on explicit keys ----------------------------------------------------
@@ -601,4 +601,4 @@ def test_phi_bar_injective_on_blocks():
         red = SpanReducer(QQ)
         for key in keys:
             img = phi({key: QQ.one})
-            assert red.insert(bbc.as_block(img, p, q))
+            assert red.insert(as_block(bbc, img, p, q))

@@ -15,7 +15,7 @@ from confspace.bgcomplex import build_AG
 from confspace.ctcomplex import CTComplex
 from confspace.duality import theorem1_check
 
-from refvectors import apply_map
+from refvectors import apply_map, as_block
 
 
 class AmbientOracle:
@@ -445,8 +445,9 @@ def test_d1_of_ambient_keys_matches_slot_insertion(nm, n):
         for key in ct.ambient_keys(p, h):
             if key not in stored:
                 seen += 1
-                closed = ct.basis.as_block(
-                    apply_map(ct.d1_key, ct.merge(key)), p - 1, h + ct.m)
+                closed = as_block(
+                    ct.basis, apply_map(ct.d1_key, ct.merge(key)),
+                    p - 1, h + ct.m)
                 assert closed == project(d1_key(key)), key
     assert seen
 

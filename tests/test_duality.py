@@ -10,13 +10,15 @@ from confspace import graphs as gr
 from confspace import catalog
 from confspace.algebra import sign
 from confspace.ctcomplex import CTComplex
-from confspace.bgcomplex import Bicomplex, build_AG
+from confspace.bgcomplex import Bicomplex
 from confspace.duality import Pairing, theorem1_check, DualityError
+
+from refvectors import as_block
 
 
 def make_pairing(nm, n, field=QQ):
     a = catalog.load(nm, field=field)
-    return a, Pairing(CTComplex(a, n), build_AG(a, n, gr.NODUPTARGET))
+    return a, Pairing(CTComplex(a, n))
 
 
 def ambient_form(ct, key):
@@ -196,25 +198,23 @@ def test_pairing_merges_each_key_once(monkeypatch):
 
 # -- guards ---------------------------------------------------------------------
 
-def test_pairing_requires_quotient_family():
-    a = catalog.load("s2")
-    with pytest.raises(ValueError):
-        Pairing(CTComplex(a, 2), build_AG(a, 2, gr.FULL))
+def test_pairing_reads_its_graph_side_off_the_tensor_basis():
+    ct = CTComplex(catalog.load("s2"), 3)
+    pr = Pairing(ct)
+    assert pr.bar is ct.basis
+    assert pr.bar.family == gr.NODUPTARGET and pr.bar.carrier is ct.alg
 
 
-def test_pairing_requires_shared_algebra():
-    with pytest.raises(ValueError):
-        Pairing(CTComplex(catalog.load("s2"), 2),
-                build_AG(catalog.load("s3"), 2, gr.NODUPTARGET))
-
-
-def test_degenerate_blocks_rejected():
-    # mismatched point counts break the block-dimension equality
+def test_degenerate_blocks_rejected(monkeypatch):
+    # a graph block one key larger than its dual tensor block breaks the
+    # block-dimension equality before any pairing is formed
     a = catalog.load("s2")
     ct = CTComplex(a, 2)
-    bar = build_AG(a, 3, gr.NODUPTARGET)
-    with pytest.raises(DualityError):
-        theorem1_check(a, 2, ct=ct, bar=bar)
+    block_dim = ct.basis.block_dim
+    monkeypatch.setattr(ct.basis, "block_dim",
+                        lambda p, q: block_dim(p, q) + 1)
+    with pytest.raises(DualityError, match="block dims differ"):
+        theorem1_check(a, 2, ct=ct)
 
 
 # -- full verification ------------------------------------------------------------
@@ -367,7 +367,7 @@ def test_graph_side_e2_matches_ranked_dprime(nm, n, field):
     bar = pr.bar
     want = {b: len(keys) for b, keys in bar.blocks.items()}
     for (p, q), keys in bar.blocks.items():
-        r = rank(field, [bar.as_block(bar.dprime_key(k), p + 1, q)
+        r = rank(field, [as_block(bar, bar.dprime_key(k), p + 1, q)
                          for k in keys])
         want[(p, q)] -= r
         if (p + 1, q) in want:

@@ -20,7 +20,7 @@ from confspace.massey import (
     quadruple_tensor, corner_element, thm3_detector,
 )
 
-from refvectors import vec_scale
+from refvectors import as_block, from_block, vec_scale
 
 
 def one(H, label):
@@ -232,13 +232,13 @@ def _reference_d2_zigzag(bc, u):
     v = bc.apply(bc.dprime_key, u)
     if not v:
         return {}, {}
-    cols = [bc.as_block(bc.dsecond_key(k), p + 1, q)
+    cols = [as_block(bc, bc.dsecond_key(k), p + 1, q)
             for k in bc.blocks.get((p + 1, q - 1), ())]
-    rhs = bc.as_block({k: -c for k, c in v.items()}, p + 1, q)
+    rhs = as_block(bc, {k: -c for k, c in v.items()}, p + 1, q)
     x = solve(bc.field, cols, rhs)
     if x is NO_SOLUTION:
         raise NotDefined("the horizontal image is not vertically exact")
-    u1 = bc.from_block(x, p + 1, q - 1)
+    u1 = from_block(bc, x, p + 1, q - 1)
     return u1, bc.apply(bc.dprime_key, u1)
 
 
@@ -308,7 +308,7 @@ def test_d2_certificate_evaluates_each_key_and_reduces_the_lift_once(
     predicted = corner_element(bc, H, d2_formula(H, *(
         _resolve_class(H, t) for t in "xxyy")))
     # the d'' system out of block (1, 7), over the rows of block (1, 8)
-    lift = _system([bc.as_block(bc.dsecond_key(k), 1, 8)
+    lift = _system([as_block(bc, bc.dsecond_key(k), 1, 8)
                     for k in bc.blocks[(1, 7)]])
     reductions = []
     real = exactlinalg._tagged_reduction

@@ -358,6 +358,9 @@ def test_reports_are_json_stable():
 
 
 def test_failing_identity_reports_fail_not_raise():
-    # a deliberately wrong expectation flips the verdict without raising
-    out = rp.check_collapse(catalog.load("s2"), 3, expect_at=0)
+    # heis3 is not formal: at four points both graph-side sequences first
+    # collapse at page 3, and the report says so without raising
+    out = rp.check_collapse(catalog.load("heis3"), 4)
     assert out["verdict"] == "fail"
+    assert out["details"]["quotient_collapse_page"] == 3
+    assert out["details"]["reduced_collapse_page"] == 3
