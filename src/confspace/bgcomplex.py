@@ -27,15 +27,18 @@ sequence pairs these exact columns with no field scalar formed; a
 ``spectral.DView`` with ``dprime_key`` as its D pairs d' alone.
 ``Bicomplex.apply`` takes any of these key maps to an element, in field
 scalars: ``Field.combine`` sums the exact images and ``Field.scalars``
-converts the sum once.  d' reads, per graph, the edges whose addition
-stays in the family, each with its enlarged graph, insertion sign and the
+converts the sum once.  The basis is enumerated by shape: the factor
+tuples of one component count are built once, and each graph appends its
+keys block by block.  d' reads, per graph, the edges whose addition stays
+in the family, each with its enlarged graph, insertion sign and the
 components it joins, built once here; one ``_edge_image`` sums the merge
-term of every family and the two absorb terms of the reduced kind.  The
-products it sums, and the differentials d'' sums, are read off the
-carrier's one table of exact constants (``mul_basis`` and ``d_basis``),
-shared by every bicomplex on it.  ``block_of``, the one index of the basis,
-gives each key's block and its position there; elements stay over keys,
-with no block maps to coordinate vectors.
+term of every family and the two absorb terms of the reduced kind, and
+builds no key for a zero product.  The products it sums, and the
+differentials d'' sums, are read off the carrier's one table of exact
+constants (``mul_basis`` and ``d_basis``), shared by every bicomplex on
+it.  ``block_of``, the one index of the basis, gives each key's block and
+its position there; elements stay over keys, with no block maps to
+coordinate vectors.
 """
 
 from .algebra import sign
@@ -58,19 +61,22 @@ class Bicomplex:
         self.blocks = {}    # (p, q) -> list of keys
         self.block_of = {}  # key -> (p, q, its index in blocks[(p, q)])
         self._build_basis()
-        self._edges = {}   # graph -> its edge table
+        self._edges = {}   # graph -> its edge table and entries
         self._has_d2 = carrier.has_differential   # else d'' is zero
 
     # -- basis --------------------------------------------------------------
     def _build_basis(self):
-        """Keys of every block, graph by graph.  Under a q-window a prefix of
-        total degree q is extended only by the indices of degree <= qmax - q,
-        in index order, so each block holds the same keys in the same order
-        as without the window and no key past it is built."""
+        """Keys of every block.  Factor tuples depend only on the component
+        count: they are enumerated once per count, grouped by q in order,
+        and each graph appends its keys block by block.  Under a q-window a
+        prefix of total degree q is extended only by the indices of degree
+        <= qmax - q, in index order, so each block holds the same keys in
+        the same order as without the window and no key past it is built."""
         degs = self.carrier.degrees
         every = list(range(self.carrier.dim))
         positive = self.carrier.positive_indices()
         fitting = {}   # (positive only, budget) -> options of degree <= budget
+        shapes = {}    # component count -> {q: factor tuples of degree q}
 
         def options(pos_only, q):
             opts = positive if pos_only else every
@@ -84,17 +90,23 @@ class Bicomplex:
 
         for g in gr.enumerate_graphs(self.n, self.family):
             p = g.edge_count
-            stack = [((), 0)]
-            for slot in range(len(gr.components(g))):
-                # the reduced kind keeps every later factor positive
-                pos_only = slot > 0 and self.family == gr.HFAMILY
-                stack = [(tup + (i,), q + degs[i]) for tup, q in stack
-                         for i in options(pos_only, q)]
-            for tup, q in stack:
-                key = (g, tup)
+            c = len(gr.components(g))
+            if c not in shapes:
+                stack = [((), 0)]
+                for slot in range(c):
+                    # the reduced kind keeps every later factor positive
+                    pos_only = slot > 0 and self.family == gr.HFAMILY
+                    stack = [(tup + (i,), q + degs[i]) for tup, q in stack
+                             for i in options(pos_only, q)]
+                by_q = shapes[c] = {}
+                for tup, q in stack:
+                    by_q.setdefault(q, []).append(tup)
+            for q, tups in shapes[c].items():
                 blk = self.blocks.setdefault((p, q), [])
-                self.block_of[key] = (p, q, len(blk))
-                blk.append(key)
+                for tup in tups:
+                    key = (g, tup)
+                    self.block_of[key] = (p, q, len(blk))
+                    blk.append(key)
 
     def block_dim(self, p, q):
         return len(self.blocks.get((p, q), ()))
@@ -103,12 +115,12 @@ class Bicomplex:
     def _edge_table(self, g):
         """The edges d' may add to graph g, built once per graph.
 
-        {(i, j): (g2, esign, s, t)} in d' order over the edges whose
-        addition stays in the family: g2 is the enlarged graph, esign the
-        insertion sign, and s <= t the components of i and j in g."""
-        table = self._edges.get(g)
-        if table is not None:
-            return table
+        The table {(i, j): (g2, esign, s, t)} in d' order over the edges
+        whose addition stays in the family, and its entries as a tuple: g2
+        is the enlarged graph, esign the insertion sign, and s <= t the
+        components of i and j in g."""
+        if g in self._edges:
+            return self._edges[g]
         table = {}
         comp = {v: s for s, c in enumerate(gr.components(g)) for v in c}
         reduced = self.family == gr.HFAMILY
@@ -128,16 +140,17 @@ class Bicomplex:
                         "edge %r of %r: target does not head a later "
                         "component" % ((i, j), g))
                 table[(i, j)] = (g2, esign, s, t)
-        self._edges[g] = table
-        return table
+        self._edges[g] = table, tuple(table.values())
+        return self._edges[g]
 
     def _edge_image(self, key, entries):
         """Sum of the single-edge summands of d' on key over the given
         edge-table entries: multiplication by the edge generators e_{ij},
         merging two factors in place; for the reduced bicomplex each is the
         three-term rewriting (merge, then two absorb terms) that keeps later
-        factors positive.  The raw sums: exact constants, some of them
-        possibly 0 in the field."""
+        factors positive.  Each product is looked up before any key is
+        built, so a zero product costs one lookup.  The raw sums: exact
+        constants, some of them possibly 0 in the field."""
         degs = self.carrier.degrees
         product = self.carrier.mul_basis
         reduced = self.family == gr.HFAMILY
@@ -154,29 +167,36 @@ class Bicomplex:
             fs, ft = factors[s], factors[t]
             dt = degs[ft]
             dst = pre[t] - pre[s + 1]
-            head, mid, tail = factors[:s], factors[s + 1:t], factors[t + 1:]
             # merge the two factors in place
-            e = -esign if dt * dst % 2 else esign
-            for k, c in product(fs, ft).items():
-                k2 = (g2, head + (k,) + mid + tail)
-                acc[k2] = acc.get(k2, 0) + e * c
+            prod = product(fs, ft)
+            if prod:
+                e = -esign if dt * dst & 1 else esign
+                head, rest = factors[:s], factors[s + 1:t] + factors[t + 1:]
+                for k, c in prod.items():
+                    k2 = (g2, head + (k,) + rest)
+                    acc[k2] = acc.get(k2, 0) + e * c
             if not reduced:
                 continue
             f0, ds = factors[0], degs[fs]
             d2s = pre[s] - pre[1]   # s >= 1: vertex 1 is isolated
             # absorb the source factor into the free slot, move the target
             # factor up
-            e = esign if (ds * d2s + dt * dst) % 2 else -esign
-            rest = factors[1:s] + (ft,) + mid + tail
-            for k, c in product(f0, fs).items():
-                k2 = (g2, (k,) + rest)
-                acc[k2] = acc.get(k2, 0) + e * c
+            prod = product(f0, fs)
+            if prod:
+                e = esign if (ds * d2s + dt * dst) & 1 else -esign
+                rest = (factors[1:s] + (ft,) + factors[s + 1:t]
+                        + factors[t + 1:])
+                for k, c in prod.items():
+                    k2 = (g2, (k,) + rest)
+                    acc[k2] = acc.get(k2, 0) + e * c
             # absorb the target factor into the free slot
-            e = esign if dt * (d2s + ds + dst) % 2 else -esign
-            rest = factors[1:t] + tail
-            for k, c in product(f0, ft).items():
-                k2 = (g2, (k,) + rest)
-                acc[k2] = acc.get(k2, 0) + e * c
+            prod = product(f0, ft)
+            if prod:
+                e = esign if dt * (d2s + ds + dst) & 1 else -esign
+                rest = factors[1:t] + factors[t + 1:]
+                for k, c in prod.items():
+                    k2 = (g2, (k,) + rest)
+                    acc[k2] = acc.get(k2, 0) + e * c
         return acc
 
     def dprime_key(self, key):
@@ -184,7 +204,7 @@ class Bicomplex:
         Fractions where a structure constant is fractional, over Q;
         residues over F_p."""
         return self.field.exact(
-            self._edge_image(key, self._edge_table(key[0]).values()))
+            self._edge_image(key, self._edge_table(key[0])[1]))
 
     def dsecond_key(self, key):
         """d'' of one key as exact constants, like ``dprime_key``."""
@@ -252,7 +272,7 @@ def edge_multiply(bc, el, i, j):
         raise ValueError("bad edge %r for n=%d" % ((i, j), bc.n))
 
     def on_key(key):
-        entry = bc._edge_table(key[0]).get((i, j))
+        entry = bc._edge_table(key[0])[0].get((i, j))
         return bc._edge_image(key, (entry,) if entry else ())
 
     return bc.apply(on_key, el)

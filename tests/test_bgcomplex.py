@@ -88,6 +88,80 @@ def test_block_of_gives_each_keys_block_and_position(qmax):
         as_block(bc, {(gr.Graph(4), ()): QQ.one}, p, q)
 
 
+def reference_basis(carrier, n, family, qmax):
+    """Blocks and index of the basis, each graph extending its own factor
+    tuples slot by slot over every index in order: a reference for the key
+    order and positions of ``Bicomplex._build_basis``."""
+    degs = carrier.degrees
+    blocks, block_of = {}, {}
+    for g in gr.enumerate_graphs(n, family):
+        stack = [((), 0)]
+        for slot in range(len(gr.components(g))):
+            pos_only = slot > 0 and family == gr.HFAMILY
+            opts = [i for i in range(carrier.dim) if degs[i] or not pos_only]
+            stack = [(tup + (i,), q + degs[i]) for tup, q in stack
+                     for i in opts if qmax is None or q + degs[i] <= qmax]
+        for tup, q in stack:
+            blk = blocks.setdefault((g.edge_count, q), [])
+            block_of[(g, tup)] = (g.edge_count, q, len(blk))
+            blk.append((g, tup))
+    return blocks, block_of
+
+
+def poly_mul(a, b):
+    out = Counter()
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] += x * y
+    return out
+
+
+def closed_form_dims(carrier, n, family, qmax):
+    """Block sizes with no key built: block (p, q) holds, summed over the
+    family's graphs with p edges, the t^q coefficient of P(t)^c, or of
+    P(t) P+(t)^(c-1) in the reduced kind, with P the carrier's Poincare
+    polynomial, P+ its positive-degree part and c the component count."""
+    poincare = Counter(carrier.degrees)
+    later = poincare
+    if family == gr.HFAMILY:
+        later = Counter({d: k for d, k in poincare.items() if d > 0})
+    shapes = Counter((g.edge_count, len(gr.components(g)))
+                     for g in gr.enumerate_graphs(n, family))
+    dims = Counter()
+    for (p, c), count in shapes.items():
+        poly = poincare
+        for _ in range(c - 1):
+            poly = poly_mul(poly, later)
+        for q, k in poly.items():
+            if qmax is None or q <= qmax:
+                dims[(p, q)] += count * k
+    return dims
+
+
+_FAMILIES = [gr.FULL, gr.NODUPTARGET, gr.JFAMILY, gr.HFAMILY]
+_SIZE_CASES = (
+    [(nm, n, qmax) for nm in ("point", "s2", "t2", "cp2", "s2xs2", "heis3",
+                              "heis3_s2", "cs_s5", "cs_heis3_s2")
+     for n in (2, 3, 4) for qmax in (None, 3, 6)]
+    + [(nm, 5, None) for nm in ("s2", "t2", "cp2")]
+    + [("stb_s2xs2", 4, 8)])
+
+
+@pytest.mark.parametrize("nm", sorted({c[0] for c in _SIZE_CASES}))
+def test_block_sizes_match_the_closed_form(nm):
+    carrier = catalog.load(nm)
+    for _, n, qmax in (c for c in _SIZE_CASES if c[0] == nm):
+        for family in _FAMILIES:
+            where = (n, family, qmax)
+            bc = (build_C(carrier, n, qmax=qmax) if family == gr.HFAMILY
+                  else build_AG(carrier, n, family, qmax=qmax))
+            sizes = {pq: len(keys) for pq, keys in bc.blocks.items()}
+            assert sizes == closed_form_dims(carrier, n, family, qmax), where
+            blocks, block_of = reference_basis(carrier, n, family, qmax)
+            assert list(bc.blocks.items()) == list(blocks.items()), where
+            assert bc.block_of == block_of, where
+
+
 # -- d' on explicit keys ----------------------------------------------------
 
 def test_dprime_merges_components():
@@ -291,6 +365,13 @@ def _oracle_cases():
                 build_C(catalog.load(nm, field=field, truncate=truncate), n,
                         qmax=qmax),
                 id="C-%s-n%d-%s" % (nm, n, field.name))
+    # the reduced complexes at the benchmark's collapse size
+    for field in _FIELDS[:2]:
+        for nm in ("s2xs2", "t2"):
+            yield pytest.param(
+                lambda nm=nm, field=field: build_C(
+                    catalog.load(nm, field=field), 5),
+                id="C-%s-n5-%s" % (nm, field.name))
     half = Fraction(1, 2)
     yield pytest.param(
         lambda: build_AG(rescaled(catalog.load("s2xs2"), {"a": half}), 4,

@@ -8,7 +8,7 @@ import pytest
 from confspace.exactlinalg import QQ, Field, kernel_basis, pivot_pairs, rank
 from confspace import graphs as gr
 from confspace import catalog
-from confspace.algebra import TruncatedFreeCDGA
+from confspace.algebra import TruncatedFreeCDGA, cohomology
 from confspace.bgcomplex import build_AG, build_C
 from confspace.spectral import SpectralSequence, WindowError, total_cohomology
 
@@ -318,15 +318,30 @@ FOUR_POINT_DROPS = [
 ]
 
 
-@pytest.mark.parametrize("nm,qmax,drops", FOUR_POINT_DROPS,
-                         ids=[c[0] for c in FOUR_POINT_DROPS])
-def test_four_point_second_page_drops(nm, qmax, drops):
-    bc = build_C(catalog.load(nm), 4, qmax=qmax)
+def assert_second_page_drops(bc, drops):
+    """E2 -> E3 drops exactly ``drops`` on the blocks whose d2 target is
+    inside the window."""
     ss = SpectralSequence(bc)
     assert {pq: (ss.e_dim(2, *pq), ss.e_dim(3, *pq)) for pq in drops} == drops
     for (p, q) in sorted(bc.blocks):
-        if p + q + 1 < qmax and (p, q) not in drops:
+        if p + q + 1 < bc.qmax and (p, q) not in drops:
             assert ss.e_dim(3, p, q) == ss.e_dim(2, p, q), (p, q)
+
+
+@pytest.mark.parametrize("nm,qmax,drops", FOUR_POINT_DROPS,
+                         ids=[c[0] for c in FOUR_POINT_DROPS])
+def test_four_point_second_page_drops(nm, qmax, drops):
+    assert_second_page_drops(build_C(catalog.load(nm), 4, qmax=qmax), drops)
+
+
+@pytest.mark.parametrize("p", [None, 3, 101], ids=["Q", "F3", "F101"])
+def test_five_point_second_page_drops(p):
+    # the n=5 row of the heis3 drops (ROADMAP item 16), with the cohomology
+    # algebra of heis3 as the formal control
+    heis3 = catalog.load("heis3", field=Field(p))
+    assert_second_page_drops(build_C(heis3, 5, qmax=7),
+                             {(0, 5): (40, 30), (1, 4): (121, 115)})
+    assert_second_page_drops(build_C(cohomology(heis3, 3), 5, qmax=7), {})
 
 
 def test_four_point_control_has_the_same_second_page():
