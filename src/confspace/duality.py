@@ -19,19 +19,18 @@ the discovered signs and the resulting second-page duality of dimensions.
 The check runs in exact constants, as the D columns of ``spectral`` do:
 the pairing rows multiply the Poincare pairing table with int
 signs, d1 is ``CTComplex.d1_matrix`` (the tensor side's cached columns),
-and d' and the graph-side E2 are read off one ``SpectralSequence`` of a
-``DView`` of the graph side with d' as its D: the carrier has no
-differential, so d'' is never evaluated.  Both adjointness compositions
-are ``Field.combine`` of those rows and columns.  So each d' key is
-evaluated at most once, and only the adjointness ratio of each block's
-first entry forms a field scalar."""
+and d' and the graph-side E2 are read off one ``SpectralSequence`` of the
+graph side: the carrier has no differential, so its D is d' alone.  Both
+adjointness compositions are ``Field.combine`` of those rows and columns.
+So each d' key is evaluated at most once, and only the adjointness ratio
+of each block's first entry forms a field scalar."""
 
 from itertools import product
 from math import prod
 
 from .exactlinalg import rank, transpose
 from .algebra import sign
-from .spectral import DView, SpectralSequence
+from .spectral import SpectralSequence
 
 
 class DualityError(AssertionError):
@@ -49,8 +48,7 @@ class Pairing:
         self.m = ct.m
         self.n = ct.n
         # d' alone is D: d'' = 0 on bar
-        self._ss = SpectralSequence(DView(bar.blocks, bar.field,
-                                          bar.dprime_key))
+        self._ss = SpectralSequence(bar)
         self._mat = {}   # (p, h) -> pairing rows, read again by adjointness
 
     def dual_block(self, p, h):

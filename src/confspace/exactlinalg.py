@@ -17,12 +17,12 @@ check's adjointness test.
 Every elimination runs through one kernel, ``SpanReducer``: an incremental
 row echelon form whose rows are stored as inserted, as ``{col: int}`` dicts,
 fraction-free and primitive over Q and residues mod p over F_p, so
-elimination does no scalar-object arithmetic.  ``insert`` reduces a new
-vector only until its least index is no pivot and stores it there (the
-persistence reduction); every other reduction clears every pivot.  It
-takes vectors of either kind, and an all-int one goes in as a copy, so
-the D columns of a bicomplex reach it with no field scalar formed; field
-scalars are formed only where its rows or reductions are read.
+elimination does no scalar-object arithmetic.  Every reduction clears
+every pivot, and ``insert`` stores what is left of a new vector, its least
+index a new pivot.  It takes vectors of either kind, and an all-int one
+goes in as a copy, so the D columns of a bicomplex reach it with no field
+scalar formed; field scalars are formed only where its rows or reductions
+are read.
 ``pivot_pairs`` reduces the columns of a map in the order given, and every
 rank is its number of pairs.  ``subquotient`` reduces a list of
 relations and then each of a list of candidates once, extended by its own
@@ -285,11 +285,10 @@ class SpanReducer:
 
     Each row is stored as it is inserted, keyed by its pivot, its least
     index, and never changes after (no back-substitution, as in the
-    persistence reduction).  ``insert`` clears pivots least first only
-    while the least index is one, so the row it stores may hold entries at
-    later pivots.  ``reduce`` and ``contains`` clear every pivot, so the
-    remainder is the unique one that is zero at every pivot; ``basis``
-    builds the reduced row echelon form when it is read.
+    persistence reduction).  ``insert``, ``reduce`` and ``contains`` clear
+    every pivot, so the remainder is the unique one that is zero at every
+    pivot, and a row is stored zero at every pivot there was then;
+    ``basis`` builds the reduced row echelon form when it is read.
 
     Inside, rows are ``{col: int}`` dicts and elimination never builds a
     field scalar: over Q each row is primitive (content gcd 1) with a
@@ -379,26 +378,21 @@ class SpanReducer:
             for j in v:
                 v[j] = v[j] * inv % p
 
-    def _reduce(self, v, s, full=True):
+    def _reduce(self, v, s):
         """Reduce the integer row v / s against the rows, in place; returns
-        the new scale.  Pivots are cleared least first: a row has entries
-        only from its pivot on, so a cleared pivot never comes back, and
-        the remainder is the one that is zero at every pivot.  With full
-        false the heap holds every index of v, and the reduction stops at
-        the first least index that is no pivot (the persistence
-        reduction): v is then a new row with that pivot, and the pivots
-        the full reduction would go on to clear lie after it."""
+        the new scale.  Pivots are cleared least first, off a heap of the
+        pivots v holds: a row has entries only from its pivot on, so a
+        cleared pivot never comes back, and the remainder is the one that
+        is zero at every pivot."""
         rows = self.rows
-        heap = [c for c in v if c in rows] if full else list(v)
+        heap = [c for c in v if c in rows]
         heapify(heap)
         while heap:
             c = heappop(heap)
             if c in v:
-                row = rows.get(c)
-                if row is None:
-                    break
+                row = rows[c]
                 for j in row:
-                    if j not in v and (j in rows or not full):
+                    if j not in v and j in rows:
                         heappush(heap, j)
                 s *= self._combine(v, v[c], row, row[c])
         return s
@@ -410,9 +404,10 @@ class SpanReducer:
 
     def insert(self, vec):
         """Add vec to the span; returns True if the dimension grew.  The
-        new row is stored as soon as its least index is no pivot."""
+        new row is vec with every pivot cleared, so its least index is a
+        new pivot."""
         v, s = self._ints(vec)
-        self._reduce(v, s, full=False)
+        self._reduce(v, s)
         if v:
             self._add(v)
         return bool(v)

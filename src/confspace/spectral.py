@@ -57,10 +57,11 @@ Q; residues over F_p), so the pairing forms no field scalar; D of a vector
 is their ``Field.combine``: the columns summed with its coefficients
 taken as exact constants, and the sums reduced once.  The bicomplex
 protocol is ``blocks``, ``field``, ``qmax`` and ``dtotal_key``.
-``bgcomplex.Bicomplex`` serves it, and ``DView`` serves it for a block
-dict with one chosen key map as D: d' alone of a graph bicomplex, whose
-second page is H(d') (the three- and four-point reports and the duality
-check's graph side), or the tensor-power complex re-keyed with d1 as D
+``bgcomplex.Bicomplex`` serves it (on a carrier with no differential,
+such as the duality check's graph side, its D is d' alone), and ``DView``
+serves it for a block dict with one chosen key map as D: d' alone of a
+graph bicomplex, whose second page is H(d') (the three- and four-point
+reports), or the tensor-power complex re-keyed with d1 as D
 (``ctcomplex``), whose second page is the tensor-power E2.
 Pairs are cached per total degree, and cycle spaces (with their column
 reductions), pages (with their class coordinates) and page differentials
@@ -83,14 +84,14 @@ class WindowError(ValueError):
 
 class DView:
     """The bicomplex of a block dict {(p, q): keys} whose D is d_key, one
-    key's image as exact constants over keys of the blocks; qmax is the
-    q-window the blocks were built under, if any."""
+    key's image as exact constants over keys of the blocks, with no
+    q-window."""
 
-    def __init__(self, blocks, field, d_key, qmax=None):
+    def __init__(self, blocks, field, d_key):
         self.blocks = blocks
         self.field = field
         self.dtotal_key = d_key
-        self.qmax = qmax
+        self.qmax = None
 
 
 class SpectralSequence:

@@ -505,25 +505,28 @@ def test_rows_are_stored_as_inserted_and_pivots_match_the_reference(case):
         red.insert(v)
         assert all(min(row) == c for c, row in red.rows.items())
         assert all(red.rows[c] == row for c, row in before.items())
+        # a new row is stored zero at every pivot there was before it
+        assert all(not before.keys() & red.rows[c].keys()
+                   for c in red.rows.keys() - before.keys())
 
 
 @pytest.mark.parametrize("field", [QQ, F3, F101], ids=["Q", "F3", "F101"])
-def test_insert_stops_at_a_least_index_that_is_no_pivot(field, monkeypatch):
-    # the persistence reduction: a vector whose least index is no pivot is
-    # stored as it is, and one whose least index is a pivot is reduced only
-    # until its least index is none
+def test_insert_clears_every_pivot(field, monkeypatch):
+    # insert reduces as reduce does: every pivot is cleared, even once the
+    # least index is no pivot, so the stored row is zero at pivot 2
     red = SpanReducer(field).extend(sparse_rows(field, [[1, 0, 1, 0],
                                                         [0, 0, 1, 1]]))
     calls = _recording(monkeypatch, SpanReducer, "_combine")
     assert red.insert(sparse_rows(field, [[0, 1, 1, 2]])[0])
-    assert calls == []
-    assert red.rows[1] == {1: 1, 2: 1, 3: 2}
-    # pivot 0 is cleared, then the least index 1 is no pivot: pivot 2 stays
+    assert len(calls) == 1
+    assert red.rows[1] == {1: 1, 3: 1}
+    # pivot 0 is cleared, then pivot 2, though the least index 1 is none
     red = SpanReducer(field).extend(sparse_rows(field, [[1, 0, 1, 0],
                                                         [0, 0, 1, 1]]))
+    del calls[:]
     assert red.insert(sparse_rows(field, [[1, 1, 0, 0]])[0])
-    assert len(calls) == 1
-    assert red.rows[1] == {1: 1, 2: field.p - 1 if field.p else -1}
+    assert len(calls) == 2
+    assert red.rows[1] == {1: 1, 3: 1}
     # spans and remainders are those of the full reduction
     assert red.basis() == sparse_rows(field, [[1, 0, 0, -1], [0, 1, 0, 1],
                                               [0, 0, 1, 1]])

@@ -2,6 +2,7 @@
 
 import copy
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -334,14 +335,24 @@ def test_four_point_second_page_drops(nm, qmax, drops):
     assert_second_page_drops(build_C(catalog.load(nm), 4, qmax=qmax), drops)
 
 
-@pytest.mark.parametrize("p", [None, 3, 101], ids=["Q", "F3", "F101"])
-def test_five_point_second_page_drops(p):
-    # the n=5 row of the heis3 drops (ROADMAP item 16), with the cohomology
-    # algebra of heis3 as the formal control
+# the heis3 rows of ROADMAP item 16 past n=4: n -> (qmax, E2 -> E3 drops)
+HEIS3_DROPS = {5: (7, {(0, 5): (40, 30), (1, 4): (121, 115)}),
+               6: (8, {(0, 6): (74, 42), (1, 5): (374, 284),
+                       (2, 4): (708, 684)})}
+HEIS3_CASES = [(n, p, nm) for n in HEIS3_DROPS
+               for p, nm in ((None, "Q"), (3, "F3"), (101, "F101"))]
+
+
+@pytest.mark.parametrize("n,p", [c[:2] for c in HEIS3_CASES],
+                         ids=[nm if n == 5 else "n%d-%s" % (n, nm)
+                              for n, _, nm in HEIS3_CASES])
+def test_five_point_second_page_drops(n, p):
+    # the n=5 and n=6 rows of the heis3 drops, with the cohomology algebra
+    # of heis3 as the formal control
     heis3 = catalog.load("heis3", field=Field(p))
-    assert_second_page_drops(build_C(heis3, 5, qmax=7),
-                             {(0, 5): (40, 30), (1, 4): (121, 115)})
-    assert_second_page_drops(build_C(cohomology(heis3, 3), 5, qmax=7), {})
+    qmax, drops = HEIS3_DROPS[n]
+    assert_second_page_drops(build_C(heis3, n, qmax=qmax), drops)
+    assert_second_page_drops(build_C(cohomology(heis3, 3), n, qmax=qmax), {})
 
 
 def test_four_point_control_has_the_same_second_page():
@@ -674,6 +685,39 @@ def test_quotient_page_ranks_match_the_next_page(p, r):
                   qmax=6)
     assert bc.pmax == 3
     assert _page_failures(bc, _window_inside(bc), r) == {}
+
+
+# free models of the formal carriers s2 and cp2, truncated above degree 12:
+# name -> (generators, the monomial dy)
+FREE_MODELS = {"s2": ([("x", 2), ("y", 3)], ("x", "x")),
+               "cp2": ([("x", 2), ("y", 5)], ("x", "x", "x"))}
+
+
+def _window_pages(bc, rmax):
+    """The nonzero dims of pages 1..rmax on the blocks the window holds."""
+    ss = SpectralSequence(bc)
+    return {r: {pq: d for pq in _window_inside(bc) if (d := ss.e_dim(r, *pq))}
+            for r in range(1, rmax + 1)}
+
+
+@pytest.mark.parametrize("p", [None, 3, 101], ids=["Q", "F3", "F101"])
+@pytest.mark.parametrize("nm", sorted(FREE_MODELS))
+def test_free_model_pages_match_its_cohomology(nm, p):
+    # ROADMAP item 8: pages from E1 on are quasi-isomorphism invariants, so
+    # a free model, whose d'' is not zero, must give the pages of its
+    # formal cohomology on the blocks the window determines.  The Koszul
+    # slot sign of d'' shows only once D D reaches two factors with d != 0
+    # (q = 8 for s2), so a window of 9 is checked beside one of 7
+    field = Field(p)
+    gens, dy = FREE_MODELS[nm]
+    model = TruncatedFreeCDGA(nm + "_free", field, gens, {"y": [(dy, 1)]}, 12)
+    formal = catalog.load(nm, field=field)
+    for n, qmax, kind in product((3, 4), (7, 9), ("C", "bar")):
+        got, want = (build_C(a, n, qmax=qmax) if kind == "C" else
+                     build_AG(a, n, gr.NODUPTARGET, qmax=qmax)
+                     for a in (model, formal))
+        assert _window_pages(got, n + 1) == _window_pages(want, n + 1), \
+            (n, qmax, kind)
 
 
 @pytest.mark.xfail(strict=True, reason=(
